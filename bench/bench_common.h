@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "apps/suite.h"
+#include "core/pim_json.h"
 #include "core/pim_profile.h"
 #include "host/baseline_models.h"
 #include "util/logging.h"
@@ -126,14 +127,8 @@ emitProfilePhasesJson(std::ostream &os,
     os << indent << "\"profile_phases\": [";
     for (size_t i = 0; i < snap.phases.size(); ++i) {
         const pimeval::PimProfilePhase &p = snap.phases[i];
-        std::string escaped;
-        for (char c : p.name) {
-            if (c == '"' || c == '\\')
-                escaped.push_back('\\');
-            escaped.push_back(c);
-        }
         os << (i ? "," : "") << "\n"
-           << indent << "  {\"name\": \"" << escaped
+           << indent << "  {\"name\": \"" << pimeval::jsonEscape(p.name)
            << "\", \"parent\": " << p.parent
            << ", \"depth\": " << p.depth << ", \"count\": " << p.count
            << ",\n"

@@ -27,6 +27,7 @@
 
 #include "core/perf_energy_model.h"
 #include "core/pim_api.h"
+#include "core/pim_json.h"
 #include "util/logging.h"
 #include "util/prng.h"
 
@@ -396,19 +397,6 @@ class CaptureReporter : public benchmark::ConsoleReporter
   private:
     std::vector<Run> captured_;
 };
-
-/** Escape a string for JSON output. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
 
 /**
  * Write the captured runs as a JSON array of

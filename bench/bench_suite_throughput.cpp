@@ -1,16 +1,14 @@
 /**
  * @file
  * Suite-throughput benchmark: simulator wall-clock of PIMbench
- * workloads under the synchronous and the asynchronous command
- * pipeline execution modes (pimSetExecMode).
+ * workloads with elementwise command fusion off and on.
  *
- * Each selected workload runs to completion in four passes on the
- * same target — sync and async, each with elementwise command fusion
- * off and on; the report compares end-to-end wall-clock (best of N
- * repetitions) and checks that the modeled statistics — kernel/copy
- * time and energy, transfer bytes — are bit-identical across all four
- * passes, the correctness contract of both the pipeline (in-order
- * stats commit) and the fusion pass (per-original-command costing).
+ * Each selected workload runs to completion in two passes on the
+ * same target — unfused and fused; the report compares end-to-end
+ * wall-clock (best of N repetitions) and checks that the modeled
+ * statistics — kernel/copy time and energy, transfer bytes — are
+ * bit-identical across the passes, the correctness contract of the
+ * fusion pass (per-original-command costing).
  *
  * A fusion microbenchmark rides along: AXPY expressed as a
  * mulScalar->add chain and a linear-regression residual
@@ -33,16 +31,11 @@
  * and repetitions come from PIMEVAL_BENCH_SUITE_SCALE (tiny|small,
  * default small) and PIMEVAL_BENCH_SUITE_REPS (default 3).
  *
- * Observability: the JSON also carries per-mode simulator metrics —
- * pipeline occupancy, mean queue depth, hazard-edge breakdown, cache
- * hit rates (docs/OBSERVABILITY.md). When PIMEVAL_TRACE=<base> is
- * set, each execution mode additionally exports a Chrome/Perfetto
- * trace of its whole pass to <base>.sync.json / <base>.async.json.
- *
- * The async speedup is bounded by the host cores available to the
- * pipeline workers: on a single-core machine the two modes tie (the
- * measured overlap is reported honestly, whatever it is); see
- * docs/PERFORMANCE.md.
+ * Observability: the JSON also carries per-pass simulator metrics —
+ * fusion counters and cache hit rates (docs/OBSERVABILITY.md). When
+ * PIMEVAL_TRACE=<base> is set, each pass additionally exports a
+ * Chrome/Perfetto trace of its whole run to <base>.sync.json /
+ * <base>.sync_fused.json.
  */
 
 #include <algorithm>
@@ -71,7 +64,7 @@ const char *const kApps[] = {
     "Vector Addition", "AXPY", "GEMV", "GEMM", "K-means",
 };
 
-/** One mode's measurement for one app. */
+/** One pass's measurement for one app. */
 struct ModeRun
 {
     double best_wall_sec = std::numeric_limits<double>::infinity();
@@ -89,16 +82,13 @@ nowSec()
 }
 
 ModeRun
-runApp(const std::string &name, SuiteScale scale, unsigned reps,
-       double *pass_wall_sec)
+runApp(const std::string &name, SuiteScale scale, unsigned reps)
 {
     ModeRun run;
     for (unsigned r = 0; r < reps; ++r) {
         const double start = nowSec();
         const AppResult result = runBenchmarkByName(name, scale);
         const double wall = nowSec() - start;
-        if (pass_wall_sec)
-            *pass_wall_sec += wall;
         run.best_wall_sec = std::min(run.best_wall_sec, wall);
         run.verified = result.verified;
         run.stats = result.stats;
@@ -115,19 +105,9 @@ metricOr(const char *name, double fallback)
     return v;
 }
 
-/** Derived simulator metrics of one whole execution-mode pass. */
+/** Derived simulator metrics of one whole pass. */
 struct PassMetrics
 {
-    double occupancy_frac = 0.0;   ///< worker busy / worker capacity
-    double mean_queue_depth = 0.0; ///< pipeline.depth histogram mean
-    double exec_sec = 0.0;         ///< summed worker execution time
-    uint64_t issued = 0;
-    uint64_t committed = 0;
-    uint64_t stalled_at_issue = 0;
-    uint64_t backpressure_waits = 0;
-    uint64_t hazard_raw = 0;
-    uint64_t hazard_waw = 0;
-    uint64_t hazard_war = 0;
     double transfer_cache_hit_rate = 0.0;
     double freelist_hit_rate = 0.0;
     uint64_t fusion_chains = 0;
@@ -140,42 +120,10 @@ struct PassMetrics
     uint64_t fusion_copy_elisions = 0;
 };
 
-/** Same worker-count default as PimPipeline (occupancy denominator). */
-size_t
-pipelineWorkerCount()
-{
-    const size_t hw = std::thread::hardware_concurrency();
-    return std::clamp<size_t>(hw, 2, 6);
-}
-
 PassMetrics
-collectPassMetrics(double pass_wall_sec)
+collectPassMetrics()
 {
     PassMetrics m;
-    m.exec_sec = metricOr("pipeline.exec_ns", 0.0) / 1e9;
-    if (pass_wall_sec > 0.0) {
-        m.occupancy_frac = m.exec_sec /
-            (pass_wall_sec * static_cast<double>(pipelineWorkerCount()));
-    }
-    m.issued = static_cast<uint64_t>(metricOr("pipeline.issued", 0.0));
-    m.committed =
-        static_cast<uint64_t>(metricOr("pipeline.committed", 0.0));
-    m.stalled_at_issue =
-        static_cast<uint64_t>(metricOr("pipeline.issued_stalled", 0.0));
-    m.backpressure_waits =
-        static_cast<uint64_t>(metricOr("pipeline.backpressure", 0.0));
-    m.hazard_raw =
-        static_cast<uint64_t>(metricOr("pipeline.hazard.raw", 0.0));
-    m.hazard_waw =
-        static_cast<uint64_t>(metricOr("pipeline.hazard.waw", 0.0));
-    m.hazard_war =
-        static_cast<uint64_t>(metricOr("pipeline.hazard.war", 0.0));
-
-    const auto all = pimGetAllMetrics();
-    if (const auto it = all.find("pipeline.depth");
-        it != all.end() && it->second.count > 0)
-        m.mean_queue_depth = it->second.value;
-
     const double tc_hit = metricOr("cache.transfer.hit", 0.0);
     const double tc_miss = metricOr("cache.transfer.miss", 0.0);
     if (tc_hit + tc_miss > 0.0)
@@ -208,18 +156,6 @@ emitPassMetricsJson(std::ostream &os, const char *key,
                     const PassMetrics &m)
 {
     os << "  \"" << key << "\": {\n"
-       << "    \"pipeline_occupancy_frac\": " << m.occupancy_frac
-       << ",\n"
-       << "    \"mean_queue_depth\": " << m.mean_queue_depth << ",\n"
-       << "    \"worker_exec_sec\": " << m.exec_sec << ",\n"
-       << "    \"commands_issued\": " << m.issued << ",\n"
-       << "    \"commands_committed\": " << m.committed << ",\n"
-       << "    \"hazard_stalls\": {\"issued_stalled\": "
-       << m.stalled_at_issue
-       << ", \"backpressure_waits\": " << m.backpressure_waits
-       << ", \"raw_edges\": " << m.hazard_raw
-       << ", \"waw_edges\": " << m.hazard_waw
-       << ", \"war_edges\": " << m.hazard_war << "},\n"
        << "    \"transfer_cache_hit_rate\": "
        << m.transfer_cache_hit_rate << ",\n"
        << "    \"freelist_hit_rate\": " << m.freelist_hit_rate << ",\n"
@@ -499,18 +435,6 @@ runSweepLeg(PimContext ctx, SuiteScale scale,
     return nowSec() - start;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -535,24 +459,21 @@ main()
     const std::string json_path =
         (env && *env) ? env : "BENCH_SUITE.json";
 
-    std::cout << "suite_throughput: sync vs async command pipeline"
+    std::cout << "suite_throughput: unfused vs fused"
               << " (scale=" << (tiny ? "tiny" : "small")
               << ", reps=" << reps << ", host threads="
               << std::thread::hardware_concurrency() << ")\n";
 
-    // Pass order: unfused pair first, fused pair second (fusion ON in
-    // the fused passes is the identity gate this bench enforces).
+    // Unfused pass first, fused second (fusion ON in the fused pass
+    // is the identity gate this bench enforces).
     struct ModePass
     {
-        PimExecEnum mode;
         bool fused;
         const char *name;
     };
     constexpr ModePass kPasses[] = {
-        {PimExecEnum::PIM_EXEC_SYNC, false, "sync"},
-        {PimExecEnum::PIM_EXEC_ASYNC, false, "async"},
-        {PimExecEnum::PIM_EXEC_SYNC, true, "sync_fused"},
-        {PimExecEnum::PIM_EXEC_ASYNC, true, "async_fused"},
+        {false, "sync"},
+        {true, "sync_fused"},
     };
     constexpr size_t kNumPasses = std::size(kPasses);
 
@@ -604,7 +525,6 @@ main()
 
         for (size_t p = 0; p < kNumPasses; ++p) {
             const ModePass &pass = kPasses[p];
-            pimSetExecMode(pass.mode);
             pimSetFusionEnabled(pass.fused);
             if (tracing) {
                 const std::string path = std::string(trace_base) +
@@ -614,16 +534,13 @@ main()
                               << " pass to " << path << "]\n";
             }
             pimResetMetrics();
-            double pass_wall_sec = 0.0;
             for (auto &row : rows)
-                row.runs[p] =
-                    runApp(row.app, scale, reps, &pass_wall_sec);
-            pass_metrics[p] = collectPassMetrics(pass_wall_sec);
+                row.runs[p] = runApp(row.app, scale, reps);
+            pass_metrics[p] = collectPassMetrics();
             if (tracing)
                 pimTraceEnd(nullptr);
         }
         pimSetFusionEnabled(false);
-        pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC);
     }
 
     // Multi-target sweep: the same workloads on all three targets,
@@ -803,8 +720,8 @@ main()
         : 0.0;
 
     pimeval::TableWriter table(
-        "Suite wall-clock: sync vs async pipeline (Fulcrum)",
-        {"Application", "Sync s", "Async s", "Speedup", "Fused s",
+        "Suite wall-clock: unfused vs fused (Fulcrum)",
+        {"Application", "Unfused s", "Fused s", "Speedup",
          "Stats match", "Verified"});
     double totals[kNumPasses] = {};
     bool all_match = true, all_verified = true;
@@ -819,59 +736,41 @@ main()
         }
         all_match = all_match && match;
         all_verified = all_verified && verified;
-        char sync_s[32], async_s[32], speedup_s[32], fused_s[32];
+        char sync_s[32], fused_s[32], speedup_s[32];
         std::snprintf(sync_s, sizeof sync_s, "%.3f",
                       row.runs[0].best_wall_sec);
-        std::snprintf(async_s, sizeof async_s, "%.3f",
+        std::snprintf(fused_s, sizeof fused_s, "%.3f",
                       row.runs[1].best_wall_sec);
         std::snprintf(speedup_s, sizeof speedup_s, "%.2fx",
                       row.runs[0].best_wall_sec /
                           row.runs[1].best_wall_sec);
-        std::snprintf(fused_s, sizeof fused_s, "%.3f",
-                      row.runs[2].best_wall_sec);
-        table.addRow({row.app, sync_s, async_s, speedup_s, fused_s,
+        table.addRow({row.app, sync_s, fused_s, speedup_s,
                       match ? "yes" : "NO", verified ? "yes" : "NO"});
     }
     emitTable(table);
-    const double sync_total = totals[0], async_total = totals[1];
-    std::cout << "suite wall-clock: sync " << sync_total << " s, async "
-              << async_total << " s, speedup "
-              << sync_total / async_total << "x (fused: sync "
-              << totals[2] << " s, async " << totals[3] << " s)\n";
-    const PassMetrics &async_metrics = pass_metrics[1];
-    std::printf("async pipeline: occupancy %.1f%%, mean queue depth "
-                "%.1f, %llu commands (%llu stalled at issue, "
-                "hazard edges raw/waw/war %llu/%llu/%llu)\n",
-                async_metrics.occupancy_frac * 100.0,
-                async_metrics.mean_queue_depth,
-                static_cast<unsigned long long>(async_metrics.issued),
-                static_cast<unsigned long long>(
-                    async_metrics.stalled_at_issue),
-                static_cast<unsigned long long>(
-                    async_metrics.hazard_raw),
-                static_cast<unsigned long long>(
-                    async_metrics.hazard_waw),
-                static_cast<unsigned long long>(
-                    async_metrics.hazard_war));
-    std::printf("fusion (sync pass): %llu chains (%llu reductions, "
+    const double sync_total = totals[0], fused_total = totals[1];
+    std::cout << "suite wall-clock: unfused " << sync_total
+              << " s, fused " << fused_total << " s, speedup "
+              << sync_total / fused_total << "x\n";
+    std::printf("fusion (fused pass): %llu chains (%llu reductions, "
                 "%llu scalar folds), %llu ops fused, %llu temps "
                 "elided, %llu host loads (%llu copy elisions); micro "
                 "axpy %.2fx, linreg %.2fx, dot %.2fx, gemv %.2fx "
                 "(%llu elements, outputs %s)\n",
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_chains),
+                    pass_metrics[1].fusion_chains),
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_reduction_chains),
+                    pass_metrics[1].fusion_reduction_chains),
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_scalar_folds),
+                    pass_metrics[1].fusion_scalar_folds),
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_ops_fused),
+                    pass_metrics[1].fusion_ops_fused),
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_temps_elided),
+                    pass_metrics[1].fusion_temps_elided),
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_host_loads),
+                    pass_metrics[1].fusion_host_loads),
                 static_cast<unsigned long long>(
-                    pass_metrics[2].fusion_copy_elisions),
+                    pass_metrics[1].fusion_copy_elisions),
                 axpy_micro.speedup(), linreg_micro.speedup(),
                 dot_micro.speedup(), gemv_micro.speedup(),
                 static_cast<unsigned long long>(micro_n),
@@ -924,33 +823,25 @@ main()
              << "  \"host_threads\": "
              << std::thread::hardware_concurrency() << ",\n"
              << "  \"suite_sync_wall_sec\": " << sync_total << ",\n"
-             << "  \"suite_async_wall_sec\": " << async_total << ",\n"
-             << "  \"suite_speedup\": " << sync_total / async_total
+             << "  \"suite_sync_fused_wall_sec\": " << fused_total
              << ",\n"
-             << "  \"suite_sync_fused_wall_sec\": " << totals[2]
-             << ",\n"
-             << "  \"suite_async_fused_wall_sec\": " << totals[3]
+             << "  \"suite_fused_speedup\": " << sync_total / fused_total
              << ",\n";
     emitPassMetricsJson(json_out, "sync_metrics", pass_metrics[0]);
     json_out << ",\n";
-    emitPassMetricsJson(json_out, "async_metrics", pass_metrics[1]);
-    json_out << ",\n";
     emitPassMetricsJson(json_out, "sync_fused_metrics",
-                        pass_metrics[2]);
-    json_out << ",\n";
-    emitPassMetricsJson(json_out, "async_fused_metrics",
-                        pass_metrics[3]);
+                        pass_metrics[1]);
     json_out << ",\n  \"fusion_metrics\": {\n"
-             << "    \"chains\": " << pass_metrics[2].fusion_chains
+             << "    \"chains\": " << pass_metrics[1].fusion_chains
              << ",\n"
              << "    \"ops_fused\": "
-             << pass_metrics[2].fusion_ops_fused << ",\n"
+             << pass_metrics[1].fusion_ops_fused << ",\n"
              << "    \"temps_elided\": "
-             << pass_metrics[2].fusion_temps_elided << ",\n"
+             << pass_metrics[1].fusion_temps_elided << ",\n"
              << "    \"reduction_chains\": "
-             << pass_metrics[2].fusion_reduction_chains << ",\n"
+             << pass_metrics[1].fusion_reduction_chains << ",\n"
              << "    \"scalar_folds\": "
-             << pass_metrics[2].fusion_scalar_folds << ",\n"
+             << pass_metrics[1].fusion_scalar_folds << ",\n"
              << "    \"micro_elements\": " << micro_n << ",\n"
              << "    \"axpy_unfused_sec\": " << axpy_micro.unfused_sec
              << ",\n"
@@ -981,11 +872,11 @@ main()
              << "    \"gemv_micro_cols\": " << gemv_micro_cols
              << ",\n"
              << "    \"host_loads\": "
-             << pass_metrics[2].fusion_host_loads << ",\n"
+             << pass_metrics[1].fusion_host_loads << ",\n"
              << "    \"copy_bytes_fused\": "
-             << pass_metrics[2].fusion_copy_bytes_fused << ",\n"
+             << pass_metrics[1].fusion_copy_bytes_fused << ",\n"
              << "    \"copy_elisions\": "
-             << pass_metrics[2].fusion_copy_elisions << ",\n"
+             << pass_metrics[1].fusion_copy_elisions << ",\n"
              << "    \"micro_outputs_identical\": "
              << (axpy_micro.identical && linreg_micro.identical &&
                          dot_micro.identical && gemv_micro.identical
@@ -1007,7 +898,7 @@ main()
              << "    \"targets\": [\n";
     for (size_t i = 0; i < sweep.size(); ++i) {
         const SweepTarget &t = sweep[i];
-        json_out << "      {\"target\": \"" << jsonEscape(t.name)
+        json_out << "      {\"target\": \"" << pimeval::jsonEscape(t.name)
                  << "\", \"sequential_wall_sec\": " << t.seq_wall_sec
                  << ", \"concurrent_wall_sec\": " << t.conc_wall_sec
                  << "}" << (i + 1 < sweep.size() ? "," : "") << "\n";
@@ -1034,7 +925,7 @@ main()
              << "    \"apps\": [\n";
     for (size_t i = 0; i < backend_apps.size(); ++i) {
         const BackendApp &row = backend_apps[i];
-        json_out << "      {\"app\": \"" << jsonEscape(row.app)
+        json_out << "      {\"app\": \"" << pimeval::jsonEscape(row.app)
                  << "\", \"cycle_copy_sec\": " << row.cycle_copy_sec
                  << ", \"lut_copy_sec\": " << row.lut_copy_sec
                  << ", \"analytical_copy_sec\": "
@@ -1045,7 +936,7 @@ main()
                  << (i + 1 < backend_apps.size() ? "," : "") << "\n";
     }
     json_out << "    ]\n  }";
-    // Per-phase breakdown of the exec-mode passes, recorded when
+    // Per-phase breakdown of the two passes, recorded when
     // PIMEVAL_PROFILE armed the profiler for the main device session
     // (each suite app is a top-level phase with setup/h2d/compute/d2h
     // children). Empty when the profiler never ran.
@@ -1065,18 +956,14 @@ main()
         bool verified = true;
         for (size_t p = 0; p < kNumPasses; ++p)
             verified = verified && row.runs[p].verified;
-        json_out << "    {\"app\": \"" << jsonEscape(row.app)
+        json_out << "    {\"app\": \"" << pimeval::jsonEscape(row.app)
                  << "\", \"sync_wall_sec\": "
                  << row.runs[0].best_wall_sec
-                 << ", \"async_wall_sec\": "
+                 << ", \"sync_fused_wall_sec\": "
                  << row.runs[1].best_wall_sec
-                 << ", \"speedup\": "
+                 << ", \"fused_speedup\": "
                  << row.runs[0].best_wall_sec /
                         row.runs[1].best_wall_sec
-                 << ", \"sync_fused_wall_sec\": "
-                 << row.runs[2].best_wall_sec
-                 << ", \"async_fused_wall_sec\": "
-                 << row.runs[3].best_wall_sec
                  << ", \"modeled_stats_match\": "
                  << (match ? "true" : "false")
                  << ", \"verified\": " << (verified ? "true" : "false")
@@ -1086,11 +973,11 @@ main()
     std::cout << "[json written: " << json_path << "]\n";
 
     // The bit-identity contract is load-bearing: fail loudly if any
-    // workload's modeled stats diverged between exec modes or between
-    // fused and unfused execution, or the microbench outputs differ.
+    // workload's modeled stats diverged between fused and unfused
+    // execution, or the microbench outputs differ.
     if (!all_match || !all_verified) {
         std::cerr << (all_match ? "verification" : "modeled stats")
-                  << " mismatch across exec/fusion passes\n";
+                  << " mismatch across fusion passes\n";
         return 1;
     }
     if (!axpy_micro.identical || !linreg_micro.identical ||

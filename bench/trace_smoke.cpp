@@ -84,7 +84,6 @@ main()
         std::fprintf(stderr, "trace_smoke: device creation failed\n");
         return 1;
     }
-    pimSetExecMode(PimExecEnum::PIM_EXEC_ASYNC);
 
     // --- Check 1: traced run exports a valid dual-clock trace. ---
     const std::string trace_path = "trace_smoke_out.json";

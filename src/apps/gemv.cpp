@@ -13,30 +13,16 @@ namespace pimbench {
 GemvWorkspace::GemvWorkspace(uint64_t m)
 {
     PIM_PROFILE_SCOPE("setup");
-    // Captured copies make rotation pointless: the fused sweep elides
-    // the staging stores outright, so one buffer maximizes WAW
-    // elision while the unfused pipeline keeps its overlap rotation.
-    num_cols_ = pimGetFusionEnabled() ? 1 : kColumnBuffers;
-    cols_[0] = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, m, 32,
-                        PimDataType::PIM_INT32);
-    ok_ = cols_[0] >= 0;
-    for (uint64_t i = 1; i < num_cols_; ++i) {
-        cols_[i] =
-            pimAllocAssociated(32, cols_[0], PimDataType::PIM_INT32);
-        ok_ = ok_ && cols_[i] >= 0;
-    }
-    for (uint64_t i = num_cols_; i < kColumnBuffers; ++i)
-        cols_[i] = -1;
-    acc_ = pimAllocAssociated(32, cols_[0], PimDataType::PIM_INT32);
-    ok_ = ok_ && acc_ >= 0;
+    col_ = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, m, 32,
+                    PimDataType::PIM_INT32);
+    acc_ = pimAllocAssociated(32, col_, PimDataType::PIM_INT32);
+    ok_ = col_ >= 0 && acc_ >= 0;
 }
 
 GemvWorkspace::~GemvWorkspace()
 {
-    for (const PimObjId col : cols_) {
-        if (col >= 0)
-            pimFree(col);
-    }
+    if (col_ >= 0)
+        pimFree(col_);
     if (acc_ >= 0)
         pimFree(acc_);
 }
@@ -56,21 +42,16 @@ pimGemvColumnSweep(GemvWorkspace &ws, const std::vector<int> &matrix,
         PIM_PROFILE_SCOPE("compute");
         // With fusion on, the whole sweep runs as a capture region:
         // each copy becomes a fused load feeding its scaled-add, the
-        // single staging buffer's stores are WAW-elided, and a window
-        // of K columns executes as one fused sweep.
+        // staging buffer's stores are WAW-elided, and a window of K
+        // columns executes as one fused sweep.
         const bool fused = pimGetFusionEnabled();
         if (fused)
             pimBeginFusion();
         pimBroadcastInt(ws.acc(), 0);
         for (uint64_t j = 0; j < n; ++j) {
-            // Rotating staging buffers: the copy into column j
-            // targets a different object than the scaled-add still
-            // consuming column j-1, so the async pipeline overlaps
-            // them. Fused sweeps stream through one buffer instead.
-            const PimObjId col = fused ? ws.column(0) : ws.column(j);
-            pimCopyHostToDevice(matrix.data() + j * m, col);
+            pimCopyHostToDevice(matrix.data() + j * m, ws.column());
             pimScaledAdd(
-                col, ws.acc(), ws.acc(),
+                ws.column(), ws.acc(), ws.acc(),
                 static_cast<uint64_t>(static_cast<int64_t>(v[j])));
         }
         if (fused)

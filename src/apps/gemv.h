@@ -28,25 +28,15 @@ struct GemvParams
 AppResult runGemv(const GemvParams &params);
 
 /**
- * Pre-allocated device objects for column sweeps: rotating column
- * staging buffers plus the accumulator. The rotation lets the async
- * command pipeline overlap the host-to-device copy of column j+1 with
- * the scaled-add consuming column j (same command stream as a single
- * buffer, so modeled stats are unchanged); reusing one workspace
- * across sweeps (GEMM, VGG dense layers) also avoids per-sweep
- * alloc/free churn.
- *
- * When fusion is enabled at construction the workspace drops to a
- * single staging buffer: captured copies stream host tiles through
- * the fused tape, so back-to-back writes to one buffer are
- * WAW-elided instead of pipelined and extra rotation buffers would
- * only reduce the elision rate.
+ * Pre-allocated device objects for column sweeps: one column staging
+ * buffer plus the accumulator. Reusing one workspace across sweeps
+ * (GEMM, VGG dense layers) avoids per-sweep alloc/free churn. With
+ * fusion on, captured copies stream host tiles through the fused
+ * tape and back-to-back writes to the staging buffer are WAW-elided.
  */
 class GemvWorkspace
 {
   public:
-    static constexpr uint64_t kColumnBuffers = 4;
-
     /** Allocate buffers for m-element columns on the active device. */
     explicit GemvWorkspace(uint64_t m);
     ~GemvWorkspace();
@@ -54,15 +44,11 @@ class GemvWorkspace
     GemvWorkspace &operator=(const GemvWorkspace &) = delete;
 
     bool ok() const { return ok_; }
-    PimObjId column(uint64_t j) const
-    {
-        return cols_[j % num_cols_];
-    }
+    PimObjId column() const { return col_; }
     PimObjId acc() const { return acc_; }
 
   private:
-    PimObjId cols_[kColumnBuffers];
-    uint64_t num_cols_ = kColumnBuffers;
+    PimObjId col_ = -1;
     PimObjId acc_ = -1;
     bool ok_ = false;
 };

@@ -93,19 +93,14 @@ runKmeans(const KmeansParams &params)
     const PimObjId obj_min = assoc();
     const PimObjId obj_mask = assoc();
     const PimObjId obj_assigned = assoc();
-    // Per-centroid distance and y-delta temporaries: each centroid's
-    // distance chain touches only its own objects, so the async
-    // pipeline computes the k chains concurrently (a single shared dy
-    // would serialize them through a WAW hazard).
+    const PimObjId obj_dy = assoc();
+    // Per-centroid distances (kept for the running minimum and the
+    // grouping pass); the y-delta is scratch shared by all centroids.
     std::vector<PimObjId> obj_dist(k);
-    std::vector<PimObjId> obj_dy(k);
     bool alloc_ok = obj_x >= 0 && obj_y >= 0 && obj_tmp >= 0 &&
-        obj_min >= 0 && obj_mask >= 0 && obj_assigned >= 0;
+        obj_min >= 0 && obj_mask >= 0 && obj_assigned >= 0 &&
+        obj_dy >= 0;
     for (auto &d : obj_dist) {
-        d = assoc();
-        alloc_ok = alloc_ok && d >= 0;
-    }
-    for (auto &d : obj_dy) {
         d = assoc();
         alloc_ok = alloc_ok && d >= 0;
     }
@@ -132,11 +127,11 @@ runKmeans(const KmeansParams &params)
                          static_cast<uint64_t>(
                              static_cast<int64_t>(centroids[c].x)));
             pimAbs(obj_dist[c], obj_dist[c]);
-            pimSubScalar(obj_y, obj_dy[c],
+            pimSubScalar(obj_y, obj_dy,
                          static_cast<uint64_t>(
                              static_cast<int64_t>(centroids[c].y)));
-            pimAbs(obj_dy[c], obj_dy[c]);
-            pimAdd(obj_dist[c], obj_dy[c], obj_dist[c]);
+            pimAbs(obj_dy, obj_dy);
+            pimAdd(obj_dist[c], obj_dy, obj_dist[c]);
         }
         if (fused)
             pimEndFusion();
@@ -189,9 +184,8 @@ runKmeans(const KmeansParams &params)
     pimFree(obj_min);
     pimFree(obj_mask);
     pimFree(obj_assigned);
+    pimFree(obj_dy);
     for (PimObjId d : obj_dist)
-        pimFree(d);
-    for (PimObjId d : obj_dy)
         pimFree(d);
 
     // Verify with the PIM semantics: distances (and hence

@@ -74,8 +74,9 @@ class PerfEnergyBitSerial : public PerfEnergyModel
             return static_cast<size_t>(h ^ (h >> 32));
         }
     };
-    /** Reader/writer lock: costOp runs concurrently on the pipeline's
-     *  workers and the cache is hit on virtually every call. */
+    /** Reader/writer lock keeps the const costOp safe to call from
+     *  several host threads; the cache is hit on virtually every
+     *  call, so readers share the lock. */
     mutable std::shared_mutex cache_mutex_;
     mutable std::unordered_map<CountsKey, MicroOpCounts, CountsKeyHash>
         counts_cache_;

@@ -85,23 +85,6 @@ pimGetMemBackend()
 }
 
 PimStatus
-pimSetExecMode(PimExecEnum mode)
-{
-    PimDevice *dev = activeDevice("pimSetExecMode");
-    if (!dev)
-        return PimStatus::PIM_ERROR;
-    dev->setExecMode(mode);
-    return PimStatus::PIM_OK;
-}
-
-PimExecEnum
-pimGetExecMode()
-{
-    PimDevice *dev = PimSim::instance().device();
-    return dev ? dev->execMode() : PimExecEnum::PIM_EXEC_SYNC;
-}
-
-PimStatus
 pimSync()
 {
     PIM_TRACE_SCOPE("pimSync", "api");
@@ -552,9 +535,6 @@ pimResetStats()
     PimDevice *dev = activeDevice("pimResetStats");
     if (!dev)
         return PimStatus::PIM_ERROR;
-    // Drain and clear atomically: a plain sync-then-reset leaves a
-    // window where commands issued by another thread commit between
-    // the drain and the clear, losing or double-counting their stats.
     dev->resetStats();
     return PimStatus::PIM_OK;
 }
@@ -656,7 +636,7 @@ PimStatus
 pimTraceEnd(const char *path)
 {
     if (PimDevice *dev = PimSim::instance().device())
-        dev->sync(); // in-flight spans land in the trace
+        dev->sync(); // buffered commands' spans land in the trace
     const bool ok =
         PimTracer::instance().end(path ? std::string(path) : "");
     if (!ok)

@@ -60,24 +60,10 @@ const pimeval::PimDeviceConfig &pimGetDeviceConfig();
 PimMemBackend pimGetMemBackend();
 
 /**
- * Select the execution mode of the active device. PIM_EXEC_SYNC (the
- * default) runs every call to completion before returning. In
- * PIM_EXEC_ASYNC, non-blocking calls enqueue into the device command
- * pipeline and independent dependency chains execute concurrently;
- * calls that hand data back to the host (pimCopyDeviceToHost,
- * pimRedSum*) drain only their dependency cone, and statistics are
- * committed in issue order so final stats match sync mode
- * bit-for-bit. Switching modes drains the pipeline.
- */
-PimStatus pimSetExecMode(PimExecEnum mode);
-
-/** Execution mode of the active device (sync if none). */
-PimExecEnum pimGetExecMode();
-
-/**
- * Drain the command pipeline of the active device: every enqueued
- * command has executed and committed its statistics when this
- * returns. No-op in sync mode.
+ * Flush the fusion window of the active device: every buffered
+ * command has executed and recorded its statistics when this returns,
+ * and deferred results (pimRedSum captured in a fusion region) are
+ * valid. Every other call already runs to completion when it returns.
  */
 PimStatus pimSync();
 
@@ -266,7 +252,8 @@ PimStatus pimShowStats(std::ostream &os);
  * Export the statistics of the active device as structured JSON:
  * aggregate totals, data-copy byte counts, and the full per-command
  * modeled runtime/energy table (what pimShowStats pretty-prints).
- * Drains the pipeline first so the export observes everything issued.
+ * Flushes the fusion window first so the export observes everything
+ * issued.
  */
 PimStatus pimDumpStats(const char *path);
 
@@ -317,15 +304,16 @@ double pimGetModelingScale();
 /**
  * Start (or restart) event tracing; the trace is exported to @p path
  * by pimTraceEnd (".csv" selects CSV, anything else Chrome trace-event
- * JSON for Perfetto / chrome://tracing). Drains the pipeline of the
- * active device, if any, so the trace starts from a quiesced state.
+ * JSON for Perfetto / chrome://tracing). Flushes the fusion window of
+ * the active device, if any, so the trace starts at a command
+ * boundary.
  */
 PimStatus pimTraceBegin(const char *path);
 
 /**
  * Stop tracing and export. @p path overrides the pimTraceBegin path
- * when non-null. Drains the pipeline first so in-flight spans land in
- * the trace.
+ * when non-null. Flushes the fusion window first so buffered
+ * commands' spans land in the trace.
  */
 PimStatus pimTraceEnd(const char *path = nullptr);
 
@@ -337,7 +325,7 @@ PimStatus pimTraceDump(const char *path);
 bool pimTraceActive();
 
 /**
- * Read one simulator metric by name (e.g. "pipeline.hazard.raw",
+ * Read one simulator metric by name (e.g. "fusion.chains",
  * "freelist.hit"; see docs/OBSERVABILITY.md for the glossary).
  * Counters yield their count, gauges their value, histograms their
  * mean. @return false when no such metric has been registered.

@@ -4,7 +4,7 @@
  * devices in one process.
  *
  * A PimContext owns a full device instance — resource manager,
- * command pipeline, fusion window, statistics, and trace track — with
+ * thread pool, fusion window, statistics, and trace track — with
  * zero mutable state shared between contexts, so N contexts execute
  * concurrently from N host threads. Two ways to use a context:
  *
@@ -57,10 +57,10 @@ pimCreateContextFromConfig(const pimeval::PimDeviceConfig &config,
                            const char *label = "");
 
 /**
- * Destroy a context: drains its pipeline, flushes fusion, frees its
- * objects. The handle is dead afterwards. The caller must ensure no
- * other thread is executing against the context. If the calling
- * thread had the context pinned, the pin is cleared.
+ * Destroy a context: flushes fusion, frees its objects. The handle
+ * is dead afterwards. The caller must ensure no other thread is
+ * executing against the context. If the calling thread had the
+ * context pinned, the pin is cleared.
  */
 PimStatus pimDestroyContext(PimContext ctx);
 

@@ -120,6 +120,31 @@ cmdToAlpuOp(PimCmdEnum cmd, AlpuOp &op)
 // core/pim_host_io.h, shared with the fusion tape's host-source
 // operands and the bit-serial fused chain's host inputs.
 
+/**
+ * Chunked reduction of pa[lo, hi): per-chunk partial sums folded into
+ * one atomic accumulator (wrapping int64 addition is associative, so
+ * chunk order cannot change the result). Sum semantics match
+ * PimDataObject::getSigned.
+ */
+int64_t
+sumElements(ThreadPool &pool, const uint64_t *pa, size_t lo, size_t hi,
+            bool sgn, unsigned bits)
+{
+    std::atomic<int64_t> total{0};
+    pool.parallelForChunks(lo, hi, [&](size_t clo, size_t chi) {
+        int64_t part = 0;
+        if (sgn) {
+            for (size_t i = clo; i < chi; ++i)
+                part += alpuSignExtend(pa[i], bits);
+        } else {
+            for (size_t i = clo; i < chi; ++i)
+                part += static_cast<int64_t>(pa[i]);
+        }
+        total.fetch_add(part, std::memory_order_relaxed);
+    });
+    return total.load(std::memory_order_relaxed);
+}
+
 } // namespace
 
 PimDevice::PimDevice(const PimDeviceConfig &config, uint32_t ctx_id,
@@ -131,9 +156,9 @@ PimDevice::PimDevice(const PimDeviceConfig &config, uint32_t ctx_id,
           PimMetrics::setThreadDomain(slot);
       })
 {
-    // The thread constructing the device is the issuing thread of the
-    // pipeline threading model; label its trace track accordingly.
-    // Concurrent contexts each name their own issuing thread.
+    // The thread constructing the device is its issuing thread; label
+    // its trace track accordingly. Concurrent contexts each name their
+    // own issuing thread.
     PimTracer::instance().setThreadName(
         label_.empty() ? "issue-thread" : label_ + ".issue");
     PimMetrics::setThreadDomain(metric_domain_.slot);
@@ -181,7 +206,10 @@ PimDevice::endFusion()
         logError("pimEndFusion: no matching pimBeginFusion");
         return false;
     }
-    if (--fusion_region_depth_ == 0 && !fusion_on_)
+    // The outermost end always flushes, even with the global toggle
+    // on: deferred results (pimRedSum inside the region) must be
+    // valid once pimEndFusion returns.
+    if (--fusion_region_depth_ == 0)
         flushFusion();
     return true;
 }
@@ -254,49 +282,20 @@ PimDevice::free(PimObjId id)
         if (fusion_window_.touches(id))
             flushFusion();
     }
-    // Drain the object's dependency cone: every in-flight command
-    // reading or writing it must execute before the storage goes away
-    // (it may be recycled by the allocator's free-list immediately).
-    if (pipelineActive())
-        pipeline_->waitObject(id);
     return resources_.free(id);
-}
-
-void
-PimDevice::setExecMode(PimExecEnum mode)
-{
-    if (mode == exec_mode_)
-        return;
-    flushFusion();
-    if (pipeline_)
-        pipeline_->sync();
-    exec_mode_ = mode;
-    if (mode == PimExecEnum::PIM_EXEC_ASYNC && !pipeline_)
-        pipeline_ = std::make_unique<PimPipeline>(
-            stats_, 0,
-            label_.empty() ? std::string()
-                           : label_ + ".pipeline-worker-",
-            metric_domain_.slot);
 }
 
 void
 PimDevice::sync()
 {
     flushFusion();
-    if (pipeline_)
-        pipeline_->sync();
 }
 
 void
 PimDevice::resetStats()
 {
-    // Buffered commands were issued before the reset: their stats must
-    // commit first so the reset drops them like any other drained work.
     flushFusion();
-    if (pipeline_)
-        pipeline_->drainAndRun([this] { stats_.reset(); });
-    else
-        stats_.reset();
+    stats_.reset();
 }
 
 PimStatus
@@ -328,11 +327,11 @@ PimDevice::copyHostToDevice(const void *src, PimObjId dest,
     // A full-object copy with a packed host layout captures as an
     // is_load window member instead of flushing: the host buffer is
     // snapshotted here at issue (the caller's pointer need not stay
-    // valid — the same contract as the async pipeline's H2D
-    // snapshot), the planner links copy->consumer RAW chains, and a
-    // staging dest consumed only in-window is elided entirely. The
-    // copy's modeled cost still commits per command in issue order at
-    // the flush, so stats stay bit-identical in sync and async modes.
+    // valid once the call returns), the planner links copy->consumer
+    // RAW chains, and a staging dest consumed only in-window is
+    // elided entirely. The copy's modeled cost still records per
+    // command in issue order at the flush, so stats stay
+    // bit-identical to unfused execution.
     if (fusionCapturing() && kernel && idx_begin == 0 &&
         idx_end == obj->numElements()) {
         PimFusedOp fop;
@@ -370,46 +369,18 @@ PimDevice::copyHostToDevice(const void *src, PimObjId dest,
     // Ranged and odd-width copies keep the flush barrier.
     flushFusion();
 
-    const auto run = [this, kernel, dst, count, mask,
-                      payload](const uint8_t *bytes,
-                               PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG("copyH2D", "exec", payload);
-        PIM_METRIC_COUNT("copy.bytes_h2d", payload);
-        if (kernel) {
-            pool_.parallelForChunks(
-                0, count, [=](size_t lo, size_t hi) {
-                    kernel(bytes, dst, lo, hi, mask);
-                });
-        } else {
-            std::fill(dst, dst + count, 0);
-        }
-        commitCopy(delta, PimCopyEnum::PIM_COPY_H2D, payload,
-                   model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                    payload));
-    };
-
-    if (!pipelineActive()) {
-        run(static_cast<const uint8_t *>(src), nullptr);
-        return PimStatus::PIM_OK;
-    }
-
-    // Snapshot the host buffer at issue: the caller's pointer need not
-    // stay valid once the call returns (apps rebuild staging buffers
-    // every iteration), and snapshotting removes all host-memory
-    // hazards from H2D commands. The single-core bypass runs the
-    // body before this call returns, so the snapshot is pure
-    // overhead there — read the caller's buffer directly instead.
-    if (pipeline_->beginInline()) {
-        run(first, nullptr);
-        pipeline_->endInline();
-        return PimStatus::PIM_OK;
-    }
-    std::vector<uint8_t> snapshot(first, first + host_bytes);
-    pipeline_->enqueue(
-        {}, {dest},
-        [run, snapshot = std::move(snapshot)](PimStatsDelta &delta) {
-            run(snapshot.data(), &delta);
+    PIM_TRACE_SCOPE_ARG("copyH2D", "exec", payload);
+    PIM_METRIC_COUNT("copy.bytes_h2d", payload);
+    if (kernel) {
+        pool_.parallelForChunks(0, count, [=](size_t lo, size_t hi) {
+            kernel(first, dst, lo, hi, mask);
         });
+    } else {
+        std::fill(dst, dst + count, 0);
+    }
+    stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, payload,
+                      model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
+                                       payload));
     return PimStatus::PIM_OK;
 }
 
@@ -438,25 +409,17 @@ PimDevice::copyDeviceToHost(PimObjId src, void *dest, uint64_t idx_begin,
         pimDeviceToHostChunkForBits(bits);
     const uint64_t payload = modeledBytes(count * ((bits + 7) / 8));
 
-    // Blocking issue: the host buffer must hold the data when the call
-    // returns, so the copy drains its dependency cone (only the chain
-    // producing src, not the whole pipeline).
-    return issue(
-        {src}, {},
-        [=, this](PimStatsDelta *delta) {
-            PIM_TRACE_SCOPE_ARG("copyD2H", "exec", payload);
-            PIM_METRIC_COUNT("copy.bytes_d2h", payload);
-            if (kernel) {
-                pool_.parallelForChunks(
-                    0, count, [=](size_t lo, size_t hi) {
-                        kernel(src_raw, bytes, lo, hi);
-                    });
-            }
-            commitCopy(delta, PimCopyEnum::PIM_COPY_D2H, payload,
-                       model_->costCopy(PimCopyEnum::PIM_COPY_D2H,
-                                        payload));
-        },
-        /*blocking=*/true);
+    PIM_TRACE_SCOPE_ARG("copyD2H", "exec", payload);
+    PIM_METRIC_COUNT("copy.bytes_d2h", payload);
+    if (kernel) {
+        pool_.parallelForChunks(0, count, [=](size_t lo, size_t hi) {
+            kernel(src_raw, bytes, lo, hi);
+        });
+    }
+    stats_.recordCopy(PimCopyEnum::PIM_COPY_D2H, payload,
+                      model_->costCopy(PimCopyEnum::PIM_COPY_D2H,
+                                       payload));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -473,14 +436,13 @@ PimDevice::copyDeviceToDevice(PimObjId src, PimObjId dest)
     const size_t n = s->raw().size();
     const uint64_t payload = modeledBytes(s->payloadBytes());
 
-    return issue({src}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG("copyD2D", "exec", payload);
-        PIM_METRIC_COUNT("copy.bytes_d2d", payload);
-        std::copy(ps, ps + n, pd);
-        commitCopy(delta, PimCopyEnum::PIM_COPY_D2D, payload,
-                   model_->costCopy(PimCopyEnum::PIM_COPY_D2D,
-                                    payload));
-    });
+    PIM_TRACE_SCOPE_ARG("copyD2D", "exec", payload);
+    PIM_METRIC_COUNT("copy.bytes_d2d", payload);
+    std::copy(ps, ps + n, pd);
+    stats_.recordCopy(PimCopyEnum::PIM_COPY_D2D, payload,
+                      model_->costCopy(PimCopyEnum::PIM_COPY_D2D,
+                                       payload));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -510,43 +472,38 @@ PimDevice::executeElementShift(PimCmdEnum cmd, PimObjId obj_id)
         obj->numCoresUsed() * ((obj->bitsPerElement() + 7) / 8);
     const CmdKeyInfo key = keyFor(cmd, *obj);
 
-    // In-place update: the object is both read and written.
-    return issue({obj_id}, {obj_id}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", payload);
-        auto &raw = obj->raw();
-        const size_t n = raw.size();
-        // Whole-object data movement: memmove/rotate instead of an
-        // element-at-a-time loop (same result, streaming speed).
-        switch (cmd) {
-          case PimCmdEnum::kShiftElementsRight:
-            std::memmove(raw.data() + 1, raw.data(),
-                         (n - 1) * sizeof(uint64_t));
-            raw[0] = 0;
-            break;
-          case PimCmdEnum::kShiftElementsLeft:
-            std::memmove(raw.data(), raw.data() + 1,
-                         (n - 1) * sizeof(uint64_t));
-            raw[n - 1] = 0;
-            break;
-          case PimCmdEnum::kRotateElementsRight:
-            std::rotate(raw.begin(), raw.end() - 1, raw.end());
-            break;
-          default:
-            std::rotate(raw.begin(), raw.begin() + 1, raw.end());
-            break;
-        }
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", payload);
+    auto &raw = obj->raw();
+    const size_t n = raw.size();
+    // Whole-object data movement: memmove/rotate instead of an
+    // element-at-a-time loop (same result, streaming speed).
+    switch (cmd) {
+      case PimCmdEnum::kShiftElementsRight:
+        std::memmove(raw.data() + 1, raw.data(),
+                     (n - 1) * sizeof(uint64_t));
+        raw[0] = 0;
+        break;
+      case PimCmdEnum::kShiftElementsLeft:
+        std::memmove(raw.data(), raw.data() + 1,
+                     (n - 1) * sizeof(uint64_t));
+        raw[n - 1] = 0;
+        break;
+      case PimCmdEnum::kRotateElementsRight:
+        std::rotate(raw.begin(), raw.end() - 1, raw.end());
+        break;
+      default:
+        std::rotate(raw.begin(), raw.begin() + 1, raw.end());
+        break;
+    }
 
-        // Cost: inter-element movement rewrites the whole object once
-        // in place (read + write of every row) and fixes one boundary
-        // element per region through the host interface.
-        PimOpCost cost =
-            model_->costCopy(PimCopyEnum::PIM_COPY_D2D, payload);
-        cost += model_->costCopy(PimCopyEnum::PIM_COPY_D2H,
-                                 boundary_bytes);
-        cost += model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                 boundary_bytes);
-        commitCmd(delta, key.id, cost);
-    });
+    // Cost: inter-element movement rewrites the whole object once in
+    // place (read + write of every row) and fixes one boundary element
+    // per region through the host interface.
+    PimOpCost cost = model_->costCopy(PimCopyEnum::PIM_COPY_D2D, payload);
+    cost += model_->costCopy(PimCopyEnum::PIM_COPY_D2H, boundary_bytes);
+    cost += model_->costCopy(PimCopyEnum::PIM_COPY_H2D, boundary_bytes);
+    stats_.recordCmd(key.id, cost);
+    return PimStatus::PIM_OK;
 }
 
 void
@@ -562,16 +519,8 @@ PimDevice::addHostWork(uint64_t bytes, uint64_t ops)
     const double o = static_cast<double>(ops) * modeling_scale_;
     const double per_core_bw =
         host.cpu_mem_bw_gbps * 1e9 / host.cpu_cores;
-    const double seconds = std::max(
-        b / per_core_bw, o / (host.cpu_freq_ghz * 1e9));
-    // No object hazards, but the seconds must still join host_sec_ in
-    // issue order for bit-identical accumulation.
-    issue({}, {}, [this, seconds](PimStatsDelta *delta) {
-        if (delta)
-            delta->host_raw_sec += seconds;
-        else
-            stats_.addHostTimeRaw(seconds);
-    });
+    stats_.addHostTimeRaw(
+        std::max(b / per_core_bw, o / (host.cpu_freq_ghz * 1e9)));
 }
 
 void
@@ -599,12 +548,7 @@ void
 PimDevice::addHostTime(double seconds)
 {
     flushFusion();
-    issue({}, {}, [this, seconds](PimStatsDelta *delta) {
-        if (delta)
-            delta->host_measured_sec += seconds;
-        else
-            stats_.addHostTime(seconds);
-    });
+    stats_.addHostTime(seconds);
 }
 
 uint64_t
@@ -619,9 +563,8 @@ PimDevice::modeledBytes(uint64_t bytes) const
 void
 PimDevice::setModelingScale(double scale)
 {
-    // Profiles are captured at issue, so a scale change must not catch
-    // commands mid-flight.
-    sync();
+    // Captured window commands hold profiles built at the old scale.
+    flushFusion();
     modeling_scale_ = scale >= 1.0 ? scale : 1.0;
     stats_.setHostScale(modeling_scale_);
 }
@@ -658,8 +601,8 @@ PimDevice::keyFor(PimCmdEnum cmd, const PimDataObject &obj)
     // The canonical "cmd.dtype.layout" key is built (and interned)
     // only the first time a combination is seen; afterwards the lookup
     // is a cache-array read. Called from the issuing thread only, so
-    // key ids are assigned in issue order regardless of execution
-    // order (keeps the stats report identical across exec modes).
+    // key ids are assigned in issue order (fused and unfused runs
+    // produce identical stats reports).
     const size_t c = static_cast<size_t>(cmd);
     const size_t t = static_cast<size_t>(obj.dataType());
     const size_t l = obj.isVLayout() ? 1 : 0;
@@ -756,13 +699,12 @@ PimDevice::executeBinary(PimCmdEnum cmd, PimObjId a, PimObjId b,
         return PimStatus::PIM_OK;
     }
 
-    return issue({a, b}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-        pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-            kernel(pa, pb, pd, lo, hi, bits, dmask);
-        });
-        commitCmd(delta, key.id, model_->costOp(profile));
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
+    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
+        kernel(pa, pb, pd, lo, hi, bits, dmask);
     });
+    stats_.recordCmd(key.id, model_->costOp(profile));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -811,13 +753,12 @@ PimDevice::executeUnary(PimCmdEnum cmd, PimObjId a, PimObjId dest)
         return PimStatus::PIM_OK;
     }
 
-    return issue({a}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-        pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-            kernel(pa, 0, pd, lo, hi, bits, dmask);
-        });
-        commitCmd(delta, key.id, model_->costOp(profile));
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
+    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
+        kernel(pa, 0, pd, lo, hi, bits, dmask);
     });
+    stats_.recordCmd(key.id, model_->costOp(profile));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -868,13 +809,12 @@ PimDevice::executeScalar(PimCmdEnum cmd, PimObjId a, PimObjId dest,
         return PimStatus::PIM_OK;
     }
 
-    return issue({a}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-        pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-            kernel(pa, s, pd, lo, hi, bits, dmask);
-        });
-        commitCmd(delta, key.id, model_->costOp(profile));
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
+    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
+        kernel(pa, s, pd, lo, hi, bits, dmask);
     });
+    stats_.recordCmd(key.id, model_->costOp(profile));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -928,13 +868,12 @@ PimDevice::executeScaledAdd(PimObjId a, PimObjId b, PimObjId dest,
         return PimStatus::PIM_OK;
     }
 
-    return issue({a, b}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-        pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-            kernel(pa, pb, s, pd, lo, hi, bits, dmask);
-        });
-        commitCmd(delta, key.id, model_->costOp(profile));
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
+    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
+        kernel(pa, pb, s, pd, lo, hi, bits, dmask);
     });
+    stats_.recordCmd(key.id, model_->costOp(profile));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -980,13 +919,12 @@ PimDevice::executeShift(PimCmdEnum cmd, PimObjId a, PimObjId dest,
         return PimStatus::PIM_OK;
     }
 
-    return issue({a}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-        pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-            kernel(pa, amount, pd, lo, hi, bits, dmask);
-        });
-        commitCmd(delta, key.id, model_->costOp(profile));
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
+    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
+        kernel(pa, amount, pd, lo, hi, bits, dmask);
     });
+    stats_.recordCmd(key.id, model_->costOp(profile));
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -1046,41 +984,16 @@ PimDevice::executeRedSum(PimObjId a, uint64_t idx_begin, uint64_t idx_end,
         static_cast<double>(idx_end - idx_begin) /
         static_cast<double>(oa->numElements());
 
-    // Blocking issue: the scalar result goes back to the host.
-    return issue(
-        {a}, {},
-        [=, this](PimStatsDelta *delta) {
-            PIM_TRACE_SCOPE_ARG(key.trace_name, "exec",
-                                idx_end - idx_begin);
-            // Chunked reduction: per-chunk partial sums folded into
-            // one atomic accumulator (wrapping int64 addition is
-            // associative, so chunk order cannot change the result).
-            // Sum semantics match PimDataObject::getSigned.
-            std::atomic<int64_t> total{0};
-            pool_.parallelForChunks(
-                idx_begin, idx_end, [&](size_t lo, size_t hi) {
-                    int64_t part = 0;
-                    if (sgn) {
-                        for (size_t i = lo; i < hi; ++i)
-                            part += alpuSignExtend(pa[i], bits);
-                    } else {
-                        for (size_t i = lo; i < hi; ++i)
-                            part += static_cast<int64_t>(pa[i]);
-                    }
-                    total.fetch_add(part,
-                                    std::memory_order_relaxed);
-                });
-            *result = total.load(std::memory_order_relaxed);
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", idx_end - idx_begin);
+    *result = sumElements(pool_, pa, idx_begin, idx_end, sgn, bits);
 
-            // Cost the full-object reduction (a ranged sum still
-            // touches all rows that hold the range; approximate with
-            // the range fraction).
-            PimOpCost cost = model_->costOp(profile);
-            cost.runtime_sec *= fraction;
-            cost.energy_j *= fraction;
-            commitCmd(delta, key.id, cost);
-        },
-        /*blocking=*/true);
+    // Cost the full-object reduction (a ranged sum still touches all
+    // rows that hold the range; approximate with the range fraction).
+    PimOpCost cost = model_->costOp(profile);
+    cost.runtime_sec *= fraction;
+    cost.energy_j *= fraction;
+    stats_.recordCmd(key.id, cost);
+    return PimStatus::PIM_OK;
 }
 
 PimStatus
@@ -1120,13 +1033,12 @@ PimDevice::executeBroadcast(PimObjId dest, uint64_t value)
         return PimStatus::PIM_OK;
     }
 
-    return issue({}, {dest}, [=, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-        pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-            std::fill(pd + lo, pd + hi, v);
-        });
-        commitCmd(delta, key.id, model_->costOp(profile));
+    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
+    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
+        std::fill(pd + lo, pd + hi, v);
     });
+    stats_.recordCmd(key.id, model_->costOp(profile));
+    return PimStatus::PIM_OK;
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,9 +1150,8 @@ PimDevice::flushFusion()
             PIM_METRIC_COUNT("fusion.copy_elisions", copy_elisions);
     }
     // Deferred frees: a temporary whose every write was elided never
-    // materialized (and never entered the pipeline's hazard sets), so
-    // its storage goes back to the allocator pristine. Anything with
-    // a materialized write frees normally.
+    // materialized, so its storage goes back to the allocator
+    // pristine. Anything with a materialized write frees normally.
     uint64_t temps_elided = 0;
     for (PimObjId id : fusion_window_.deferredFrees()) {
         if (written_ids.count(id) > 0 &&
@@ -1248,8 +1159,6 @@ PimDevice::flushFusion()
             resources_.freeElided(id);
             ++temps_elided;
         } else {
-            if (pipelineActive())
-                pipeline_->waitObject(id);
             resources_.free(id);
         }
     }
@@ -1263,74 +1172,34 @@ PimDevice::runFusedOp(const PimFusedOp &op)
 {
     if (op.is_load) {
         // Singleton captured copy: the unfused H2D body, fed from the
-        // snapshot taken at capture (the lambda's op copy keeps the
-        // snapshot alive until the pipeline runs it).
-        issue({}, {op.dest}, [op, this](PimStatsDelta *delta) {
-            PIM_TRACE_SCOPE_ARG("copyH2D", "exec", op.copy_payload);
-            PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
-            const uint8_t *bytes = op.host.get();
-            pool_.parallelForChunks(
-                0, op.n, [&op, bytes](size_t lo, size_t hi) {
-                    op.load_kern(bytes, op.pd, lo, hi, op.dmask);
-                });
-            commitCopy(delta, PimCopyEnum::PIM_COPY_H2D,
-                       op.copy_payload,
-                       model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                        op.copy_payload));
+        // snapshot taken at capture.
+        PIM_TRACE_SCOPE_ARG("copyH2D", "exec", op.copy_payload);
+        PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
+        const uint8_t *bytes = op.host.get();
+        pool_.parallelForChunks(0, op.n,
+                                [&op, bytes](size_t lo, size_t hi) {
+            op.load_kern(bytes, op.pd, lo, hi, op.dmask);
         });
+        stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, op.copy_payload,
+                          model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
+                                           op.copy_payload));
         return;
     }
+    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.n);
     if (op.is_reduce) {
         // Singleton reduction: the chain planner found no producer to
-        // fuse with, so this is the unfused blocking path verbatim
-        // (full-object sums only reach the window).
-        issue(
-            {op.a}, {},
-            [op, this](PimStatsDelta *delta) {
-                PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.n);
-                std::atomic<int64_t> total{0};
-                pool_.parallelForChunks(
-                    0, op.n, [&](size_t lo, size_t hi) {
-                        int64_t part = 0;
-                        if (op.sgn) {
-                            for (size_t i = lo; i < hi; ++i)
-                                part +=
-                                    alpuSignExtend(op.pa[i], op.bits);
-                        } else {
-                            for (size_t i = lo; i < hi; ++i)
-                                part += static_cast<int64_t>(op.pa[i]);
-                        }
-                        total.fetch_add(part,
-                                        std::memory_order_relaxed);
-                    });
-                *op.red_result =
-                    total.load(std::memory_order_relaxed);
-                commitCmd(delta, op.key_id,
-                          model_->costOp(op.profile));
-            },
-            /*blocking=*/true);
-        return;
-    }
-    if (op.is_fill) {
-        issue({}, {op.dest}, [op, this](PimStatsDelta *delta) {
-            PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.n);
-            pool_.parallelForChunks(
-                0, op.n, [&op](size_t lo, size_t hi) {
-                    std::fill(op.pd + lo, op.pd + hi, op.scalar);
-                });
-            commitCmd(delta, op.key_id, model_->costOp(op.profile));
+        // fuse with, so this is the unfused path verbatim (full-object
+        // sums only reach the window).
+        *op.red_result =
+            sumElements(pool_, op.pa, 0, op.n, op.sgn, op.bits);
+    } else if (op.is_fill) {
+        pool_.parallelForChunks(0, op.n, [&op](size_t lo, size_t hi) {
+            std::fill(op.pd + lo, op.pd + hi, op.scalar);
         });
-        return;
-    }
-    std::vector<PimObjId> reads{op.a};
-    if (op.b >= 0)
-        reads.push_back(op.b);
-    issue(reads, {op.dest}, [op, this](PimStatsDelta *delta) {
-        PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.n);
+    } else {
         pool_.parallelForChunks(0, op.n, [&op](size_t lo, size_t hi) {
             if (op.kern2)
-                op.kern2(op.pa, op.pb, op.pd, lo, hi, op.bits,
-                         op.dmask);
+                op.kern2(op.pa, op.pb, op.pd, lo, hi, op.bits, op.dmask);
             else if (op.kern_sa)
                 op.kern_sa(op.pa, op.pb, op.scalar, op.pd, lo, hi,
                            op.bits, op.dmask);
@@ -1338,122 +1207,49 @@ PimDevice::runFusedOp(const PimFusedOp &op)
                 op.kern1(op.pa, op.scalar, op.pd, lo, hi, op.bits,
                          op.dmask);
         });
-        commitCmd(delta, op.key_id, model_->costOp(op.profile));
-    });
+    }
+    stats_.recordCmd(op.key_id, model_->costOp(op.profile));
 }
 
 size_t
 PimDevice::executeFusedChain(const std::vector<PimFusedOp> &ops,
                              const PimFusionChain &chain)
 {
-    PimFusedTape tape = pimBuildFusedTape(ops, chain);
+    const PimFusedTape tape = pimBuildFusedTape(ops, chain);
 
-    // Hazard sets, resolved per step in chain order. A dest enters the
-    // write set only when its store materializes. An operand enters
-    // the read set only when the step actually reads the object's
-    // storage — no earlier in-chain writer. Resolved against an
-    // elided producer, the step consumes the flowing tile or the host
-    // snapshot; against a materialized one, memory this same command
-    // wrote earlier in the tile pass. Neither needs an external
-    // hazard. (An id may mix elided and materialized writes under WAW
-    // elision — per-step resolution keeps the final materialized
-    // write in the set where a whole-id exclusion would drop it.)
-    std::unordered_set<PimObjId> written_in_chain;
-    std::vector<PimObjId> reads;
-    std::vector<PimObjId> writes;
+    // A reduction-terminated chain writes its scalar result back to
+    // the host. Per-chunk tape partials tree-combine through one
+    // atomic accumulator (wrapping addition is associative, so chunk
+    // order cannot change the result).
+    PIM_TRACE_SCOPE_ARG(fusedTraceName(chain.size()), "exec", tape.n);
+    std::atomic<uint64_t> total{0};
+    pool_.parallelForChunks(0, tape.n,
+                            [&tape, &total](size_t lo, size_t hi) {
+        const uint64_t part = tape.run(lo, hi);
+        if (part)
+            total.fetch_add(part, std::memory_order_relaxed);
+    });
+    const PimFusedOp &last = ops[chain.back().op];
+    if (last.is_reduce)
+        *last.red_result =
+            static_cast<int64_t>(total.load(std::memory_order_relaxed));
 
-    // Per-member stats commits in issue order from issue-time
-    // profiles — exactly what the unfused commands would commit.
-    // Captured copies commit their modeled transfer instead of an op
-    // cost, interleaved at their window position.
-    struct ChainCommit
-    {
-        bool is_copy = false;
-        PimStatsMgr::CmdKeyId id = 0;
-        PimOpProfile profile;
-        uint64_t bytes = 0; ///< modeled copy payload (is_copy)
-    };
-    std::vector<ChainCommit> commits;
-    commits.reserve(chain.size());
-    // Keeps every member copy's snapshot alive until the chain runs
-    // (the tape holds raw pointers into them).
-    std::vector<std::shared_ptr<const uint8_t[]>> snapshots;
-
+    // Per-member stats records in issue order from issue-time profiles
+    // — exactly what the unfused commands would record. Captured
+    // copies record their modeled transfer instead of an op cost,
+    // interleaved at their window position.
     for (const PimFusionStep &st : chain) {
         const PimFusedOp &op = ops[st.op];
         if (op.is_load) {
-            snapshots.push_back(op.host);
-            ChainCommit c;
-            c.is_copy = true;
-            c.bytes = op.copy_payload;
-            commits.push_back(c);
+            PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
+            stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, op.copy_payload,
+                              model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
+                                               op.copy_payload));
         } else {
-            ChainCommit c;
-            c.id = op.key_id;
-            c.profile = op.profile;
-            commits.push_back(c);
-        }
-        if (!op.is_load && !op.is_fill) {
-            if (op.a >= 0 && written_in_chain.count(op.a) == 0)
-                reads.push_back(op.a);
-            if (op.b >= 0 && written_in_chain.count(op.b) == 0)
-                reads.push_back(op.b);
-        }
-        if (op.dest >= 0) {
-            if (!st.elide_store)
-                writes.push_back(op.dest);
-            written_in_chain.insert(op.dest);
+            stats_.recordCmd(op.key_id, model_->costOp(op.profile));
         }
     }
-    const auto dedupe = [](std::vector<PimObjId> &v) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    dedupe(reads);
-    dedupe(writes);
-
-    // A reduction-terminated chain blocks like the unfused reduction:
-    // the scalar result goes back to the host. Per-chunk tape
-    // partials tree-combine through one atomic accumulator (wrapping
-    // addition is associative, so chunk order cannot change the
-    // result).
-    const bool has_reduce = ops[chain.back().op].is_reduce;
-    int64_t *red_result =
-        has_reduce ? ops[chain.back().op].red_result : nullptr;
-
-    const char *trace_name = fusedTraceName(chain.size());
-    const size_t n = tape.n;
-    const size_t folded = tape.folded_fills;
-    issue(reads, writes,
-          [=, this, tape = std::move(tape), commits = std::move(commits),
-           snapshots = std::move(snapshots)](PimStatsDelta *delta) {
-              (void)snapshots; // keeps host snapshots alive for the tape
-              PIM_TRACE_SCOPE_ARG(trace_name, "exec", n);
-              std::atomic<uint64_t> total{0};
-              pool_.parallelForChunks(
-                  0, n, [&tape, &total](size_t lo, size_t hi) {
-                      const uint64_t part = tape.run(lo, hi);
-                      if (part)
-                          total.fetch_add(part,
-                                          std::memory_order_relaxed);
-                  });
-              if (red_result)
-                  *red_result = static_cast<int64_t>(
-                      total.load(std::memory_order_relaxed));
-              for (const ChainCommit &c : commits) {
-                  if (c.is_copy) {
-                      PIM_METRIC_COUNT("copy.bytes_h2d", c.bytes);
-                      commitCopy(delta, PimCopyEnum::PIM_COPY_H2D,
-                                 c.bytes,
-                                 model_->costCopy(
-                                     PimCopyEnum::PIM_COPY_H2D, c.bytes));
-                  } else {
-                      commitCmd(delta, c.id, model_->costOp(c.profile));
-                  }
-              }
-          },
-          /*blocking=*/has_reduce);
-    return folded;
+    return tape.folded_fills;
 }
 
 } // namespace pimeval

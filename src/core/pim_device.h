@@ -14,7 +14,7 @@
 
 #include <chrono>
 #include <memory>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "core/perf_energy_model.h"
@@ -22,7 +22,6 @@
 #include "core/pim_fusion.h"
 #include "core/pim_metrics.h"
 #include "core/pim_params.h"
-#include "core/pim_pipeline.h"
 #include "core/pim_resource_mgr.h"
 #include "core/pim_stats.h"
 #include "util/thread_pool.h"
@@ -77,23 +76,13 @@ class PimDevice
     const PimStatsMgr &stats() const { return stats_; }
     PimResourceMgr &resources() { return resources_; }
 
-    /**
-     * Reset statistics atomically with the pipeline drained: the
-     * clear runs under the pipeline mutex, so commands issued
-     * concurrently can neither commit into the cleared state nor
-     * lose their stats (pimResetStats semantics).
-     */
+    /** Reset statistics (pimResetStats). Pending fusion-window
+     *  commands were issued before the reset, so they flush first and
+     *  the reset drops their stats with everything else. */
     void resetStats();
 
-    /**
-     * Execution mode (paper-API extension). Switching to sync drains
-     * the pipeline first, so the switch itself is a sync point.
-     */
-    void setExecMode(PimExecEnum mode);
-    PimExecEnum execMode() const { return exec_mode_; }
-
-    /** Drain the command pipeline: all commands executed and all
-     *  statistics committed. No-op in sync mode. */
+    /** Flush the fusion window: every buffered command executed and
+     *  its statistics recorded (pimSync). */
     void sync();
 
     // --- Elementwise command fusion (core/pim_fusion.h) ---
@@ -148,82 +137,13 @@ class PimDevice
     /** Model a host phase on the CPU-baseline host parameters. */
     void addHostWork(uint64_t bytes, uint64_t ops);
 
-    /**
-     * Host-phase timing. Measurement happens on the issuing thread;
-     * in async mode the measured seconds are committed through the
-     * pipeline so host time lands in issue order like everything
-     * else.
-     */
+    /** Host-phase wall-clock timing; the measured seconds join the
+     *  stats in issue order like everything else. */
     void startHostTimer();
     void stopHostTimer();
     void addHostTime(double seconds);
 
   private:
-    /** True when commands must go through the pipeline. */
-    bool pipelineActive() const
-    {
-        return exec_mode_ == PimExecEnum::PIM_EXEC_ASYNC &&
-            pipeline_ != nullptr;
-    }
-
-    /**
-     * Run @p body now (sync mode, with a null delta meaning "record
-     * directly into stats_") or enqueue it with the given hazard
-     * sets. Body signature: void(PimStatsDelta *). A @p blocking
-     * issue drains the command's dependency cone before returning
-     * (D2H copies and reductions hand results to the host).
-     */
-    template <typename Body>
-    PimStatus
-    issue(const std::vector<PimObjId> &reads,
-          const std::vector<PimObjId> &writes, Body &&body,
-          bool blocking = false)
-    {
-        if (!pipelineActive()) {
-            body(static_cast<PimStatsDelta *>(nullptr));
-            return PimStatus::PIM_OK;
-        }
-        // Single-core bypass: an idle inline-when-idle pipeline runs
-        // the body right here in sync style (direct stats recording
-        // — same commit order, nothing is in flight), skipping the
-        // per-command closure/hazard/delta machinery.
-        if (pipeline_->beginInline()) {
-            body(static_cast<PimStatsDelta *>(nullptr));
-            pipeline_->endInline();
-            return PimStatus::PIM_OK;
-        }
-        const uint64_t seq = pipeline_->enqueue(
-            reads, writes,
-            [b = std::forward<Body>(body)](PimStatsDelta &delta) mutable {
-                b(&delta);
-            });
-        if (blocking)
-            pipeline_->waitSeq(seq);
-        return PimStatus::PIM_OK;
-    }
-
-    /** Record one command cost into the delta (async) or directly
-     *  into the stats manager (sync). */
-    void
-    commitCmd(PimStatsDelta *delta, PimStatsMgr::CmdKeyId id,
-              const PimOpCost &cost)
-    {
-        if (delta)
-            delta->cmds.push_back({id, cost});
-        else
-            stats_.recordCmd(id, cost);
-    }
-
-    /** Ditto for data transfers. */
-    void
-    commitCopy(PimStatsDelta *delta, PimCopyEnum direction,
-               uint64_t bytes, const PimOpCost &cost)
-    {
-        if (delta)
-            delta->copies.push_back({direction, bytes, cost});
-        else
-            stats_.recordCopy(direction, bytes, cost);
-    }
     /** Native layout of this device type. */
     bool deviceUsesVLayout() const
     {
@@ -247,8 +167,8 @@ class PimDevice
         const char *trace_name;
     };
 
-    /** Interned stats key for the op (issuing thread only: interning
-     *  happens at enqueue so key ids follow issue order). */
+    /** Interned stats key for the op (issuing thread only, so key
+     *  ids follow issue order). */
     CmdKeyInfo keyFor(PimCmdEnum cmd, const PimDataObject &obj);
 
     /** Validate operand compatibility; logs on failure. */
@@ -275,16 +195,16 @@ class PimDevice
      */
     void flushFusion();
 
-    /** Execute one window command through the normal issue path (a
-     *  singleton chain — identical to the unfused command, including
-     *  singleton reductions and broadcast fills). */
+    /** Execute one window command exactly like the unfused command
+     *  (a singleton chain, including singleton reductions and
+     *  broadcast fills). */
     void runFusedOp(const PimFusedOp &op);
 
-    /** Execute one multi-op chain as a single pipeline command that
-     *  commits every member's stats in issue order; blocks when the
-     *  chain ends in a reduction (the scalar result goes back to the
-     *  host). Returns the number of broadcast fills folded into
-     *  their consumers as scalar immediates. */
+    /** Execute one multi-op chain as a single tape sweep that
+     *  records every member's stats in issue order; a chain ending in
+     *  a reduction writes the scalar result back to the host. Returns
+     *  the number of broadcast fills folded into their consumers as
+     *  scalar immediates. */
     size_t executeFusedChain(const std::vector<PimFusedOp> &ops,
                              const PimFusionChain &chain);
 
@@ -292,8 +212,8 @@ class PimDevice
      * RAII per-context metric-domain slot. Declared right after
      * ctx_id_/label_ and before every thread-owning member, so the
      * slot is acquired before any worker can record into it and
-     * released only after pool_ and pipeline_ have joined their
-     * threads (destruction is reverse declaration order).
+     * released only after pool_ has joined its threads (destruction
+     * is reverse declaration order).
      */
     struct MetricDomainLease
     {
@@ -323,12 +243,11 @@ class PimDevice
     PimStatsMgr stats_;
     ThreadPool pool_;
     double modeling_scale_ = 1.0;
-    PimExecEnum exec_mode_ = PimExecEnum::PIM_EXEC_SYNC;
 
     /** Fusion issue window (issuing thread only). */
     PimFusionWindow fusion_window_;
-    /** Recycles captured-copy snapshot buffers; shared so in-flight
-     *  snapshot deleters outlive the device member. */
+    /** Recycles captured-copy snapshot buffers; shared so snapshot
+     *  deleters never outlive the pool. */
     std::shared_ptr<PimSnapshotPool> snapshot_pool_ =
         std::make_shared<PimSnapshotPool>();
     bool fusion_on_ = false;
@@ -351,10 +270,6 @@ class PimDevice
     static constexpr size_t kNumDataTypes =
         static_cast<size_t>(PimDataType::PIM_UINT64) + 1;
     KeyCacheEntry stats_key_cache_[kNumCmds][kNumDataTypes][2];
-
-    /** Declared last: destroyed first, draining in-flight commands
-     *  while stats_, pool_, and resources_ are still alive. */
-    std::unique_ptr<PimPipeline> pipeline_;
 };
 
 } // namespace pimeval

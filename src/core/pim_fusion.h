@@ -32,10 +32,10 @@
  *    once, one store per element).
  *  - An intermediate born in the window, written once, freed inside
  *    the window, and read only by its chain successor is *elided*: its
- *    store is skipped, it never enters the pipeline's hazard sets, and
- *    its storage returns to the allocator free-list still in the
- *    pristine all-zero state (PimResourceMgr::freeElided), so the next
- *    same-shape allocation skips the recycle zero-fill.
+ *    store is skipped and its storage returns to the allocator
+ *    free-list still in the pristine all-zero state
+ *    (PimResourceMgr::freeElided), so the next same-shape allocation
+ *    skips the recycle zero-fill.
  *
  * Fusion is a functional-simulation optimization only: the modeled
  * cost of every original command is still computed from its
@@ -79,10 +79,10 @@ constexpr size_t kMaxFusionChainLen = 16;
  * released blocks and hands them back warm, so steady-state sweeps
  * reuse the same few buffers with no page-fault traffic.
  *
- * Thread-safe: async-pipeline workers release buffers while the
- * issuing thread acquires. The device holds the pool via shared_ptr
- * and every buffer's deleter keeps a reference, so in-flight
- * snapshots stay valid through device teardown ordering.
+ * Thread-safe: a buffer's last reference may drop on any thread. The
+ * device holds the pool via shared_ptr and every buffer's deleter
+ * keeps a reference, so outstanding snapshots stay valid through
+ * device teardown ordering.
  */
 class PimSnapshotPool
     : public std::enable_shared_from_this<PimSnapshotPool>
@@ -220,9 +220,8 @@ struct PimFusedOp
      *  of dest; reads nothing. */
     bool is_fill = false;
     /** Captured H2D copy: the host buffer is snapshotted at issue
-     *  (same semantics as the async pipeline's H2D snapshot — the
-     *  caller's pointer need not outlive the call), and the chain
-     *  execution keeps the snapshot alive until it runs. */
+     *  (the caller's pointer need not outlive the call), and the
+     *  window keeps the snapshot alive until the chain runs. */
     bool is_load = false;
     std::shared_ptr<const uint8_t[]> host;
     PimHostToDeviceChunkFn load_kern = nullptr;
@@ -339,7 +338,7 @@ PimFusedTape pimBuildFusedTape(const std::vector<PimFusedOp> &ops,
  * The device's fusion issue window: buffered commands plus the
  * birth/free bookkeeping the elision analysis needs. Single-threaded
  * (issuing thread only); execution of the planned chains stays with
- * PimDevice, which owns the thread pool and pipeline.
+ * PimDevice, which owns the thread pool.
  */
 class PimFusionWindow
 {

@@ -1,23 +1,56 @@
 /**
  * @file
- * Minimal header-only JSON reader shared by the exporters'
+ * Minimal header-only JSON support shared by every writer and reader
+ * in the codebase: jsonEscape is the one string escaper the exporters
+ * and benches write with, and the reader serves the exporters'
  * validation paths (pimValidateChromeTraceFile in pim_trace.cpp,
- * pimValidateProfileFile in pim_profile.cpp) and by tests that parse
+ * pimValidateProfileFile in pim_profile.cpp) and the tests that parse
  * the files the simulator writes. Not a general-purpose library: it
  * parses exactly the JSON this codebase emits — objects, arrays,
- * strings (escapes kept raw for \u), numbers, bools, null — into a
- * small DOM.
+ * strings, numbers, bools, null — into a small DOM.
  */
 
 #ifndef PIMEVAL_CORE_PIM_JSON_H_
 #define PIMEVAL_CORE_PIM_JSON_H_
 
 #include <cctype>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace pimeval {
+
+/**
+ * Escape @p s for embedding in a JSON string literal: quote,
+ * backslash and every control character, so any path or label
+ * round-trips through JsonParser.
+ */
+inline std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char hex[8];
+                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+                out += hex;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
 
 /** Tiny JSON DOM (objects keep insertion order). */
 struct JsonValue
@@ -135,11 +168,8 @@ class JsonParser
                   case 'b': *out += '\b'; break;
                   case 'f': *out += '\f'; break;
                   case 'u':
-                    if (pos_ + 4 > text_.size())
+                    if (!parseUnicodeEscape(out))
                         return fail("bad \\u escape");
-                    // Validation only: keep the raw escape text.
-                    *out += "\\u" + text_.substr(pos_, 4);
-                    pos_ += 4;
                     break;
                   default:
                     return fail("bad escape");
@@ -149,6 +179,36 @@ class JsonParser
             }
         }
         return fail("unterminated string");
+    }
+
+    /** Decode the four hex digits after "\\u" to UTF-8 (a surrogate
+     *  half encodes as-is: the writers never emit pairs). */
+    bool parseUnicodeEscape(std::string *out)
+    {
+        if (pos_ + 4 > text_.size())
+            return false;
+        unsigned cp = 0;
+        for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            if (!std::isxdigit(static_cast<unsigned char>(h)))
+                return false;
+            cp = cp * 16 +
+                (std::isdigit(static_cast<unsigned char>(h))
+                     ? h - '0'
+                     : (std::tolower(static_cast<unsigned char>(h)) -
+                        'a' + 10));
+        }
+        if (cp < 0x80) {
+            *out += static_cast<char>(cp);
+        } else if (cp < 0x800) {
+            *out += static_cast<char>(0xC0 | (cp >> 6));
+            *out += static_cast<char>(0x80 | (cp & 0x3F));
+        } else {
+            *out += static_cast<char>(0xE0 | (cp >> 12));
+            *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+            *out += static_cast<char>(0x80 | (cp & 0x3F));
+        }
+        return true;
     }
 
     bool parseNumber(JsonValue *out)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Process-wide metrics registry: named counters, gauges, and
- * histograms describing the simulator's own behavior (pipeline queue
- * depth, hazard stalls by kind, free-list and cost-model cache hit
- * rates, threadpool work distribution, bytes copied).
+ * histograms describing the simulator's own behavior (fusion chains,
+ * free-list and cost-model cache hit rates, threadpool work
+ * distribution, bytes copied).
  *
  * Metrics are always-on but near-free: a counter increment is one
  * relaxed atomic add, and hot loops batch locally and add once per
@@ -285,7 +285,7 @@ struct PimMetricValue
 
 /**
  * The registry. Naming convention: dotted lowercase paths grouped by
- * subsystem — "pipeline.hazard.raw", "freelist.hit",
+ * subsystem — "fusion.chains", "freelist.hit",
  * "threadpool.chunks_stolen", "cache.bitserial_counts.miss",
  * "copy.bytes_h2d". See docs/OBSERVABILITY.md for the full glossary.
  */

@@ -88,31 +88,6 @@ collectCounters()
     return out;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Finite-safe double for JSON (NaN/inf are not valid JSON). */
 double
 finite(double v)
@@ -630,7 +605,7 @@ if (data.timeseries && data.timeseries.length > 1) {
   const names = Object.keys(data.timeseries[0].values);
   html += '<h2>Registry time series</h2><select id="ts-metric">' +
       names.map(n => '<option' +
-          (n === 'pipeline.issued' ? ' selected' : '') + '>' + n +
+          (n === 'copy.bytes_h2d' ? ' selected' : '') + '>' + n +
           '</option>').join('') +
       '</select><br><svg id="ts" width="720" height="200"></svg>';
   app.innerHTML = html;
@@ -783,7 +758,7 @@ PimStatus
 pimProfileStop(const char *path)
 {
     if (PimDevice *dev = PimSim::instance().device())
-        dev->sync(); // in-flight modeled time lands in the profile
+        dev->sync(); // buffered modeled time lands in the profile
     if (!PimProfiler::instance().stop(path ? std::string(path) : ""))
         return PimStatus::PIM_ERROR;
     return PimStatus::PIM_OK;

@@ -29,11 +29,11 @@
  * functions become empty inline stubs and pim_profile.cpp is not
  * built, leaving zero profile symbols in the binaries).
  *
- * Async caveat: modeled time is attributed to the phase in which it
- * *commits*. Blocking calls (D2H copies, reductions, pimSync) inside
- * a phase pull its commits in; a phase that only issues async
- * commands donates their modeled time to whichever later phase
- * drains them.
+ * Fusion caveat: modeled time is attributed to the phase in which it
+ * is *recorded*. Commands buffered in a fusion window record at the
+ * flush, so a phase that only captures donates their modeled time to
+ * whichever later phase flushes the window (pimSync, pimEndFusion, a
+ * D2H copy).
  */
 
 #ifndef PIMEVAL_CORE_PIM_PROFILE_H_

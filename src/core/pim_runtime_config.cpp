@@ -10,6 +10,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "core/pim_json.h"
 #include "core/pim_trace.h"
 
 namespace pimeval {
@@ -28,7 +29,7 @@ envValue(const char *name)
 }
 
 /** "0" is false, any other non-empty value is true (the historical
- *  PIMEVAL_FUSION / PIMEVAL_PIPELINE_INLINE convention). */
+ *  PIMEVAL_FUSION convention). */
 bool
 envBool(const char *v)
 {
@@ -87,20 +88,6 @@ backendName(PimMemBackend kind)
         break;
     }
     return "default";
-}
-
-/** Minimal JSON string escaping (paths can carry backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 } // namespace
@@ -169,14 +156,6 @@ pimResolveRuntimeConfig()
             r.mem_backend = {parsed, PimKnobSource::kEnv};
     }
 
-    r.pipeline_inline = {-1, PimKnobSource::kDefault};
-    if (cfg.pipeline_inline) {
-        r.pipeline_inline = {*cfg.pipeline_inline ? 1 : 0,
-                             PimKnobSource::kConfig};
-    } else if (const char *v = envValue("PIMEVAL_PIPELINE_INLINE")) {
-        r.pipeline_inline = {envBool(v) ? 1 : 0, PimKnobSource::kEnv};
-    }
-
     return r;
 }
 
@@ -231,10 +210,7 @@ pimDumpRuntimeConfig(std::ostream &os)
          r.fusion.source, false);
     knob("mem_backend", "PIMEVAL_MEM_BACKEND",
          pimeval::backendName(r.mem_backend.value), r.mem_backend.source,
-         true);
-    knob("pipeline_inline", "PIMEVAL_PIPELINE_INLINE",
-         std::to_string(r.pipeline_inline.value),
-         r.pipeline_inline.source, false, /*last=*/true);
+         true, /*last=*/true);
     os << "}\n";
     return PimStatus::PIM_OK;
 }

@@ -25,7 +25,6 @@
  *   PIMEVAL_PROFILE_SAMPLE_MS  profiler sampler period (0 disables)
  *   PIMEVAL_FUSION             device-wide fusion default
  *   PIMEVAL_MEM_BACKEND        memory-timing backend (cycle|analytical|lut)
- *   PIMEVAL_PIPELINE_INLINE    async-pipeline inline-when-idle override
  *
  * PimDeviceConfig::mem_backend stays the highest-priority selector
  * for the memory backend (an explicit per-device struct field beats
@@ -63,8 +62,6 @@ struct PimRuntimeConfig
     std::optional<bool> fusion;
     /** Memory-timing backend (below PimDeviceConfig::mem_backend). */
     std::optional<PimMemBackend> mem_backend;
-    /** Async-pipeline inline-when-idle (unset = hardware heuristic). */
-    std::optional<bool> pipeline_inline;
 };
 
 /** Where a resolved knob value came from. */
@@ -97,8 +94,6 @@ struct PimResolvedRuntimeConfig
     /** DEFAULT when neither config nor env selects one (the caller
      *  then applies its own fallback, e.g. use_dram_timing > LUT). */
     PimResolvedKnob<PimMemBackend> mem_backend;
-    /** -1 = no override (hardware-concurrency heuristic applies). */
-    PimResolvedKnob<int> pipeline_inline;
 };
 
 /** The single parse point: overrides > environment > defaults. */

@@ -6,7 +6,7 @@
  * thread-local current-context churn): the group holds the K context
  * handles and dispatches to ctx->device. All methods are
  * single-threaded from the caller's perspective — concurrency comes
- * from the shards' own async pipelines.
+ * from each shard device's own thread pool.
  */
 
 #include "core/pim_shard.h"
@@ -78,14 +78,6 @@ PimShardGroup::~PimShardGroup()
 {
     for (PimContext ctx : shards_)
         pimDestroyContext(ctx);
-}
-
-PimStatus
-PimShardGroup::setExecMode(PimExecEnum mode)
-{
-    for (PimContext ctx : shards_)
-        ctx->device->setExecMode(mode);
-    return PimStatus::PIM_OK;
 }
 
 void
@@ -403,9 +395,7 @@ PimShardGroup::executeRedSum(PimObjId a, int64_t *result)
     if (!result)
         return fail("PimShardGroup::executeRedSum: null result "
                     "pointer");
-    // Gather per-shard partials; each per-device reduction blocks on
-    // its own dependency cone only, so prior async broadcasts keep
-    // overlapping until their shard's turn.
+    // Gather per-shard partials.
     std::vector<int64_t> partials;
     partials.reserve(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {

@@ -8,10 +8,9 @@
  * a sharded allocation is K per-context slices, a command broadcast
  * runs on every shard, copies partition (block) or interleave
  * (round-robin) the host buffer across the slices, and reductions
- * gather per-shard partial sums combined in a binary tree. With the
- * shards in PIM_EXEC_ASYNC mode the K per-context pipelines overlap,
- * so a broadcast returns after K enqueues and the host only waits at
- * gather points.
+ * gather per-shard partial sums combined in a binary tree. Shards run
+ * one after another on the calling thread; each shard device spreads
+ * its own kernels across its thread pool.
  *
  * Partitioning:
  *  - kBlock: shard s holds the contiguous element range
@@ -62,7 +61,7 @@ class PimShardGroup
            PimShardPartition partition,
            const std::string &label_prefix = "shard");
 
-    /** Destroys the K contexts (draining their pipelines). */
+    /** Destroys the K contexts (flushing their fusion windows). */
     ~PimShardGroup();
 
     PimShardGroup(const PimShardGroup &) = delete;
@@ -73,11 +72,7 @@ class PimShardGroup
     /** Shard @p i's context (for per-shard stats or tracing). */
     PimContext shard(size_t i) const { return shards_[i]; }
 
-    /** Broadcast an execution-mode switch to every shard. Async mode
-     *  is what makes the K pipelines overlap. */
-    PimStatus setExecMode(PimExecEnum mode);
-
-    /** Drain every shard's pipeline. */
+    /** Flush every shard's fusion window. */
     void sync();
 
     // --- Sharded allocations ---
@@ -124,7 +119,7 @@ class PimShardGroup
 
     // --- Fleet statistics ---
 
-    /** Sum of the K per-shard statistics snapshots (drains first). */
+    /** Sum of the K per-shard statistics snapshots (flushes first). */
     PimRunStats aggregatedStats();
 
     /** Reset every shard's statistics. */

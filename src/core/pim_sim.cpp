@@ -149,7 +149,7 @@ PimSim::destroyContext(PimContextRec *ctx)
         PIM_METRIC_COUNT("context.destroyed", 1);
         PIM_METRIC_RECORD("context.live", contexts_.size());
     }
-    // Device teardown (pipeline drain, fusion flush) happens outside
+    // Device teardown (fusion flush, pool join) happens outside
     // the registry lock so other contexts keep creating/destroying.
     dying.reset();
     return PimStatus::PIM_OK;

@@ -5,7 +5,7 @@
  * Historically one simulated device was active per process behind a
  * singleton; the registry generalizes that to N independent contexts
  * (pimCreateContext in core/pim_context.h), each owning its own
- * PimDevice — resource manager, command pipeline, fusion window, and
+ * PimDevice — resource manager, thread pool, fusion window, and
  * statistics included — so contexts execute concurrently on host
  * threads with zero shared mutable state between them.
  *

@@ -63,10 +63,9 @@ struct PimRunStats
  * materialized on demand.
  *
  * Thread safety: all members are guarded by an internal mutex (one
- * uncontended lock per recorded command, not per element). The async
- * command pipeline interns keys on the issuing thread while its
- * commit worker applies recorded costs, so the manager must be safe
- * for concurrent mutation.
+ * uncontended lock per recorded command, not per element), so
+ * snapshots taken from another host thread — the profiler's sampler,
+ * a shard group aggregating its contexts — never see a torn update.
  */
 class PimStatsMgr
 {

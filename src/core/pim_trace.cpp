@@ -237,32 +237,6 @@ PimTracer::droppedEvents() const
 
 namespace {
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string
-jsonEscape(const char *s)
-{
-    std::string out;
-    for (; s && *s; ++s) {
-        const char c = *s;
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Microseconds with sub-µs fraction, the Chrome "ts" unit. */
 std::string
 formatUs(double us)
@@ -324,7 +298,7 @@ PimTracer::exportJson(const std::string &path) const
             emit("{\"ph\":\"M\",\"pid\":" +
                  std::to_string(modeledPid(id)) +
                  ",\"tid\":0,\"name\":\"process_name\",\"args\":{"
-                 "\"name\":\"" + jsonEscape(pname.c_str()) + "\"}}");
+                 "\"name\":\"" + jsonEscape(pname) + "\"}}");
             emit("{\"ph\":\"M\",\"pid\":" +
                  std::to_string(modeledPid(id)) +
                  ",\"tid\":1,\"name\":\"thread_name\",\"args\":{"
@@ -338,7 +312,7 @@ PimTracer::exportJson(const std::string &path) const
         emit("{\"ph\":\"M\",\"pid\":" + std::to_string(kHostPid) +
              ",\"tid\":" + std::to_string(buf->tid) +
              ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-             jsonEscape(name.c_str()) + "\"}}");
+             jsonEscape(name) + "\"}}");
     }
     for (const auto &buf : buffers_) {
         const uint64_t n = buf->count.load(std::memory_order_acquire);
@@ -349,7 +323,7 @@ PimTracer::exportJson(const std::string &path) const
         const std::string tid = std::to_string(buf->tid);
         for (uint64_t i = n - kept; i < n; ++i) {
             const TraceEvent &e = buf->ring[i % size];
-            const std::string name = jsonEscape(e.name);
+            const std::string name = jsonEscape(e.name ? e.name : "");
             const std::string cat =
                 jsonEscape(e.category ? e.category : "pim");
             const std::string ts = formatUs(e.ts_ns / 1e3);

@@ -160,7 +160,7 @@ class PimTracer
 
     /**
      * Name the calling thread's track in the export (e.g.
-     * "pipeline-worker-0"). Cheap; callable whether or not tracing is
+     * "issue-thread"). Cheap; callable whether or not tracing is
      * active.
      */
     void setThreadName(const std::string &name);

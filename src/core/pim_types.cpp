@@ -153,18 +153,6 @@ pimDeviceName(PimDeviceEnum device)
 }
 
 std::string
-pimExecModeName(PimExecEnum mode)
-{
-    switch (mode) {
-      case PimExecEnum::PIM_EXEC_SYNC:
-        return "PIM_EXEC_SYNC";
-      case PimExecEnum::PIM_EXEC_ASYNC:
-        return "PIM_EXEC_ASYNC";
-    }
-    return "unknown";
-}
-
-std::string
 pimMemBackendName(PimMemBackend backend)
 {
     switch (backend) {

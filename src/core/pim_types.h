@@ -116,24 +116,6 @@ enum class PimAddrMap {
 };
 
 /**
- * Execution mode of the active device (pimSetExecMode).
- *
- * In PIM_EXEC_SYNC every API call runs functional execution and
- * perf/energy modeling before returning (the classic PIMeval shape).
- * In PIM_EXEC_ASYNC non-blocking calls enqueue a command carrying
- * read/write sets of object ids into the device pipeline; a scheduler
- * dispatches commands whose RAW/WAR/WAW dependencies have executed, so
- * independent chains overlap. Statistics are committed strictly in
- * issue order, making final stats bit-identical to sync mode.
- * Blocking points (pimCopyDeviceToHost, pimRedSum, pimFree, stats
- * queries, pimSync) drain only the dependency cone they need.
- */
-enum class PimExecEnum {
-    PIM_EXEC_SYNC = 0,
-    PIM_EXEC_ASYNC,
-};
-
-/**
  * Command identifiers for all modeled PIM operations.
  *
  * These drive functional execution, performance costing, energy
@@ -208,9 +190,6 @@ std::string pimDataTypeName(PimDataType data_type);
 
 /** Device name string, e.g., "PIM_DEVICE_FULCRUM". */
 std::string pimDeviceName(PimDeviceEnum device);
-
-/** Execution mode name, e.g., "PIM_EXEC_ASYNC". */
-std::string pimExecModeName(PimExecEnum mode);
 
 /** Backend name as used by PIMEVAL_MEM_BACKEND: "cycle",
  *  "analytical", "lut" ("default" for the unresolved sentinel). */

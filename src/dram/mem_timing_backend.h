@@ -52,7 +52,7 @@ struct MemTopology
 /**
  * Abstract transfer-timing backend. Implementations are immutable
  * after construction and safe for concurrent transfer() calls from
- * the command pipeline's worker threads.
+ * several host threads.
  */
 class MemTimingBackend
 {

@@ -98,8 +98,8 @@ class TransferModel
                               uint64_t bytes) const;
 
     /** Keyed by (simulated column count, is_write); the bool lives in
-     *  the key's low bit. Guarded: costCopy runs concurrently on the
-     *  command pipeline's worker threads. */
+     *  the key's low bit. Guarded so the const transfer() stays safe
+     *  to call from several host threads at once. */
     mutable std::shared_mutex cache_mutex_;
     mutable std::unordered_map<uint64_t, ShapeResult> cache_;
     DramTiming timing_;

@@ -19,8 +19,7 @@
  * scaled-add, and sharded tree reductions are all exact.
  *
  * Input pointers in the spec must stay valid until the job reaches a
- * final state (the server does not snapshot inputs at submission —
- * the same lifetime contract as the async pipeline's D2H operands).
+ * final state (the server does not snapshot inputs at submission).
  */
 
 #ifndef PIMEVAL_SERVE_PIM_JOB_H_

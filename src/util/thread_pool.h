@@ -119,19 +119,21 @@ class ThreadPool
         // One helper task per worker (not per chunk); each drains the
         // shared index until the range is exhausted.
         const size_t helpers = std::min(num_workers, num_chunks);
-        std::atomic<size_t> live{helpers};
-        std::atomic<size_t> stolen{0};
+        size_t live = helpers;      // guarded by done_mutex
+        size_t helper_chunks = 0;   // guarded by done_mutex
         std::mutex done_mutex;
         std::condition_variable done_cv;
         for (size_t w = 0; w < helpers; ++w) {
             enqueue([&] {
-                stolen.fetch_add(steal(),
-                                 std::memory_order_relaxed);
-                if (live.fetch_sub(1, std::memory_order_acq_rel) ==
-                    1) {
-                    std::lock_guard<std::mutex> lock(done_mutex);
+                const size_t claimed = steal();
+                // Decrement and notify under the lock: the caller
+                // cannot observe live == 0 (and return, releasing
+                // this stack frame) until the helper has unlocked,
+                // so no helper touches the frame afterwards.
+                std::lock_guard<std::mutex> lock(done_mutex);
+                helper_chunks += claimed;
+                if (--live == 0)
                     done_cv.notify_one();
-                }
             });
         }
 
@@ -139,16 +141,12 @@ class ThreadPool
 
         // Helpers reference this stack frame; wait for all of them.
         std::unique_lock<std::mutex> lock(done_mutex);
-        done_cv.wait(lock, [&] {
-            return live.load(std::memory_order_acquire) == 0;
-        });
+        done_cv.wait(lock, [&] { return live == 0; });
         // Batched per invocation, not per chunk: the claims
         // themselves stay a single relaxed fetch_add.
         if (caller_chunks)
             PIM_METRIC_COUNT("threadpool.chunks_caller",
                              caller_chunks);
-        const size_t helper_chunks =
-            stolen.load(std::memory_order_relaxed);
         if (helper_chunks)
             PIM_METRIC_COUNT("threadpool.chunks_stolen",
                              helper_chunks);

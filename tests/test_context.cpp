@@ -70,13 +70,10 @@ sameModeledStats(const PimRunStats &x, const PimRunStats &y)
  * negative scalar multiply, a scaled add, a reduction, and copies.
  */
 RunOutcome
-runWorkload(const std::vector<int> &a, const std::vector<int> &b,
-            PimExecEnum mode)
+runWorkload(const std::vector<int> &a, const std::vector<int> &b)
 {
     RunOutcome r;
     const uint64_t n = a.size();
-    if (pimSetExecMode(mode) != PimStatus::PIM_OK)
-        return r;
     const PimObjId oa = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
                                  PimDataType::PIM_INT32);
     const PimObjId ob = pimAllocAssociated(32, oa,
@@ -267,55 +264,51 @@ TEST_F(ContextTest, ConcurrentContextsBitIdenticalToSequential)
     const std::vector<int> a = rng.intVector(n, -100000, 100000);
     const std::vector<int> b = rng.intVector(n, -100000, 100000);
 
-    for (const PimExecEnum mode : {PimExecEnum::PIM_EXEC_SYNC,
-                                   PimExecEnum::PIM_EXEC_ASYNC}) {
-        // Sequential baselines: one fresh context per target.
-        RunOutcome seq[3];
-        for (size_t t = 0; t < 3; ++t) {
+    // Sequential baselines: one fresh context per target.
+    RunOutcome seq[3];
+    for (size_t t = 0; t < 3; ++t) {
+        PimContext ctx = pimCreateContextFromConfig(
+            smallConfig(kTargets[t]), "seq");
+        ASSERT_NE(ctx, nullptr);
+        {
+            PimContextScope scope(ctx);
+            seq[t] = runWorkload(a, b);
+        }
+        ASSERT_TRUE(seq[t].ok);
+        EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
+    }
+    // All three targets agree functionally.
+    EXPECT_EQ(seq[0].out, seq[1].out);
+    EXPECT_EQ(seq[0].out, seq[2].out);
+    EXPECT_EQ(seq[0].sum, seq[1].sum);
+    EXPECT_EQ(seq[0].sum, seq[2].sum);
+
+    // The same three workloads on three concurrent host threads,
+    // one context each, through the global API.
+    RunOutcome par[3];
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 3; ++t) {
+        threads.emplace_back([&, t] {
             PimContext ctx = pimCreateContextFromConfig(
-                smallConfig(kTargets[t]), "seq");
+                smallConfig(kTargets[t]), "par");
             ASSERT_NE(ctx, nullptr);
-            {
-                PimContextScope scope(ctx);
-                seq[t] = runWorkload(a, b, mode);
-            }
-            ASSERT_TRUE(seq[t].ok);
+            ASSERT_EQ(pimSetCurrentContext(ctx), PimStatus::PIM_OK);
+            par[t] = runWorkload(a, b);
+            pimSetCurrentContext(nullptr);
             EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
-        }
-        // All three targets agree functionally.
-        EXPECT_EQ(seq[0].out, seq[1].out);
-        EXPECT_EQ(seq[0].out, seq[2].out);
-        EXPECT_EQ(seq[0].sum, seq[1].sum);
-        EXPECT_EQ(seq[0].sum, seq[2].sum);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
 
-        // The same three workloads on three concurrent host threads,
-        // one context each, through the global API.
-        RunOutcome par[3];
-        std::vector<std::thread> threads;
-        for (size_t t = 0; t < 3; ++t) {
-            threads.emplace_back([&, t] {
-                PimContext ctx = pimCreateContextFromConfig(
-                    smallConfig(kTargets[t]), "par");
-                ASSERT_NE(ctx, nullptr);
-                ASSERT_EQ(pimSetCurrentContext(ctx),
-                          PimStatus::PIM_OK);
-                par[t] = runWorkload(a, b, mode);
-                pimSetCurrentContext(nullptr);
-                EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
-            });
-        }
-        for (auto &th : threads)
-            th.join();
-
-        for (size_t t = 0; t < 3; ++t) {
-            ASSERT_TRUE(par[t].ok);
-            EXPECT_EQ(par[t].out, seq[t].out);
-            EXPECT_EQ(par[t].sum, seq[t].sum);
-            EXPECT_TRUE(sameModeledStats(par[t].stats, seq[t].stats))
-                << "target " << t << " modeled stats diverged under "
-                << "concurrency";
-            EXPECT_EQ(par[t].mix, seq[t].mix);
-        }
+    for (size_t t = 0; t < 3; ++t) {
+        ASSERT_TRUE(par[t].ok);
+        EXPECT_EQ(par[t].out, seq[t].out);
+        EXPECT_EQ(par[t].sum, seq[t].sum);
+        EXPECT_TRUE(sameModeledStats(par[t].stats, seq[t].stats))
+            << "target " << t << " modeled stats diverged under "
+            << "concurrency";
+        EXPECT_EQ(par[t].mix, seq[t].mix);
     }
 }
 
@@ -334,7 +327,7 @@ TEST_F(ContextTest, ShardedExecutionMatchesUnsharded)
         PimContext ctx = pimCreateContextFromConfig(config, "base");
         ASSERT_NE(ctx, nullptr);
         PimContextScope scope(ctx);
-        base = runWorkload(a, b, PimExecEnum::PIM_EXEC_SYNC);
+        base = runWorkload(a, b);
         ASSERT_TRUE(base.ok);
         pimSetCurrentContext(nullptr);
         EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
@@ -344,8 +337,6 @@ TEST_F(ContextTest, ShardedExecutionMatchesUnsharded)
          {PimShardPartition::kBlock, PimShardPartition::kRoundRobin}) {
         auto group = PimShardGroup::create(config, 3, partition);
         ASSERT_NE(group, nullptr);
-        ASSERT_EQ(group->setExecMode(PimExecEnum::PIM_EXEC_ASYNC),
-                  PimStatus::PIM_OK);
 
         const PimObjId oa = group->alloc(
             PimAllocEnum::PIM_ALLOC_AUTO, n, PimDataType::PIM_INT32);

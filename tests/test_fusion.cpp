@@ -3,12 +3,10 @@
  * Tests of the elementwise command fusion pass (pimSetFusionEnabled /
  * pimBeginFusion / pimEndFusion): chain planning on synthetic hazard
  * graphs, fused-vs-unfused bit-identity of functional outputs AND
- * modeled statistics on all three digital targets in both execution
- * modes, dead-temporary elision accounting (fusion.temps_elided,
- * freelist.pristine), window flush boundaries, the 2-/3-op fast-path
- * shapes, and the bit-serial vertical-I/O fused runner. The
- * async+fused tests double as the ThreadSanitizer workload for the
- * fusion path (build with -DPIMEVAL_SANITIZE=thread).
+ * modeled statistics on all three digital targets, dead-temporary
+ * elision accounting (fusion.temps_elided, freelist.pristine), window
+ * flush boundaries, the 2-/3-op fast-path shapes, and the bit-serial
+ * vertical-I/O fused runner.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +17,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "apps/linear_regression.h"
 #include "bitserial/bitserial_fused.h"
 #include "core/pim_api.h"
 #include "core/pim_fusion.h"
@@ -669,8 +668,6 @@ class FusionTest : public ::testing::TestWithParam<PimDeviceEnum>
 TEST_P(FusionTest, FusedMatchesUnfusedBitIdenticalSync)
 {
     const uint64_t n = 2000;
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-              PimStatus::PIM_OK);
 
     pimSetFusionEnabled(false);
     pimResetStats();
@@ -685,30 +682,8 @@ TEST_P(FusionTest, FusedMatchesUnfusedBitIdenticalSync)
     expectOutcomesIdentical(unfused, fused);
 }
 
-TEST_P(FusionTest, FusedMatchesUnfusedBitIdenticalAsync)
-{
-    const uint64_t n = 2000;
-
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-              PimStatus::PIM_OK);
-    pimSetFusionEnabled(false);
-    pimResetStats();
-    const RunOutcome unfused_sync = runChainWorkload(n);
-
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_ASYNC),
-              PimStatus::PIM_OK);
-    pimSetFusionEnabled(true);
-    pimResetStats();
-    const RunOutcome fused_async = runChainWorkload(n);
-    pimSetFusionEnabled(false);
-
-    expectOutcomesIdentical(unfused_sync, fused_async);
-}
-
 TEST_P(FusionTest, ReductionFusedMatchesUnfusedBitIdenticalSync)
 {
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-              PimStatus::PIM_OK);
     // 2000 crosses the 1024-element fusion tile with a non-divisible
     // 976-element tail; 1537 leaves a 513-element tail.
     for (const uint64_t n : {uint64_t{2000}, uint64_t{1537}}) {
@@ -719,26 +694,6 @@ TEST_P(FusionTest, ReductionFusedMatchesUnfusedBitIdenticalSync)
         expectReduceOutcomesIdentical(unfused, fused);
         expectReduceOutcomeCorrect(fused, n);
     }
-}
-
-TEST_P(FusionTest, ReductionFusedMatchesUnfusedBitIdenticalAsync)
-{
-    const uint64_t n = 2000;
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-              PimStatus::PIM_OK);
-    pimResetStats();
-    const ReduceOutcome unfused_sync = runReduceWorkload(n, false);
-
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_ASYNC),
-              PimStatus::PIM_OK);
-    pimResetStats();
-    const ReduceOutcome fused_async = runReduceWorkload(n, true);
-    pimResetStats();
-    const ReduceOutcome unfused_async = runReduceWorkload(n, false);
-
-    expectReduceOutcomesIdentical(unfused_sync, fused_async);
-    expectReduceOutcomesIdentical(unfused_sync, unfused_async);
-    expectReduceOutcomeCorrect(fused_async, n);
 }
 
 TEST_P(FusionTest, RedSumImmediateUnderGlobalToggle)
@@ -765,6 +720,49 @@ TEST_P(FusionTest, RedSumImmediateUnderGlobalToggle)
 
     pimFree(x);
     pimFree(y);
+}
+
+TEST_P(FusionTest, RegionRedSumValidAfterEndFusionUnderGlobalToggle)
+{
+    // Regression: with the global toggle on, the outermost
+    // pimEndFusion used to skip its flush, leaving reductions
+    // captured in the region pending after it returned.
+    const uint64_t n = 700;
+    const std::vector<int> xs(n, 4), ys(n, 9);
+    const PimObjId x = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    const PimObjId y = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
+    pimCopyHostToDevice(xs.data(), x);
+    pimCopyHostToDevice(ys.data(), y);
+
+    pimSetFusionEnabled(true);
+    int64_t sum_x = -1, dot = -1;
+    ASSERT_EQ(pimBeginFusion(), PimStatus::PIM_OK);
+    const PimObjId t = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
+    pimRedSum(x, &sum_x);
+    pimMul(x, y, t);
+    pimRedSum(t, &dot);
+    pimFree(t);
+    ASSERT_EQ(pimEndFusion(), PimStatus::PIM_OK);
+    EXPECT_EQ(sum_x, static_cast<int64_t>(n) * 4);
+    EXPECT_EQ(dot, static_cast<int64_t>(n) * 4 * 9);
+    pimSetFusionEnabled(false);
+
+    pimFree(x);
+    pimFree(y);
+}
+
+TEST_P(FusionTest, LinearRegressionVerifiesUnderGlobalToggle)
+{
+    // The app reads its region's reductions right after
+    // pimEndFusion; it failed verification with the toggle on.
+    pimSetFusionEnabled(true);
+    pimbench::LinearRegressionParams params;
+    params.num_points = 2000;
+    const pimbench::AppResult result =
+        pimbench::runLinearRegression(params);
+    pimSetFusionEnabled(false);
+    EXPECT_TRUE(result.verified);
 }
 
 TEST_P(FusionTest, ReductionAndScalarFoldMetrics)
@@ -1051,8 +1049,6 @@ expectSweepCorrect(const SweepOutcome &o, const std::vector<int> &matrix,
 
 TEST_P(FusionTest, CopyCaptureSweepBitIdenticalSync)
 {
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-              PimStatus::PIM_OK);
     // 2048 is tile-divisible; 1537 leaves a 513-element tail. 40
     // columns = 81 captured commands, crossing the window boundary.
     const uint64_t n = 40;
@@ -1074,37 +1070,10 @@ TEST_P(FusionTest, CopyCaptureSweepBitIdenticalSync)
     }
 }
 
-TEST_P(FusionTest, CopyCaptureSweepBitIdenticalAsync)
-{
-    const uint64_t n = 40;
-    for (const uint64_t m : {uint64_t{2048}, uint64_t{1537}}) {
-        Prng rng(23);
-        const std::vector<int> matrix =
-            rng.intVector(m * n, -100, 100);
-        const std::vector<int> v = rng.intVector(n, -10, 10);
-
-        ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-                  PimStatus::PIM_OK);
-        pimResetStats();
-        const SweepOutcome unfused_sync =
-            runGemvSweepWorkload(matrix, v, m, n, false);
-
-        ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_ASYNC),
-                  PimStatus::PIM_OK);
-        pimResetStats();
-        const SweepOutcome fused_async =
-            runGemvSweepWorkload(matrix, v, m, n, true);
-
-        expectSweepOutcomesIdentical(unfused_sync, fused_async);
-        expectSweepCorrect(fused_async, matrix, v, m, n);
-    }
-}
-
 TEST_P(FusionTest, CapturedCopySnapshotsHostBufferAtIssue)
 {
     // The capture must snapshot the host buffer at issue — the
-    // caller may scribble over or free it before the window flushes
-    // (the async pipeline H2D contract).
+    // caller may scribble over or free it before the window flushes.
     const uint64_t n = 900;
     const std::vector<int> xs(n, 5);
     const PimObjId x = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,

@@ -514,8 +514,8 @@ checkNegativeScalars(PimDataType dtype, unsigned bits)
 
 TEST_P(PimApiTest, NegativeScalarSignExtension)
 {
-    // Plain sync path plus the fusion-capture and async-pipeline
-    // paths: the masked scalar must survive each capture/replay.
+    // Plain path plus the fusion-capture path: the masked scalar must
+    // survive capture and replay.
     checkNegativeScalars<int8_t>(PimDataType::PIM_INT8, 8);
     checkNegativeScalars<int16_t>(PimDataType::PIM_INT16, 16);
     checkNegativeScalars<int32_t>(PimDataType::PIM_INT32, 32);
@@ -524,13 +524,24 @@ TEST_P(PimApiTest, NegativeScalarSignExtension)
     checkNegativeScalars<int8_t>(PimDataType::PIM_INT8, 8);
     checkNegativeScalars<int32_t>(PimDataType::PIM_INT32, 32);
     ASSERT_EQ(pimSetFusionEnabled(false), PimStatus::PIM_OK);
+}
 
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_ASYNC),
-              PimStatus::PIM_OK);
-    checkNegativeScalars<int16_t>(PimDataType::PIM_INT16, 16);
-    checkNegativeScalars<int32_t>(PimDataType::PIM_INT32, 32);
-    ASSERT_EQ(pimSetExecMode(PimExecEnum::PIM_EXEC_SYNC),
-              PimStatus::PIM_OK);
+TEST_P(PimApiTest, SyncWithNothingPendingSucceeds)
+{
+    const uint64_t n = 256;
+    const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    ASSERT_GE(a, 0);
+    pimBroadcastInt(a, 5);
+    pimAddScalar(a, a, 2);
+    // Nothing is buffered: pimSync is a no-op that succeeds, and the
+    // commands issued before it already ran.
+    EXPECT_EQ(pimSync(), PimStatus::PIM_OK);
+    std::vector<int> out(n, 0);
+    pimCopyDeviceToHost(a, out.data());
+    EXPECT_EQ(out.front(), 7);
+    EXPECT_EQ(pimSync(), PimStatus::PIM_OK);
+    pimFree(a);
 }
 
 TEST_P(PimApiTest, OpScalarEntryPoint)

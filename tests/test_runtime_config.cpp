@@ -13,6 +13,7 @@
 
 #include "core/pim_api.h"
 #include "core/pim_context.h"
+#include "core/pim_json.h"
 #include "core/pim_runtime_config.h"
 
 using namespace pimeval;
@@ -76,9 +77,8 @@ TEST(RuntimeConfig, DefaultsWhenNothingSet)
     EnvVarScope e2("PIMEVAL_MEM_BACKEND", nullptr);
     EnvVarScope e3("PIMEVAL_TRACE_CAPACITY", nullptr);
     EnvVarScope e4("PIMEVAL_PROFILE_SAMPLE_MS", nullptr);
-    EnvVarScope e5("PIMEVAL_PIPELINE_INLINE", nullptr);
-    EnvVarScope e6("PIMEVAL_TRACE", nullptr);
-    EnvVarScope e7("PIMEVAL_PROFILE", nullptr);
+    EnvVarScope e5("PIMEVAL_TRACE", nullptr);
+    EnvVarScope e6("PIMEVAL_PROFILE", nullptr);
 
     const PimResolvedRuntimeConfig rt = pimResolveRuntimeConfig();
     EXPECT_EQ(rt.fusion.source, PimKnobSource::kDefault);
@@ -91,8 +91,6 @@ TEST(RuntimeConfig, DefaultsWhenNothingSet)
     EXPECT_EQ(rt.trace_capacity.source, PimKnobSource::kDefault);
     EXPECT_GT(rt.trace_capacity.value, 0u);
     EXPECT_EQ(rt.profile_sample_ms.source, PimKnobSource::kDefault);
-    EXPECT_EQ(rt.pipeline_inline.source, PimKnobSource::kDefault);
-    EXPECT_EQ(rt.pipeline_inline.value, -1);
 }
 
 TEST(RuntimeConfig, EnvBeatsDefault)
@@ -102,8 +100,7 @@ TEST(RuntimeConfig, EnvBeatsDefault)
     EnvVarScope e2("PIMEVAL_MEM_BACKEND", "analytical");
     EnvVarScope e3("PIMEVAL_TRACE_CAPACITY", "4096");
     EnvVarScope e4("PIMEVAL_PROFILE_SAMPLE_MS", "7.5");
-    EnvVarScope e5("PIMEVAL_PIPELINE_INLINE", "0");
-    EnvVarScope e6("PIMEVAL_TRACE", "t.json");
+    EnvVarScope e5("PIMEVAL_TRACE", "t.json");
 
     const PimResolvedRuntimeConfig rt = pimResolveRuntimeConfig();
     EXPECT_EQ(rt.fusion.source, PimKnobSource::kEnv);
@@ -115,8 +112,6 @@ TEST(RuntimeConfig, EnvBeatsDefault)
     EXPECT_EQ(rt.trace_capacity.value, 4096u);
     EXPECT_EQ(rt.profile_sample_ms.source, PimKnobSource::kEnv);
     EXPECT_DOUBLE_EQ(rt.profile_sample_ms.value, 7.5);
-    EXPECT_EQ(rt.pipeline_inline.source, PimKnobSource::kEnv);
-    EXPECT_EQ(rt.pipeline_inline.value, 0);
     EXPECT_EQ(rt.trace_path.source, PimKnobSource::kEnv);
     EXPECT_EQ(rt.trace_path.value, "t.json");
 }
@@ -253,7 +248,7 @@ TEST(RuntimeConfig, DumpReportsValueAndProvenance)
     for (const char *needle :
          {"\"trace_path\"", "\"trace_capacity\"", "\"profile_path\"",
           "\"profile_sample_ms\"", "\"fusion\"", "\"mem_backend\"",
-          "\"pipeline_inline\"", "PIMEVAL_TRACE_CAPACITY",
+          "PIMEVAL_TRACE_CAPACITY",
           "PIMEVAL_MEM_BACKEND"}) {
         EXPECT_NE(json.find(needle), std::string::npos)
             << "missing " << needle << " in:\n"
@@ -266,4 +261,34 @@ TEST(RuntimeConfig, DumpReportsValueAndProvenance)
               std::string::npos);
     // The overridden capacity value is visible.
     EXPECT_NE(json.find("2048"), std::string::npos);
+}
+
+TEST(RuntimeConfig, DumpIsValidJsonForControlCharacterPaths)
+{
+    ConfigReset reset;
+    const std::string path = "out dir\\tab\there\nline \"q\".json";
+    PimRuntimeConfig overrides;
+    overrides.profile_path = path;
+    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
+
+    std::ostringstream os;
+    ASSERT_EQ(pimDumpRuntimeConfig(os), PimStatus::PIM_OK);
+    const std::string dump = os.str();
+    // Raw control characters are invalid inside JSON strings: the tab
+    // must be escaped, and the newline must not split the knob's line.
+    EXPECT_EQ(dump.find('\t'), std::string::npos) << dump;
+    const size_t at = dump.find("\"profile_path\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = dump.substr(at, dump.find('\n', at) - at);
+    EXPECT_NE(line.find("\"source\""), std::string::npos) << line;
+
+    std::string error;
+    JsonValue doc;
+    ASSERT_TRUE(JsonParser(dump, &error).parse(&doc))
+        << error << " in:\n" << dump;
+    const JsonValue *knob = doc.find("profile_path");
+    ASSERT_NE(knob, nullptr);
+    const JsonValue *value = knob->find("value");
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(value->str, path);
 }

@@ -2,8 +2,8 @@
  * @file
  * ThreadPool tests: chunked parallel-for coverage, inline fallbacks,
  * nested invocation from worker threads (the case that used to
- * deadlock a fully busy pool), reduction equivalence, and concurrent
- * callers sharing one pool.
+ * deadlock a fully busy pool), reduction equivalence, concurrent
+ * callers sharing one pool, and a dispatch-completion stress test.
  */
 
 #include <gtest/gtest.h>
@@ -154,6 +154,35 @@ TEST(ThreadPool, ConcurrentCallersShareOnePool)
     for (const auto &v : hits)
         for (const auto &h : v)
             EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentShortDispatchesStress)
+{
+    // Regression: a helper used to decrement the live-helper count and
+    // only then lock the caller's stack-local completion mutex, so a
+    // caller that saw zero could return and reuse that frame while
+    // the helper was still locking and notifying it. Thousands of
+    // back-to-back minimum-size dispatches from several callers hit
+    // that window: ThreadSanitizer flags it on every run, and plain
+    // builds under host contention aborted in pthread_mutex_lock.
+    ThreadPool pool(3);
+    constexpr int kCallers = 4;
+    constexpr int kDispatches = 2000;
+    constexpr size_t kN = 2048; // smallest range that fans out
+    std::atomic<uint64_t> total{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&] {
+            for (int i = 0; i < kDispatches; ++i) {
+                pool.parallelForChunks(0, kN, [&](size_t lo, size_t hi) {
+                    total.fetch_add(hi - lo, std::memory_order_relaxed);
+                });
+            }
+        });
+    }
+    for (auto &caller : callers)
+        caller.join();
+    EXPECT_EQ(total.load(), uint64_t{kCallers} * kDispatches * kN);
 }
 
 TEST(ThreadPool, InWorkerThreadDetection)

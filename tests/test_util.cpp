@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the utility layer: PRNG, string formatting, table
- * writer, and thread pool.
+ * writer, thread pool, and the shared JSON string escaper.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/pim_json.h"
 #include "util/prng.h"
 #include "util/string_utils.h"
 #include "util/table_writer.h"
@@ -128,4 +129,24 @@ TEST(ThreadPool, ManyRoundsStress)
         });
         EXPECT_EQ(sum.load(), 199L * 200 / 2);
     }
+}
+
+TEST(Json, EscapeRoundTripsThroughParser)
+{
+    const std::string raw =
+        std::string("quote\" backslash\\ nl\n tab\t cr\r ctl") + '\x01' +
+        " del\x7f end";
+    const std::string escaped = jsonEscape(raw);
+    // No raw control character survives escaping.
+    for (const char c : escaped)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    EXPECT_NE(escaped.find("\\u0001"), std::string::npos);
+
+    const std::string doc = "{\"k\": \"" + escaped + "\"}";
+    std::string error;
+    JsonValue value;
+    ASSERT_TRUE(JsonParser(doc, &error).parse(&value)) << error;
+    const JsonValue *k = value.find("k");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->str, raw);
 }
