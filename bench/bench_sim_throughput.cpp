@@ -8,6 +8,8 @@
  * is the measured trajectory for every perf PR touching the kernel
  * execution engine: each entry times one PIM command on a 2^20-element
  * int32 vector and reports items/second (= simulated elements/second).
+ * Every entry is timed by wall clock (UseRealTime), so work done on
+ * thread-pool workers counts, not just the main thread's CPU time.
  *
  * Besides the console report, results are always written as JSON to
  * BENCH_SIM.json in the current directory (override the path with the
@@ -414,8 +416,9 @@ writeJson(std::ostream &os,
     for (const auto &run : runs) {
         if (run.error_occurred)
             continue;
-        const std::string name = run.benchmark_name();
-        // name = "sim_throughput/<command>/<target>"
+        // name = "sim_throughput/<command>/<target>"; the full
+        // benchmark_name() also carries a "/real_time" suffix.
+        const std::string &name = run.run_name.function_name;
         std::string command, target;
         const size_t slash1 = name.find('/');
         if (slash1 != std::string::npos) {
@@ -455,7 +458,8 @@ registerAll()
                 [device = target.device, body = cmd.body](
                     benchmark::State &state) {
                     runCommand(state, device, body);
-                });
+                })
+                ->UseRealTime();
         }
     }
     // Memory-backend costCopy micros (target "model": these time the
@@ -476,7 +480,8 @@ registerAll()
         benchmark::RegisterBenchmark(
             name.c_str(), [kind = backend.kind](benchmark::State &s) {
                 runCostCopyCold(s, kind);
-            });
+            })
+            ->UseRealTime();
     }
 }
 

@@ -227,21 +227,4 @@ BitSerialVm::readVerticalBulk(uint32_t col_begin, uint32_t base_row,
     }
 }
 
-uint64_t
-BitSerialVm::rowPopcount(uint32_t row, uint32_t count) const
-{
-    assert(row < num_rows_);
-    assert(count <= num_cols_);
-    const Row &bits = memory_[row];
-    uint64_t total = 0;
-    const uint32_t full = count / 64;
-    for (uint32_t w = 0; w < full; ++w)
-        total += static_cast<uint64_t>(__builtin_popcountll(bits[w]));
-    const uint32_t rem = count % 64;
-    if (rem)
-        total += static_cast<uint64_t>(
-            __builtin_popcountll(bits[full] & ((1ull << rem) - 1)));
-    return total;
-}
-
 } // namespace pimeval

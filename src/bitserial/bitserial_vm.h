@@ -76,15 +76,6 @@ class BitSerialVm
                           unsigned n, uint64_t *values,
                           uint32_t count) const;
 
-    /**
-     * Population count of the first @p count column bits of @p row.
-     * This is the subarray-local reduction primitive: summing a
-     * vertically laid-out vector is a weighted sum of its bit-plane
-     * popcounts, so a reduction can finish in place without ever
-     * transposing elements back out.
-     */
-    uint64_t rowPopcount(uint32_t row, uint32_t count) const;
-
     /** Total micro-ops executed (sanity/statistics). */
     uint64_t opsExecuted() const { return ops_executed_; }
 

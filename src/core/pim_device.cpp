@@ -118,7 +118,7 @@ cmdToAlpuOp(PimCmdEnum cmd, AlpuOp &op)
 
 // Host<->device element conversion kernels live in
 // core/pim_host_io.h, shared with the fusion tape's host-source
-// operands and the bit-serial fused chain's host inputs.
+// operands.
 
 /**
  * Chunked reduction of pa[lo, hi): per-chunk partial sums folded into

@@ -514,113 +514,12 @@ pimBuildFusedTape(const std::vector<PimFusedOp> &ops,
         }
     }
 
-    // Register fast paths: 2-/3-step elementwise tapes and 1-/2-step
-    // tapes terminated by a reduction. Only when every intermediate is
-    // elided (nothing to store mid-chain), every step is a plain
-    // binary/scalar op with one flowing operand, and the signedness is
-    // uniform (a compile-time parameter of the fused kernels). A
-    // reduction-terminated tape may keep its final store (the Store
-    // kernel variant); the reduction width/signedness must match the
-    // final step's, which type compatibility already guarantees.
-    const size_t len = tape.steps.size();
-    if (tape.has_reduce) {
-        if (len != 1 && len != 2)
-            return tape;
-    } else if (len != 2 && len != 3) {
-        return tape;
-    }
-    const bool sgn = tape.steps[0].sgn;
-    AlpuOp step_op[3] = {AlpuOp::kAdd, AlpuOp::kAdd, AlpuOp::kAdd};
-    for (size_t k = 0; k < len; ++k) {
-        const PimFusedTapeStep &st = tape.steps[k];
-        if (st.kern_sa || st.is_fill || !st.op_exact || st.sgn != sgn)
-            return tape;
-        if (st.is_load || st.host_a || st.host_b)
-            return tape; // host-source steps: tile path only
-        if (k + 1 < len && st.store != nullptr)
-            return tape; // materialized intermediate: tile path
-        if (k > 0 && st.a_is_prev && st.b_is_prev)
-            return tape; // both operands flow: needs the register file
-        if (k > 0 && !st.a_is_prev && !st.b_is_prev)
-            return tape; // unreachable by construction, but be safe
-        step_op[k] = st.op;
-    }
-    const PimFusedTapeStep &last = tape.steps[len - 1];
-    if (tape.has_reduce &&
-        (tape.red_sgn != sgn || tape.red_bits != last.bits))
-        return tape;
-
-    Fused3Args args;
-    args.a = tape.steps[0].a;
-    args.d = last.store;
-    for (size_t k = 0; k < len; ++k) {
-        const PimFusedTapeStep &st = tape.steps[k];
-        args.bits[k] = st.bits;
-        args.m[k] = st.mask;
-        if (k == 0) {
-            // Step 0's second operand: vector b or the scalar.
-            args.o[0] = st.kern2 ? st.b : nullptr;
-            args.s[0] = st.scalar;
-        } else if (st.kern2) {
-            // One operand flows, the other is the named vector.
-            args.prev_rhs[k] = st.b_is_prev;
-            args.o[k] = st.b_is_prev ? st.a : st.b;
-        } else {
-            // Scalar/unary step consuming the flow through a.
-            args.o[k] = nullptr;
-            args.s[k] = st.scalar;
-        }
-    }
-
-    if (tape.has_reduce) {
-        const bool store = last.store != nullptr;
-        if (len == 1) {
-            tape.fast_r1 = fusedRedChunk1For(
-                step_op[0], sgn, /*v0=*/args.o[0] != nullptr, store);
-        } else {
-            tape.fast_r2 =
-                fusedRedChunk2For(step_op[0], step_op[1], sgn, store);
-        }
-    } else if (len == 2) {
-        tape.fast2 = fusedChunk2For(
-            step_op[0], step_op[1], sgn,
-            /*v0=*/args.o[0] != nullptr,
-            /*v1=*/args.o[1] != nullptr, args.prev_rhs[1]);
-    } else {
-        // The 3-op kernel resolves operand shape per loop-invariant
-        // flag, so any mix of vector/scalar steps shares one
-        // instantiation per (op, op, op, signed) combination.
-        tape.fast3 =
-            fusedChunk3For(step_op[0], step_op[1], step_op[2], sgn);
-    }
-    if (tape.fast2 || tape.fast3 || tape.fast_r1 || tape.fast_r2) {
-        tape.fast_args = args;
-        tape.fast_dest = args.d;
-    }
     return tape;
 }
 
 uint64_t
 PimFusedTape::run(size_t lo, size_t hi) const
 {
-    if (fast2) {
-        fast2(fast_args.a, fast_args.o[0], fast_args.s[0],
-              fast_args.o[1], fast_args.s[1], fast_dest, lo, hi,
-              fast_args.bits[0], fast_args.m[0], fast_args.bits[1],
-              fast_args.m[1]);
-        return 0;
-    }
-    if (fast3) {
-        fast3(fast_args, lo, hi);
-        return 0;
-    }
-    if (fast_r1)
-        return fast_r1(fast_args.a, fast_args.o[0], fast_args.s[0],
-                       fast_dest, lo, hi, fast_args.bits[0],
-                       fast_args.m[0]);
-    if (fast_r2)
-        return fast_r2(fast_args, lo, hi);
-
     // Tile interpreter: evaluate the whole tape over one L1-resident
     // tile before moving on, so intermediates live in cache (or in
     // the stack tile when elided) instead of streaming through memory

@@ -27,9 +27,8 @@
  *    over one L1-resident tile at a time with the same chunk kernels
  *    as unfused execution — each step applies its own element width
  *    and dest mask, so stored values are bit-identical by
- *    construction. 2- and 3-op tapes over add/sub/mul take the
- *    register fast paths in fulcrum/alpu_kernels.h (inputs loaded
- *    once, one store per element).
+ *    construction. The interpreter is the only fused execution
+ *    path; a singleton chain runs its command's unfused kernel.
  *  - An intermediate born in the window, written once, freed inside
  *    the window, and read only by its chain successor is *elided*: its
  *    store is skipped and its storage returns to the allocator
@@ -204,8 +203,9 @@ struct PimFusedOp
     ScaledAddChunkFn kern_sa = nullptr; ///< dest = a*s + b
     /** False when the captured kernel computes something other than
      *  what @p op alone implies (kNE captures op=kEQ plus a negating
-     *  kernel). Such steps must never take an op-keyed register fast
-     *  path; only the captured kernel has the right semantics. */
+     *  kernel). Scalar folding re-selects a kernel from @p op, so it
+     *  must skip such steps; only the captured kernel has the right
+     *  semantics. */
     bool op_exact = true;
     bool sgn = false;
     uint64_t scalar = 0;
@@ -280,8 +280,8 @@ struct PimFusedTapeStep
     void (*kern_hsa)(const uint8_t *, const uint64_t *, uint64_t,
                      uint64_t *, size_t, unsigned, uint64_t,
                      uint64_t) = nullptr;
-    /** Op metadata mirrored from the source PimFusedOp so fast-path
-     *  qualification can run on the lowered (post-folding) steps. */
+    /** Op metadata mirrored from the source PimFusedOp: scalar
+     *  folding re-selects the step's kernel from it. */
     AlpuOp op = AlpuOp::kAdd;
     bool op_exact = true;
     bool sgn = false;
@@ -289,9 +289,8 @@ struct PimFusedTapeStep
 
 /**
  * A lowered chain, executable over any [lo, hi) element range (the
- * body handed to ThreadPool::parallelForChunks). Uses the register
- * fast path when the shape allows, else interprets the tape over
- * L1-resident tiles.
+ * body handed to ThreadPool::parallelForChunks). run() interprets the
+ * tape over L1-resident tiles; a range may start and end anywhere.
  */
 struct PimFusedTape
 {
@@ -312,14 +311,6 @@ struct PimFusedTape
     /** Broadcast fills folded into their consumer as scalar
      *  immediates during lowering (fusion.scalar_folds). */
     unsigned folded_fills = 0;
-
-    /** Register fast paths (exclusive; tile path when all null). */
-    Fused2Fn fast2 = nullptr;
-    Fused3Fn fast3 = nullptr;
-    FusedRed1Fn fast_r1 = nullptr; ///< 1 elementwise op + reduce
-    FusedRed2Fn fast_r2 = nullptr; ///< 2 elementwise ops + reduce
-    Fused3Args fast_args; ///< operand pack (2-op forms use slots 0-1)
-    uint64_t *fast_dest = nullptr;
 
     /** Evaluate [lo, hi); returns the reduction partial (wrapping
      *  uint64 lane arithmetic; 0 when the tape has no reduction). */

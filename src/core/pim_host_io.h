@@ -1,9 +1,8 @@
 /**
  * @file
  * Host<->device element conversion kernels, shared by the unfused copy
- * paths (PimDevice::copyHostToDevice / copyDeviceToHost), the fusion
- * tape's host-source operands (core/pim_fusion.h), and the bit-serial
- * fused chain's host inputs (bitserial/bitserial_fused.h).
+ * paths (PimDevice::copyHostToDevice / copyDeviceToHost) and the
+ * fusion tape's host-source operands (core/pim_fusion.h).
  */
 
 #ifndef PIMEVAL_CORE_PIM_HOST_IO_H_

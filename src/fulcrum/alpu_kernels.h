@@ -319,366 +319,6 @@ using ScaledAddChunkFn = void (*)(const uint64_t *, const uint64_t *,
                                   uint64_t, uint64_t *, size_t, size_t,
                                   unsigned, uint64_t);
 
-// ---------------------------------------------------------------------------
-// Fused register kernels: whole expression tapes of 2 or 3 elementwise
-// steps evaluated per element in registers — inputs loaded once, one
-// store at the end, no intermediate materialization. These are the
-// fast paths of the fusion tape interpreter (core/pim_fusion.h) for
-// the chain shapes that dominate PIMbench (AXPY mulScalar+add,
-// LinReg/K-means sub+mul+add). Each step applies its own width and
-// dest mask, so results are bit-identical to running the per-command
-// chunk kernels with a materialized intermediate.
-// ---------------------------------------------------------------------------
-
-/**
- * Two-step tape: r = op1(a[i], x0); d[i] = op2(r, x1) (or op2(x1, r)
- * when PrevRhs). X-operand k is o_k[i] when Vk, else the scalar s_k.
- */
-template <AlpuOp Op1, AlpuOp Op2, bool Signed, bool V0, bool V1,
-          bool PrevRhs>
-inline void
-fusedChunk2(const uint64_t *a, const uint64_t *o0, uint64_t s0,
-            const uint64_t *o1, uint64_t s1, uint64_t *d, size_t lo,
-            size_t hi, unsigned bits0, uint64_t m0, unsigned bits1,
-            uint64_t m1)
-{
-    for (size_t i = lo; i < hi; ++i) {
-        const uint64_t x0 = V0 ? o0[i] : s0;
-        const uint64_t r =
-            alpuComputeT<Op1>(a[i], x0, bits0, Signed) & m0;
-        const uint64_t x1 = V1 ? o1[i] : s1;
-        d[i] = (PrevRhs
-                    ? alpuComputeT<Op2>(x1, r, bits1, Signed)
-                    : alpuComputeT<Op2>(r, x1, bits1, Signed)) &
-            m1;
-    }
-}
-
-using Fused2Fn = void (*)(const uint64_t *, const uint64_t *, uint64_t,
-                          const uint64_t *, uint64_t, uint64_t *,
-                          size_t, size_t, unsigned, uint64_t, unsigned,
-                          uint64_t);
-
-namespace detail {
-
-template <AlpuOp Op1, AlpuOp Op2>
-inline Fused2Fn
-fused2Pick(bool sgn, bool v0, bool v1, bool prev_rhs)
-{
-    const unsigned idx = (sgn ? 8u : 0u) | (v0 ? 4u : 0u) |
-        (v1 ? 2u : 0u) | (prev_rhs ? 1u : 0u);
-    switch (idx) {
-      case 0:  return &fusedChunk2<Op1, Op2, false, false, false, false>;
-      case 1:  return &fusedChunk2<Op1, Op2, false, false, false, true>;
-      case 2:  return &fusedChunk2<Op1, Op2, false, false, true, false>;
-      case 3:  return &fusedChunk2<Op1, Op2, false, false, true, true>;
-      case 4:  return &fusedChunk2<Op1, Op2, false, true, false, false>;
-      case 5:  return &fusedChunk2<Op1, Op2, false, true, false, true>;
-      case 6:  return &fusedChunk2<Op1, Op2, false, true, true, false>;
-      case 7:  return &fusedChunk2<Op1, Op2, false, true, true, true>;
-      case 8:  return &fusedChunk2<Op1, Op2, true, false, false, false>;
-      case 9:  return &fusedChunk2<Op1, Op2, true, false, false, true>;
-      case 10: return &fusedChunk2<Op1, Op2, true, false, true, false>;
-      case 11: return &fusedChunk2<Op1, Op2, true, false, true, true>;
-      case 12: return &fusedChunk2<Op1, Op2, true, true, false, false>;
-      case 13: return &fusedChunk2<Op1, Op2, true, true, false, true>;
-      case 14: return &fusedChunk2<Op1, Op2, true, true, true, false>;
-      default: return &fusedChunk2<Op1, Op2, true, true, true, true>;
-    }
-}
-
-template <AlpuOp Op1>
-inline Fused2Fn
-fused2PickOp2(AlpuOp op2, bool sgn, bool v0, bool v1, bool prev_rhs)
-{
-    switch (op2) {
-      case AlpuOp::kAdd:
-        return fused2Pick<Op1, AlpuOp::kAdd>(sgn, v0, v1, prev_rhs);
-      case AlpuOp::kSub:
-        return fused2Pick<Op1, AlpuOp::kSub>(sgn, v0, v1, prev_rhs);
-      case AlpuOp::kMul:
-        return fused2Pick<Op1, AlpuOp::kMul>(sgn, v0, v1, prev_rhs);
-      default:
-        return nullptr;
-    }
-}
-
-} // namespace detail
-
-/**
- * Register fast path for 2-op tapes over the add/sub/mul set (the
- * dominant fused shapes). Returns nullptr for unsupported ops — the
- * caller falls back to the tile interpreter.
- */
-inline Fused2Fn
-fusedChunk2For(AlpuOp op1, AlpuOp op2, bool sgn, bool v0, bool v1,
-               bool prev_rhs)
-{
-    switch (op1) {
-      case AlpuOp::kAdd:
-        return detail::fused2PickOp2<AlpuOp::kAdd>(op2, sgn, v0, v1,
-                                                   prev_rhs);
-      case AlpuOp::kSub:
-        return detail::fused2PickOp2<AlpuOp::kSub>(op2, sgn, v0, v1,
-                                                   prev_rhs);
-      case AlpuOp::kMul:
-        return detail::fused2PickOp2<AlpuOp::kMul>(op2, sgn, v0, v1,
-                                                   prev_rhs);
-      default:
-        return nullptr;
-    }
-}
-
-/**
- * Operand pack for 3-op register tapes. Step k's second operand is
- * o[k][i] when o[k] is non-null, else the scalar s[k]; prev_rhs[k]
- * puts the flowing value on the right-hand side of step k (k >= 1).
- * All flags are loop-invariant, so the selects hoist out of the loop.
- */
-struct Fused3Args
-{
-    const uint64_t *a = nullptr; ///< step 0 left operand (vector)
-    const uint64_t *o[3] = {nullptr, nullptr, nullptr};
-    uint64_t s[3] = {0, 0, 0};
-    bool prev_rhs[3] = {false, false, false};
-    uint64_t *d = nullptr;
-    unsigned bits[3] = {0, 0, 0};
-    uint64_t m[3] = {0, 0, 0};
-};
-
-template <AlpuOp Op1, AlpuOp Op2, AlpuOp Op3, bool Signed>
-inline void
-fusedChunk3(const Fused3Args &g, size_t lo, size_t hi)
-{
-    for (size_t i = lo; i < hi; ++i) {
-        const uint64_t x0 = g.o[0] ? g.o[0][i] : g.s[0];
-        uint64_t r =
-            alpuComputeT<Op1>(g.a[i], x0, g.bits[0], Signed) & g.m[0];
-        const uint64_t x1 = g.o[1] ? g.o[1][i] : g.s[1];
-        r = (g.prev_rhs[1]
-                 ? alpuComputeT<Op2>(x1, r, g.bits[1], Signed)
-                 : alpuComputeT<Op2>(r, x1, g.bits[1], Signed)) &
-            g.m[1];
-        const uint64_t x2 = g.o[2] ? g.o[2][i] : g.s[2];
-        r = (g.prev_rhs[2]
-                 ? alpuComputeT<Op3>(x2, r, g.bits[2], Signed)
-                 : alpuComputeT<Op3>(r, x2, g.bits[2], Signed)) &
-            g.m[2];
-        g.d[i] = r;
-    }
-}
-
-using Fused3Fn = void (*)(const Fused3Args &, size_t, size_t);
-
-namespace detail {
-
-template <AlpuOp Op1, AlpuOp Op2>
-inline Fused3Fn
-fused3PickOp3(AlpuOp op3, bool sgn)
-{
-    switch (op3) {
-      case AlpuOp::kAdd:
-        return sgn ? &fusedChunk3<Op1, Op2, AlpuOp::kAdd, true>
-                   : &fusedChunk3<Op1, Op2, AlpuOp::kAdd, false>;
-      case AlpuOp::kSub:
-        return sgn ? &fusedChunk3<Op1, Op2, AlpuOp::kSub, true>
-                   : &fusedChunk3<Op1, Op2, AlpuOp::kSub, false>;
-      case AlpuOp::kMul:
-        return sgn ? &fusedChunk3<Op1, Op2, AlpuOp::kMul, true>
-                   : &fusedChunk3<Op1, Op2, AlpuOp::kMul, false>;
-      default:
-        return nullptr;
-    }
-}
-
-template <AlpuOp Op1>
-inline Fused3Fn
-fused3PickOp2(AlpuOp op2, AlpuOp op3, bool sgn)
-{
-    switch (op2) {
-      case AlpuOp::kAdd:
-        return fused3PickOp3<Op1, AlpuOp::kAdd>(op3, sgn);
-      case AlpuOp::kSub:
-        return fused3PickOp3<Op1, AlpuOp::kSub>(op3, sgn);
-      case AlpuOp::kMul:
-        return fused3PickOp3<Op1, AlpuOp::kMul>(op3, sgn);
-      default:
-        return nullptr;
-    }
-}
-
-} // namespace detail
-
-/** Register fast path for 3-op tapes over the add/sub/mul set. */
-inline Fused3Fn
-fusedChunk3For(AlpuOp op1, AlpuOp op2, AlpuOp op3, bool sgn)
-{
-    switch (op1) {
-      case AlpuOp::kAdd:
-        return detail::fused3PickOp2<AlpuOp::kAdd>(op2, op3, sgn);
-      case AlpuOp::kSub:
-        return detail::fused3PickOp2<AlpuOp::kSub>(op2, op3, sgn);
-      case AlpuOp::kMul:
-        return detail::fused3PickOp2<AlpuOp::kMul>(op2, op3, sgn);
-      default:
-        return nullptr;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reduction-terminated register kernels: the elementwise result is
-// accumulated into a 64-bit partial in the same loop instead of — or
-// in addition to — being stored, so a mul+redSum dot product is one
-// sweep with no materialized product vector. Accumulation uses
-// wrapping uint64 arithmetic (associative), with each element
-// sign-extended from its masked width exactly as executeRedSum does;
-// the caller combines per-chunk partials by wrapping addition, so the
-// total is bit-identical to reducing the materialized intermediate.
-// ---------------------------------------------------------------------------
-
-/**
- * One elementwise op + reduction: r = op(a[i], x0) & mask, optionally
- * stored to d (Store), accumulated into the returned partial. x0 is
- * o0[i] when V0, else the scalar s0.
- */
-template <AlpuOp Op, bool Signed, bool V0, bool Store>
-inline uint64_t
-fusedRedChunk1(const uint64_t *a, const uint64_t *o0, uint64_t s0,
-               uint64_t *d, size_t lo, size_t hi, unsigned bits,
-               uint64_t mask)
-{
-    uint64_t part = 0;
-    for (size_t i = lo; i < hi; ++i) {
-        const uint64_t x0 = V0 ? o0[i] : s0;
-        const uint64_t r =
-            alpuComputeT<Op>(a[i], x0, bits, Signed) & mask;
-        if constexpr (Store)
-            d[i] = r;
-        if constexpr (Signed)
-            part += static_cast<uint64_t>(alpuSignExtend(r, bits));
-        else
-            part += r;
-    }
-    return part;
-}
-
-using FusedRed1Fn = uint64_t (*)(const uint64_t *, const uint64_t *,
-                                 uint64_t, uint64_t *, size_t, size_t,
-                                 unsigned, uint64_t);
-
-/** Two elementwise ops + reduction over the Fused3Args operand pack
- *  (slots 0-1; d is the optional final store). */
-template <AlpuOp Op1, AlpuOp Op2, bool Signed, bool Store>
-inline uint64_t
-fusedRedChunk2(const Fused3Args &g, size_t lo, size_t hi)
-{
-    uint64_t part = 0;
-    for (size_t i = lo; i < hi; ++i) {
-        const uint64_t x0 = g.o[0] ? g.o[0][i] : g.s[0];
-        uint64_t r =
-            alpuComputeT<Op1>(g.a[i], x0, g.bits[0], Signed) & g.m[0];
-        const uint64_t x1 = g.o[1] ? g.o[1][i] : g.s[1];
-        r = (g.prev_rhs[1]
-                 ? alpuComputeT<Op2>(x1, r, g.bits[1], Signed)
-                 : alpuComputeT<Op2>(r, x1, g.bits[1], Signed)) &
-            g.m[1];
-        if constexpr (Store)
-            g.d[i] = r;
-        if constexpr (Signed)
-            part +=
-                static_cast<uint64_t>(alpuSignExtend(r, g.bits[1]));
-        else
-            part += r;
-    }
-    return part;
-}
-
-using FusedRed2Fn = uint64_t (*)(const Fused3Args &, size_t, size_t);
-
-namespace detail {
-
-template <AlpuOp Op>
-inline FusedRed1Fn
-fusedRed1Pick(bool sgn, bool v0, bool store)
-{
-    const unsigned idx =
-        (sgn ? 4u : 0u) | (v0 ? 2u : 0u) | (store ? 1u : 0u);
-    switch (idx) {
-      case 0:  return &fusedRedChunk1<Op, false, false, false>;
-      case 1:  return &fusedRedChunk1<Op, false, false, true>;
-      case 2:  return &fusedRedChunk1<Op, false, true, false>;
-      case 3:  return &fusedRedChunk1<Op, false, true, true>;
-      case 4:  return &fusedRedChunk1<Op, true, false, false>;
-      case 5:  return &fusedRedChunk1<Op, true, false, true>;
-      case 6:  return &fusedRedChunk1<Op, true, true, false>;
-      default: return &fusedRedChunk1<Op, true, true, true>;
-    }
-}
-
-template <AlpuOp Op1, AlpuOp Op2>
-inline FusedRed2Fn
-fusedRed2Pick(bool sgn, bool store)
-{
-    const unsigned idx = (sgn ? 2u : 0u) | (store ? 1u : 0u);
-    switch (idx) {
-      case 0:  return &fusedRedChunk2<Op1, Op2, false, false>;
-      case 1:  return &fusedRedChunk2<Op1, Op2, false, true>;
-      case 2:  return &fusedRedChunk2<Op1, Op2, true, false>;
-      default: return &fusedRedChunk2<Op1, Op2, true, true>;
-    }
-}
-
-template <AlpuOp Op1>
-inline FusedRed2Fn
-fusedRed2PickOp2(AlpuOp op2, bool sgn, bool store)
-{
-    switch (op2) {
-      case AlpuOp::kAdd:
-        return fusedRed2Pick<Op1, AlpuOp::kAdd>(sgn, store);
-      case AlpuOp::kSub:
-        return fusedRed2Pick<Op1, AlpuOp::kSub>(sgn, store);
-      case AlpuOp::kMul:
-        return fusedRed2Pick<Op1, AlpuOp::kMul>(sgn, store);
-      default:
-        return nullptr;
-    }
-}
-
-} // namespace detail
-
-/** Register fast path for 1-op + reduction tapes (dot product shape)
- *  over the add/sub/mul set; nullptr falls back to the tile path. */
-inline FusedRed1Fn
-fusedRedChunk1For(AlpuOp op, bool sgn, bool v0, bool store)
-{
-    switch (op) {
-      case AlpuOp::kAdd:
-        return detail::fusedRed1Pick<AlpuOp::kAdd>(sgn, v0, store);
-      case AlpuOp::kSub:
-        return detail::fusedRed1Pick<AlpuOp::kSub>(sgn, v0, store);
-      case AlpuOp::kMul:
-        return detail::fusedRed1Pick<AlpuOp::kMul>(sgn, v0, store);
-      default:
-        return nullptr;
-    }
-}
-
-/** Register fast path for 2-op + reduction tapes over add/sub/mul. */
-inline FusedRed2Fn
-fusedRedChunk2For(AlpuOp op1, AlpuOp op2, bool sgn, bool store)
-{
-    switch (op1) {
-      case AlpuOp::kAdd:
-        return detail::fusedRed2PickOp2<AlpuOp::kAdd>(op2, sgn, store);
-      case AlpuOp::kSub:
-        return detail::fusedRed2PickOp2<AlpuOp::kSub>(op2, sgn, store);
-      case AlpuOp::kMul:
-        return detail::fusedRed2PickOp2<AlpuOp::kMul>(op2, sgn, store);
-      default:
-        return nullptr;
-    }
-}
-
 } // namespace pimeval
 
 #endif // PIMEVAL_FULCRUM_ALPU_KERNELS_H_

@@ -5,8 +5,7 @@
  * graphs, fused-vs-unfused bit-identity of functional outputs AND
  * modeled statistics on all three digital targets, dead-temporary
  * elision accounting (fusion.temps_elided, freelist.pristine), window
- * flush boundaries, the 2-/3-op fast-path shapes, and the bit-serial
- * vertical-I/O fused runner.
+ * flush boundaries, and the scalar-folding guard in tape lowering.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "apps/linear_regression.h"
-#include "bitserial/bitserial_fused.h"
 #include "core/pim_api.h"
 #include "core/pim_fusion.h"
 #include "util/logging.h"
@@ -332,54 +330,63 @@ TEST(FusionPlanner, FillMulReduceChainElidesBothTemporaries)
 }
 
 // ---------------------------------------------------------------------
-// Tape lowering: fast-path gating (no device needed).
+// Tape lowering: scalar folding (no device needed).
 // ---------------------------------------------------------------------
 
-TEST(FusionTape, InexactOpNeverTakesRegisterFastPath)
+TEST(FusionTape, ScalarFoldKeepsInexactKernel)
 {
-    // kNE is captured with op = kEQ and the negation folded into the
-    // kernel only; op_exact = false must keep such a step off the
-    // op-keyed register fast paths no matter what the selector tables
-    // support, since only the captured kernel has the right semantics.
-    alignas(64) static uint64_t buf[4] = {};
-    PimFusedOp mul;
-    mul.cmd = PimCmdEnum::kMulScalar;
-    mul.op = AlpuOp::kMul;
-    mul.a = 1;
-    mul.dest = 2;
-    mul.pa = buf;
-    mul.pd = buf;
-    mul.kern1 = scalarChunkFor(AlpuOp::kMul, false);
-    mul.scalar = 3;
-    mul.bits = 32;
-    mul.dmask = 0xffffffffull;
-    mul.n = 4;
+    // fill(c, 5) -> op(x, c) with the fill elided: folding replaces
+    // the consumer's vector kernel with scalarChunkFor(op). kNE is
+    // captured as op = kEQ plus a negating kernel (op_exact = false),
+    // so folding it would compute x == 5 instead of x != 5; the tape
+    // must keep both steps and the captured kernel.
+    const std::vector<uint64_t> x = {5, 6, 7, 5};
+    std::vector<uint64_t> out(4);
+    PimFusedOp fill; // elided: never stores, so it needs no memory
+    fill.cmd = PimCmdEnum::kBroadcast;
+    fill.is_fill = true;
+    fill.dest = 2;
+    fill.scalar = 5;
+    fill.bits = 32;
+    fill.dmask = 0xffffffffull;
+    fill.n = 4;
 
-    PimFusedOp add = mul;
-    add.cmd = PimCmdEnum::kAdd;
-    add.op = AlpuOp::kAdd;
-    add.a = 2;
-    add.b = 3;
-    add.dest = 4;
-    add.kern1 = nullptr;
-    add.pb = buf;
-    add.kern2 = binaryChunkFor<false>(AlpuOp::kAdd, false);
-
-    const PimFusionChain chain{{0, true}, {1, false}};
-    const PimFusedTape fast = pimBuildFusedTape({mul, add}, chain);
-    ASSERT_NE(fast.fast2, nullptr); // sanity: this shape qualifies
-
-    PimFusedOp ne = add; // same shape, but NE-captured semantics
+    PimFusedOp ne = fill;
     ne.cmd = PimCmdEnum::kNE;
+    ne.is_fill = false;
     ne.op = AlpuOp::kEQ;
     ne.op_exact = false;
+    ne.a = 1;
+    ne.b = 2;
+    ne.dest = 3;
+    ne.pa = x.data();
+    ne.pd = out.data();
+    ne.scalar = 0;
     ne.kern2 = binaryChunkFor<true>(AlpuOp::kEQ, false);
-    const PimFusedTape tape = pimBuildFusedTape({mul, ne}, chain);
-    EXPECT_EQ(tape.fast2, nullptr);
-    EXPECT_EQ(tape.fast3, nullptr);
-    ASSERT_EQ(tape.steps.size(), 2u);
-    // The tile path keeps the captured (negating) kernel.
-    EXPECT_EQ(tape.steps[1].kern2, ne.kern2);
+
+    const PimFusionChain chain{{0, true}, {1, false}};
+    const PimFusedTape kept = pimBuildFusedTape({fill, ne}, chain);
+    EXPECT_EQ(kept.folded_fills, 0u);
+    ASSERT_EQ(kept.steps.size(), 2u);
+    EXPECT_TRUE(kept.steps[0].is_fill);
+    EXPECT_EQ(kept.steps[1].kern2, ne.kern2);
+    kept.run(0, 4);
+    EXPECT_EQ(out, (std::vector<uint64_t>{0, 1, 1, 0}));
+
+    // The same chain with an exact consumer does fold.
+    PimFusedOp add = ne;
+    add.cmd = PimCmdEnum::kAdd;
+    add.op = AlpuOp::kAdd;
+    add.op_exact = true;
+    add.kern2 = binaryChunkFor<false>(AlpuOp::kAdd, false);
+    const PimFusedTape folded = pimBuildFusedTape({fill, add}, chain);
+    EXPECT_EQ(folded.folded_fills, 1u);
+    ASSERT_EQ(folded.steps.size(), 1u);
+    EXPECT_EQ(folded.steps[0].kern2, nullptr);
+    EXPECT_EQ(folded.steps[0].kern1, scalarChunkFor(AlpuOp::kAdd, false));
+    EXPECT_EQ(folded.steps[0].scalar, 5u);
+    folded.run(0, 4);
+    EXPECT_EQ(out, (std::vector<uint64_t>{10, 11, 12, 10}));
 }
 
 // ---------------------------------------------------------------------
@@ -396,11 +403,11 @@ struct RunOutcome
 };
 
 /**
- * Chained workload covering the fusion shapes: a 2-op fast-path chain
- * (mulScalar->add), a 3-op fast-path chain with two dead temporaries
- * (mulScalar->addScalar->sub), a tile-interpreter chain through a
- * non-fast op (abs->max), and a scaledAdd producer link. Temporaries
- * are allocated and freed inside the capture region.
+ * Chained workload covering the fusion shapes: a 2-op chain with one
+ * dead temporary (mulScalar->add), a 3-op chain with two
+ * (mulScalar->addScalar->sub), a unary producer (abs->max), and a
+ * scaledAdd producer link. Temporaries are allocated and freed inside
+ * the capture region.
  */
 RunOutcome
 runChainWorkload(uint64_t n)
@@ -423,13 +430,13 @@ runChainWorkload(uint64_t n)
     pimCopyHostToDevice(ys.data(), y);
 
     for (int round = 0; round < 3; ++round) {
-        // 2-op fast path, one dead temporary.
+        // 2-op chain, one dead temporary.
         PimObjId t = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
         pimMulScalar(x, t, 5);
         pimAdd(t, y, d1);
         pimFree(t);
 
-        // 3-op fast path, two dead temporaries.
+        // 3-op chain, two dead temporaries.
         PimObjId u0 = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
         PimObjId u1 = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
         pimMulScalar(x, u0, 3);
@@ -438,7 +445,7 @@ runChainWorkload(uint64_t n)
         pimFree(u0);
         pimFree(u1);
 
-        // Tile-interpreter chain (abs has no fused fast path).
+        // Unary producer feeding a binary consumer.
         PimObjId v = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
         pimAbs(x, v);
         pimMax(v, y, d3);
@@ -667,26 +674,32 @@ class FusionTest : public ::testing::TestWithParam<PimDeviceEnum>
 
 TEST_P(FusionTest, FusedMatchesUnfusedBitIdenticalSync)
 {
-    const uint64_t n = 2000;
+    // 2000 runs as one inline chunk with a 976-element tile tail.
+    // 3001 is above the pool's parallel threshold, so the tape runs as
+    // chunks that start mid-tile.
+    for (const uint64_t n : {uint64_t{2000}, uint64_t{3001}}) {
+        pimSetFusionEnabled(false);
+        pimResetStats();
+        const RunOutcome unfused = runChainWorkload(n);
 
-    pimSetFusionEnabled(false);
-    pimResetStats();
-    const RunOutcome unfused = runChainWorkload(n);
+        pimSetFusionEnabled(true);
+        EXPECT_TRUE(pimGetFusionEnabled());
+        pimResetStats();
+        const RunOutcome fused = runChainWorkload(n);
+        pimSetFusionEnabled(false);
 
-    pimSetFusionEnabled(true);
-    EXPECT_TRUE(pimGetFusionEnabled());
-    pimResetStats();
-    const RunOutcome fused = runChainWorkload(n);
-    pimSetFusionEnabled(false);
-
-    expectOutcomesIdentical(unfused, fused);
+        expectOutcomesIdentical(unfused, fused);
+    }
 }
 
 TEST_P(FusionTest, ReductionFusedMatchesUnfusedBitIdenticalSync)
 {
     // 2000 crosses the 1024-element fusion tile with a non-divisible
-    // 976-element tail; 1537 leaves a 513-element tail.
-    for (const uint64_t n : {uint64_t{2000}, uint64_t{1537}}) {
+    // 976-element tail; 1537 leaves a 513-element tail. 3001 is above
+    // the pool's parallel threshold, so the tape runs as chunks that
+    // start mid-tile.
+    for (const uint64_t n :
+         {uint64_t{2000}, uint64_t{1537}, uint64_t{3001}}) {
         pimResetStats();
         const ReduceOutcome unfused = runReduceWorkload(n, false);
         pimResetStats();
@@ -1239,211 +1252,3 @@ INSTANTIATE_TEST_SUITE_P(
             return "BankLevel";
         }
     });
-
-// ---------------------------------------------------------------------
-// Bit-serial vertical-I/O fusion.
-// ---------------------------------------------------------------------
-
-TEST(BitSerialFused, ChainMatchesUnfusedAndSavesTransposes)
-{
-    constexpr unsigned kBits = 16;
-    constexpr size_t kN = 1200;
-    constexpr uint64_t kMask = (1ull << kBits) - 1;
-    Prng rng(5);
-    std::vector<uint64_t> x(kN), y(kN);
-    for (size_t i = 0; i < kN; ++i) {
-        x[i] = rng.next() & kMask;
-        y[i] = rng.next() & kMask;
-    }
-
-    // value = ((x * 3) + y) ^ y - 7
-    BitSerialFusedChain chain(kBits, /*tile_cols=*/256);
-    const int in_x = chain.addInput(x.data(), kN);
-    const int in_y = chain.addInput(y.data(), kN);
-    EXPECT_EQ(in_x, 0);
-    chain.addScalarStep(BitSerialFusedOpKind::kMulScalar, 3);
-    chain.addStep(BitSerialFusedOpKind::kAdd, in_y);
-    chain.addStep(BitSerialFusedOpKind::kXor, in_y);
-    chain.addScalarStep(BitSerialFusedOpKind::kSubScalar, 7);
-
-    std::vector<uint64_t> fused(kN, 0), unfused(kN, 0);
-    const BitSerialFusedStats fs = chain.run(fused.data());
-    const BitSerialFusedStats us = chain.runUnfused(unfused.data());
-
-    // Same elements, same microprograms: identical results.
-    EXPECT_EQ(fused, unfused);
-    for (size_t i = 0; i < kN; ++i) {
-        uint64_t v = (x[i] * 3) & kMask;
-        v = (v + y[i]) & kMask;
-        v = (v ^ y[i]) & kMask;
-        v = (v - 7) & kMask;
-        ASSERT_EQ(fused[i], v) << "element " << i;
-    }
-
-    // Fused: each input transposed in once per tile (2 inputs), one
-    // result out. Unfused: every step writes its operands in and its
-    // result out (4 steps, 2 of them binary -> 6 writes per tile).
-    EXPECT_EQ(fs.elems_in, 2 * kN);
-    EXPECT_EQ(fs.elems_out, kN);
-    EXPECT_EQ(us.elems_in, 6 * kN);
-    EXPECT_EQ(us.elems_out, 4 * kN);
-    // The row-wide compute is the same microprograms either way.
-    EXPECT_EQ(fs.micro_ops, us.micro_ops);
-    EXPECT_GT(fs.tiles, 0u);
-}
-
-TEST(BitSerialFused, HostInputMatchesWordInputAndSkipsStaging)
-{
-    // A host-source input (packed bytes, the pimCopyHostToDevice
-    // layout) must produce bit-identical results to the same data
-    // registered as canonical words — fused, unfused, and reduced.
-    // Fused it converts per tile straight into the vertical planes
-    // (no horizontal staging object); the unfused baseline stages the
-    // whole input horizontally first.
-    constexpr unsigned kBits = 16;
-    constexpr size_t kN = 1537; // non-divisible tail past the tiles
-    constexpr uint64_t kMask = (1ull << kBits) - 1;
-    Prng rng(9);
-    std::vector<uint64_t> x(kN), y(kN);
-    std::vector<uint16_t> y_host(kN);
-    for (size_t i = 0; i < kN; ++i) {
-        x[i] = rng.next() & kMask;
-        y[i] = rng.next() & kMask;
-        y_host[i] = static_cast<uint16_t>(y[i]);
-    }
-
-    const auto buildChain = [&](BitSerialFusedChain &chain,
-                                bool host_y) {
-        chain.addInput(x.data(), kN);
-        const int in_y = host_y
-            ? chain.addHostInput(y_host.data(), kN)
-            : chain.addInput(y.data(), kN);
-        chain.addScalarStep(BitSerialFusedOpKind::kMulScalar, 5);
-        chain.addStep(BitSerialFusedOpKind::kAdd, in_y);
-        chain.addStep(BitSerialFusedOpKind::kXor, in_y);
-    };
-
-    BitSerialFusedChain words(kBits, /*tile_cols=*/256);
-    BitSerialFusedChain host(kBits, /*tile_cols=*/256);
-    buildChain(words, false);
-    buildChain(host, true);
-
-    std::vector<uint64_t> ref(kN, 0), fused(kN, 0), unfused(kN, 0);
-    words.run(ref.data());
-    const BitSerialFusedStats fs = host.run(fused.data());
-    const BitSerialFusedStats us = host.runUnfused(unfused.data());
-    EXPECT_EQ(fused, ref);
-    EXPECT_EQ(unfused, ref);
-
-    // Fused: every host element converted in-tile, nothing staged.
-    EXPECT_EQ(fs.host_elems_in, kN);
-    EXPECT_EQ(fs.staged_elems, 0u);
-    // Unfused: the host input materializes as a staging object once.
-    EXPECT_EQ(us.staged_elems, kN);
-    EXPECT_EQ(us.host_elems_in, 0u);
-    // The transpose savings are unchanged by the input's source.
-    EXPECT_EQ(fs.elems_in, 2 * kN);
-    EXPECT_GT(us.elems_in, fs.elems_in);
-
-    int64_t sum_words = 0, sum_host = 0;
-    words.runRedSum(false, &sum_words);
-    const BitSerialFusedStats rs = host.runRedSum(false, &sum_host);
-    EXPECT_EQ(sum_host, sum_words);
-    EXPECT_EQ(rs.host_elems_in, kN);
-    EXPECT_EQ(rs.elems_out, 0u);
-}
-
-TEST(BitSerialFused, RedSumMatchesHostSumOfUnfused)
-{
-    constexpr unsigned kBits = 16;
-    constexpr size_t kN = 1200; // 4 full 256-col tiles + a 176 tail
-    constexpr uint64_t kMask = (1ull << kBits) - 1;
-    Prng rng(9);
-    std::vector<uint64_t> x(kN), y(kN);
-    for (size_t i = 0; i < kN; ++i) {
-        x[i] = rng.next() & kMask;
-        y[i] = rng.next() & kMask;
-    }
-
-    // value = (x * 3) + y, reduced in the subarray.
-    BitSerialFusedChain chain(kBits, /*tile_cols=*/256);
-    chain.addInput(x.data(), kN);
-    const int in_y = chain.addInput(y.data(), kN);
-    chain.addScalarStep(BitSerialFusedOpKind::kMulScalar, 3);
-    chain.addStep(BitSerialFusedOpKind::kAdd, in_y);
-
-    std::vector<uint64_t> unfused(kN, 0);
-    chain.runUnfused(unfused.data());
-
-    // Unsigned: wrapping sum of the kBits-wide chain values.
-    int64_t sum = 0;
-    const BitSerialFusedStats rs = chain.runRedSum(false, &sum);
-    uint64_t expect_u = 0;
-    for (const uint64_t v : unfused)
-        expect_u += v;
-    EXPECT_EQ(static_cast<uint64_t>(sum), expect_u);
-    // The reduction pops counts in place: inputs transpose in once
-    // per tile, nothing ever transposes out.
-    EXPECT_EQ(rs.elems_in, 2 * kN);
-    EXPECT_EQ(rs.elems_out, 0u);
-    EXPECT_GT(rs.tiles, 0u);
-
-    // Signed: the top bit-plane carries weight -2^(bits-1).
-    int64_t ssum = 0;
-    chain.runRedSum(true, &ssum);
-    int64_t expect_s = 0;
-    for (const uint64_t v : unfused) {
-        const int64_t sv = (v & (1ull << (kBits - 1)))
-            ? static_cast<int64_t>(v) - (1ll << kBits)
-            : static_cast<int64_t>(v);
-        expect_s += sv;
-    }
-    EXPECT_EQ(ssum, expect_s);
-}
-
-TEST(BitSerialFused, RedSumOfBareInput)
-{
-    // No compute steps: reduce input 0 directly. The short 44-column
-    // final tile must not pick up stale columns from the fuller
-    // previous tile (masked popcount tail).
-    constexpr unsigned kBits = 8;
-    constexpr size_t kN = 300; // tiles of 128: 128 + 128 + 44
-    std::vector<uint64_t> a(kN);
-    uint64_t expect = 0;
-    for (size_t i = 0; i < kN; ++i) {
-        a[i] = (7 * i + 3) & 0xff;
-        expect += a[i];
-    }
-    BitSerialFusedChain chain(kBits, 128);
-    chain.addInput(a.data(), kN);
-
-    int64_t sum = 0;
-    const BitSerialFusedStats rs = chain.runRedSum(false, &sum);
-    EXPECT_EQ(static_cast<uint64_t>(sum), expect);
-    EXPECT_EQ(rs.elems_in, kN);
-    EXPECT_EQ(rs.elems_out, 0u);
-    EXPECT_EQ(rs.tiles, 3u);
-}
-
-TEST(BitSerialFused, SingleBinaryStep)
-{
-    constexpr unsigned kBits = 8;
-    constexpr size_t kN = 300;
-    std::vector<uint64_t> a(kN), b(kN);
-    for (size_t i = 0; i < kN; ++i) {
-        a[i] = i & 0xff;
-        b[i] = (3 * i + 1) & 0xff;
-    }
-    BitSerialFusedChain chain(kBits, 128);
-    chain.addInput(a.data(), kN);
-    const int in_b = chain.addInput(b.data(), kN);
-    chain.addStep(BitSerialFusedOpKind::kSub, in_b);
-
-    std::vector<uint64_t> fused(kN, 0), unfused(kN, 0);
-    chain.run(fused.data());
-    chain.runUnfused(unfused.data());
-    EXPECT_EQ(fused, unfused);
-    for (size_t i = 0; i < kN; ++i) {
-        ASSERT_EQ(fused[i], (a[i] - b[i]) & 0xff);
-    }
-}
