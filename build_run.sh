@@ -8,7 +8,7 @@ set -u
 cd "$(dirname "$0")"
 
 echo "=== Configure + build ==="
-cmake -B build -G Ninja || exit 1
+cmake -B build || exit 1
 cmake --build build || exit 1
 
 echo "=== Tests ==="

@@ -1,17 +1,25 @@
 /**
  * @file
- * Job validation, costing, and the direct (unserved) execution path.
+ * Job validation, costing, and the one job executor.
  *
- * pimJobRunDirect is the reference semantics of every job kind: the
- * server's unbatched dispatch calls exactly this function, and the
- * batched paths are tested bit-identical against it.
+ * serve_detail::runJobs runs a batch of same-shape jobs as one
+ * concatenated execution: every operand is one object of n x B
+ * elements, each job's buffers move through ranged copies of its
+ * slice, and one command covers all B jobs. pimJobRunDirect is a batch
+ * of one, and every server dispatch, alone or coalesced, calls
+ * runJobs. A batch of one issues exactly the commands a hand-written
+ * direct job would: a [0, n) ranged copy or reduction on an n-element
+ * object takes the device's full-object path.
  */
 
 #include "serve/pim_job.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "core/pim_api.h"
 #include "core/pim_error.h"
-#include "util/logging.h"
+#include "serve/serve_internal.h"
 
 namespace pimeval {
 
@@ -31,6 +39,8 @@ pimJobValidate(const PimJobSpec &spec, std::string *why)
             *why = reason;
         return false;
     };
+    if (spec.kind < PimJobKind::kVecAdd || spec.kind > PimJobKind::kGemv)
+        return reject("unknown job kind");
     if (spec.dtype != PimDataType::PIM_INT32)
         return reject("only PIM_INT32 jobs are servable");
     if (spec.n == 0)
@@ -44,65 +54,141 @@ pimJobValidate(const PimJobSpec &spec, std::string *why)
     return true;
 }
 
+namespace serve_detail {
+
 namespace {
 
-/** Signed scalar bit-cast for the pimOpScalar/pimScaledAdd ABI. */
+using Specs = std::span<const PimJobSpec *const>;
+using Outs = std::span<PimJobOutput *const>;
+
+/** Signed scalar bit-cast for the pimScaledAdd ABI. */
 uint64_t
 sext(int32_t v)
 {
     return static_cast<uint64_t>(static_cast<int64_t>(v));
 }
 
-/** Frees every valid id (error-path unwinding and the happy path). */
+/**
+ * A batch's int32 objects: ids[0] holds n x B elements and the rest
+ * are associated with it. All are allocated before the batch's first
+ * command, so a batch that does not fit has issued nothing. Freed
+ * newest first.
+ */
 struct ObjGuard
 {
-    PimObjId ids[3] = {-1, -1, -1};
-    ~ObjGuard()
+    std::vector<PimObjId> ids;
+
+    bool
+    alloc(uint64_t elems, size_t count)
     {
-        for (const PimObjId id : ids)
-            if (id >= 0)
-                pimFree(id);
+        while (ids.size() < count) {
+            const PimObjId id = ids.empty()
+                ? pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, elems, 32,
+                           PimDataType::PIM_INT32)
+                : pimAllocAssociated(32, ids[0],
+                                     PimDataType::PIM_INT32);
+            if (id < 0)
+                return false;
+            ids.push_back(id);
+        }
+        return true;
     }
+
+    void
+    release()
+    {
+        for (auto it = ids.rbegin(); it != ids.rend(); ++it)
+            pimFree(*it);
+        ids.clear();
+    }
+
+    ~ObjGuard() { release(); }
 };
 
-/** a-vector, b-vector, dest triple (dest associated with a). */
-bool
-allocTriple(uint64_t n, ObjGuard &g)
+/** Copy each job's n-element operand src(spec) into its slice of
+ *  @p obj. */
+template <typename Src>
+PimStatus
+copySlices(Specs specs, PimObjId obj, Src src)
 {
-    g.ids[0] = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
-                        PimDataType::PIM_INT32);
-    if (g.ids[0] < 0)
-        return false;
-    g.ids[1] =
-        pimAllocAssociated(32, g.ids[0], PimDataType::PIM_INT32);
-    g.ids[2] =
-        pimAllocAssociated(32, g.ids[0], PimDataType::PIM_INT32);
-    return g.ids[1] >= 0 && g.ids[2] >= 0;
+    const uint64_t n = specs[0]->n;
+    PimStatus status = PimStatus::PIM_OK;
+    for (size_t i = 0; status == PimStatus::PIM_OK && i < specs.size();
+         ++i)
+        status = pimCopyHostToDevice(src(*specs[i]), obj, i * n,
+                                     (i + 1) * n);
+    return status;
 }
 
+/** Copy each job's slice of @p obj into its output values. */
 PimStatus
-runElementwise(const PimJobSpec &spec, PimJobOutput *out)
+copyOut(Specs specs, Outs outs, PimObjId obj)
 {
-    ObjGuard g;
-    if (!allocTriple(spec.n, g))
-        return PimStatus::PIM_ERROR;
+    const uint64_t n = specs[0]->n;
+    PimStatus status = PimStatus::PIM_OK;
+    for (size_t i = 0; status == PimStatus::PIM_OK && i < outs.size();
+         ++i) {
+        outs[i]->values.assign(n, 0);
+        status = pimCopyDeviceToHost(obj, outs[i]->values.data(), i * n,
+                                     (i + 1) * n);
+    }
+    return status;
+}
+
+/** Upload the per-job multipliers coeff(spec) as one vector, each
+ *  repeated over its job's slice, into @p obj. */
+template <typename Coeff>
+PimStatus
+copyCoefficients(Specs specs, PimObjId obj, Coeff coeff)
+{
+    const uint64_t n = specs[0]->n;
+    std::vector<int32_t> values(n * specs.size());
+    for (size_t i = 0; i < specs.size(); ++i)
+        std::fill_n(values.begin() + i * n, n, coeff(*specs[i]));
+    return pimCopyHostToDevice(values.data(), obj);
+}
+
+// The executors below run with every object already allocated. When
+// jobs differ in their scalar (kVecScaledAdd) or b (kGemv), the last
+// two objects hold a coefficient vector and a product: a*s + b equals
+// (a .* coeff) + b in wraparound int32, the same mul+add the device's
+// scaledAdd performs.
+
+PimStatus
+runElementwise(Specs specs, Outs outs, const ObjGuard &g)
+{
+    const PimJobSpec &head = *specs[0];
+    const PimObjId oa = g.ids[0], ob = g.ids[1], od = g.ids[2];
     const bool fused = pimGetFusionEnabled();
     if (fused)
         pimBeginFusion();
-    PimStatus status = pimCopyHostToDevice(spec.a, g.ids[0]);
+    PimStatus status =
+        copySlices(specs, oa, [](const PimJobSpec &s) { return s.a; });
     if (status == PimStatus::PIM_OK)
-        status = pimCopyHostToDevice(spec.b, g.ids[1]);
+        status = copySlices(specs, ob,
+                            [](const PimJobSpec &s) { return s.b; });
     if (status == PimStatus::PIM_OK) {
-        switch (spec.kind) {
+        switch (head.kind) {
           case PimJobKind::kVecAdd:
-            status = pimAdd(g.ids[0], g.ids[1], g.ids[2]);
+            status = pimAdd(oa, ob, od);
             break;
           case PimJobKind::kVecMul:
-            status = pimMul(g.ids[0], g.ids[1], g.ids[2]);
+            status = pimMul(oa, ob, od);
             break;
           default: // kVecScaledAdd
-            status = pimScaledAdd(g.ids[0], g.ids[1], g.ids[2],
-                                  spec.scalar);
+            if (g.ids.size() == 3) {
+                status = pimScaledAdd(oa, ob, od, head.scalar);
+                break;
+            }
+            status = copyCoefficients(specs, g.ids[3],
+                                      [](const PimJobSpec &s) {
+                return static_cast<int32_t>(
+                    static_cast<uint32_t>(s.scalar));
+            });
+            if (status == PimStatus::PIM_OK)
+                status = pimMul(oa, g.ids[3], g.ids[4]);
+            if (status == PimStatus::PIM_OK)
+                status = pimAdd(g.ids[4], ob, od);
             break;
         }
     }
@@ -110,66 +196,107 @@ runElementwise(const PimJobSpec &spec, PimJobOutput *out)
         pimEndFusion();
     if (status != PimStatus::PIM_OK)
         return status;
-    out->values.assign(spec.n, 0);
-    return pimCopyDeviceToHost(g.ids[2], out->values.data());
+    return copyOut(specs, outs, od);
 }
 
 PimStatus
-runDot(const PimJobSpec &spec, PimJobOutput *out)
+runDot(Specs specs, Outs outs, const ObjGuard &g)
 {
-    ObjGuard g;
-    if (!allocTriple(spec.n, g))
-        return PimStatus::PIM_ERROR;
+    const uint64_t n = specs[0]->n;
+    const PimObjId oa = g.ids[0], ob = g.ids[1], op = g.ids[2];
     const bool fused = pimGetFusionEnabled();
     if (fused)
         pimBeginFusion();
-    PimStatus status = pimCopyHostToDevice(spec.a, g.ids[0]);
+    PimStatus status =
+        copySlices(specs, oa, [](const PimJobSpec &s) { return s.a; });
     if (status == PimStatus::PIM_OK)
-        status = pimCopyHostToDevice(spec.b, g.ids[1]);
+        status = copySlices(specs, ob,
+                            [](const PimJobSpec &s) { return s.b; });
     if (status == PimStatus::PIM_OK)
-        status = pimMul(g.ids[0], g.ids[1], g.ids[2]);
-    int64_t result = 0;
-    if (status == PimStatus::PIM_OK)
-        status = pimRedSum(g.ids[2], &result);
+        status = pimMul(oa, ob, op);
+    // Each job's products occupy its slice. A batch of one's [0, n)
+    // sum is a full-object reduction, so it fuses with the mul.
+    for (size_t i = 0; status == PimStatus::PIM_OK && i < outs.size();
+         ++i)
+        status = pimRedSumRanged(op, i * n, (i + 1) * n,
+                                 &outs[i]->scalar);
     if (fused)
         pimEndFusion(); // deferred reduce results land here
-    if (status == PimStatus::PIM_OK)
-        out->scalar = result;
     return status;
 }
 
 PimStatus
-runGemv(const PimJobSpec &spec, PimJobOutput *out)
+runGemv(Specs specs, Outs outs, const ObjGuard &g)
 {
-    ObjGuard g;
-    g.ids[0] = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, spec.n, 32,
-                        PimDataType::PIM_INT32); // accumulator
-    if (g.ids[0] < 0)
-        return PimStatus::PIM_ERROR;
-    g.ids[1] =
-        pimAllocAssociated(32, g.ids[0], PimDataType::PIM_INT32);
-    if (g.ids[1] < 0)
-        return PimStatus::PIM_ERROR;
+    const PimJobSpec &head = *specs[0];
+    const PimObjId acc = g.ids[0], col = g.ids[1];
     const bool fused = pimGetFusionEnabled();
     if (fused)
         pimBeginFusion();
-    PimStatus status = pimBroadcastInt(g.ids[0], 0);
-    for (uint64_t j = 0; status == PimStatus::PIM_OK && j < spec.cols;
+    PimStatus status = pimBroadcastInt(acc, 0);
+    for (uint64_t j = 0; status == PimStatus::PIM_OK && j < head.cols;
          ++j) {
-        status = pimCopyHostToDevice(spec.a + j * spec.n, g.ids[1]);
+        status = copySlices(specs, col, [j](const PimJobSpec &s) {
+            return s.a + j * s.n;
+        });
+        if (status != PimStatus::PIM_OK)
+            break;
+        if (g.ids.size() == 2) {
+            status = pimScaledAdd(col, acc, acc, sext(head.b[j]));
+            continue;
+        }
+        status = copyCoefficients(
+            specs, g.ids[2], [j](const PimJobSpec &s) { return s.b[j]; });
         if (status == PimStatus::PIM_OK)
-            status = pimScaledAdd(g.ids[1], g.ids[0], g.ids[0],
-                                  sext(spec.b[j]));
+            status = pimMul(col, g.ids[2], g.ids[3]);
+        if (status == PimStatus::PIM_OK)
+            status = pimAdd(g.ids[3], acc, acc);
     }
     if (fused)
         pimEndFusion();
     if (status != PimStatus::PIM_OK)
         return status;
-    out->values.assign(spec.n, 0);
-    return pimCopyDeviceToHost(g.ids[0], out->values.data());
+    return copyOut(specs, outs, acc);
 }
 
 } // namespace
+
+PimStatus
+runJobs(Specs specs, Outs outs)
+{
+    const PimJobSpec &head = *specs[0];
+    bool coefficients = false;
+    for (const PimJobSpec *s : specs) {
+        if (head.kind == PimJobKind::kVecScaledAdd)
+            coefficients |= s->scalar != head.scalar;
+        else if (head.kind == PimJobKind::kGemv)
+            coefficients |= !std::equal(s->b, s->b + head.cols, head.b);
+    }
+    const size_t base = head.kind == PimJobKind::kGemv ? 2 : 3;
+    ObjGuard g;
+    if (!g.alloc(head.n * specs.size(), base + (coefficients ? 2 : 0))) {
+        if (specs.size() == 1)
+            return PimStatus::PIM_ERROR; // pimAlloc set the last error
+        // Too big for the device: run each half on its own.
+        g.release();
+        const size_t half = specs.size() / 2;
+        const PimStatus status =
+            runJobs(specs.first(half), outs.first(half));
+        if (status != PimStatus::PIM_OK)
+            return status;
+        return runJobs(specs.subspan(half), outs.subspan(half));
+    }
+    switch (head.kind) {
+      case PimJobKind::kDot:
+        return runDot(specs, outs, g);
+      case PimJobKind::kGemv:
+        return runGemv(specs, outs, g);
+      default:
+        return runElementwise(specs, outs, g);
+    }
+}
+
+} // namespace serve_detail
 
 PimStatus
 pimJobRunDirect(const PimJobSpec &spec, PimJobOutput *out)
@@ -179,17 +306,9 @@ pimJobRunDirect(const PimJobSpec &spec, PimJobOutput *out)
     std::string why;
     if (!pimJobValidate(spec, &why))
         return fail("pimJobRunDirect: " + why);
-    switch (spec.kind) {
-      case PimJobKind::kVecAdd:
-      case PimJobKind::kVecMul:
-      case PimJobKind::kVecScaledAdd:
-        return runElementwise(spec, out);
-      case PimJobKind::kDot:
-        return runDot(spec, out);
-      case PimJobKind::kGemv:
-        return runGemv(spec, out);
-    }
-    return fail("pimJobRunDirect: unknown job kind");
+    const PimJobSpec *specs[] = {&spec};
+    PimJobOutput *outs[] = {out};
+    return serve_detail::runJobs(specs, outs);
 }
 
 } // namespace pimeval

@@ -13,10 +13,10 @@
  *
  * The contract that makes batching safe: a job's functional result is
  * bit-identical to direct (unserved) execution of the same spec,
- * regardless of how the scheduler batches or shards it. All exposed
+ * whether the scheduler runs it alone or in a batch. All exposed
  * kinds are wraparound int32 element arithmetic (plus int64 reduction
- * for kDot), for which concatenation, mul+add decomposition of
- * scaled-add, and sharded tree reductions are all exact.
+ * for kDot), for which concatenation, per-job ranged reductions, and
+ * the mul+add decomposition of scaled-add are all exact.
  *
  * Input pointers in the spec must stay valid until the job reaches a
  * final state (the server does not snapshot inputs at submission).
@@ -172,8 +172,8 @@ bool pimJobValidate(const PimJobSpec &spec, std::string *why);
 
 /**
  * Execute one job directly on the calling thread's current context
- * (the "unserved" reference path — exactly what a served job of
- * batch size 1 runs). Requires an active device/context.
+ * (the "unserved" path: a batch of one through the executor every
+ * served dispatch uses). Requires an active device/context.
  */
 PimStatus pimJobRunDirect(const PimJobSpec &spec, PimJobOutput *out);
 

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "core/pim_api.h"
 #include "core/pim_error.h"
 #include "core/pim_metrics.h"
-#include "core/pim_shard.h"
 #include "serve/serve_internal.h"
 
 namespace pimeval {
@@ -168,479 +166,6 @@ sameBatchShape(const PimJobSpec &a, const PimJobSpec &b)
            a.cols == b.cols;
 }
 
-bool
-isElementwise(PimJobKind kind)
-{
-    return kind == PimJobKind::kVecAdd ||
-           kind == PimJobKind::kVecMul ||
-           kind == PimJobKind::kVecScaledAdd;
-}
-
-uint64_t
-sext(int32_t v)
-{
-    return static_cast<uint64_t>(static_cast<int64_t>(v));
-}
-
-/** Frees tracked objects of the pinned context in reverse order. */
-struct CtxObjGuard
-{
-    std::vector<PimObjId> ids;
-    PimObjId
-    track(PimObjId id)
-    {
-        if (id >= 0)
-            ids.push_back(id);
-        return id;
-    }
-    ~CtxObjGuard()
-    {
-        for (auto it = ids.rbegin(); it != ids.rend(); ++it)
-            pimFree(*it);
-    }
-};
-
-/** Same, for sharded allocations of one group. */
-struct GroupObjGuard
-{
-    PimShardGroup *group;
-    std::vector<PimObjId> ids;
-    explicit GroupObjGuard(PimShardGroup *g) : group(g) {}
-    PimObjId
-    track(PimObjId id)
-    {
-        if (id >= 0)
-            ids.push_back(id);
-        return id;
-    }
-    ~GroupObjGuard()
-    {
-        for (auto it = ids.rbegin(); it != ids.rend(); ++it)
-            group->free(*it);
-    }
-};
-
-/** The per-job int32 multiplier of the coefficient decomposition
- *  (the device masks the scalar to the element width the same way). */
-int32_t
-coeffOf(const PimJobSpec &spec)
-{
-    return static_cast<int32_t>(
-        static_cast<uint32_t>(spec.scalar & 0xffffffffull));
-}
-
-// ---------------------------------------------------------------------------
-// Batched executors, single-context pool (ranged copies concatenate
-// the B same-shape jobs into one object; one command covers all B).
-// Bit-identity with the direct path is argued per kind in pim_job.h.
-// ---------------------------------------------------------------------------
-
-PimStatus
-runBatchElementwiseCtx(const std::vector<std::shared_ptr<PimJob>> &batch)
-{
-    const PimJobSpec &head = batch[0]->spec;
-    const uint64_t n = head.n;
-    const uint64_t total = n * batch.size();
-    CtxObjGuard g;
-    const PimObjId oa = g.track(
-        pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, total, 32,
-                 PimDataType::PIM_INT32));
-    if (oa < 0)
-        return PimStatus::PIM_ERROR;
-    const PimObjId ob = g.track(
-        pimAllocAssociated(32, oa, PimDataType::PIM_INT32));
-    const PimObjId od = g.track(
-        pimAllocAssociated(32, oa, PimDataType::PIM_INT32));
-    if (ob < 0 || od < 0)
-        return PimStatus::PIM_ERROR;
-
-    bool same_scalar = true;
-    for (const auto &j : batch)
-        same_scalar &= j->spec.scalar == head.scalar;
-
-    const bool fused = pimGetFusionEnabled();
-    if (fused)
-        pimBeginFusion();
-    PimStatus status = PimStatus::PIM_OK;
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i)
-        status = pimCopyHostToDevice(batch[i]->spec.a, oa, i * n,
-                                     (i + 1) * n);
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i)
-        status = pimCopyHostToDevice(batch[i]->spec.b, ob, i * n,
-                                     (i + 1) * n);
-    if (status == PimStatus::PIM_OK) {
-        switch (head.kind) {
-          case PimJobKind::kVecAdd:
-            status = pimAdd(oa, ob, od);
-            break;
-          case PimJobKind::kVecMul:
-            status = pimMul(oa, ob, od);
-            break;
-          default: // kVecScaledAdd
-            if (same_scalar) {
-                status = pimScaledAdd(oa, ob, od, head.scalar);
-            } else {
-                // a*s + b == (a .* coeff) + b in wraparound int32, so
-                // per-job scalars become one coefficient vector.
-                std::vector<int32_t> coeff(total);
-                for (size_t i = 0; i < batch.size(); ++i)
-                    std::fill(coeff.begin() + i * n,
-                              coeff.begin() + (i + 1) * n,
-                              coeffOf(batch[i]->spec));
-                const PimObjId oc = g.track(pimAllocAssociated(
-                    32, oa, PimDataType::PIM_INT32));
-                const PimObjId ot = g.track(pimAllocAssociated(
-                    32, oa, PimDataType::PIM_INT32));
-                if (oc < 0 || ot < 0)
-                    status = PimStatus::PIM_ERROR;
-                if (status == PimStatus::PIM_OK)
-                    status = pimCopyHostToDevice(coeff.data(), oc);
-                if (status == PimStatus::PIM_OK)
-                    status = pimMul(oa, oc, ot);
-                if (status == PimStatus::PIM_OK)
-                    status = pimAdd(ot, ob, od);
-            }
-            break;
-        }
-    }
-    if (fused)
-        pimEndFusion();
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i) {
-        batch[i]->out.values.assign(n, 0);
-        status = pimCopyDeviceToHost(od, batch[i]->out.values.data(),
-                                     i * n, (i + 1) * n);
-    }
-    return status;
-}
-
-PimStatus
-runBatchDotCtx(const std::vector<std::shared_ptr<PimJob>> &batch)
-{
-    const uint64_t n = batch[0]->spec.n;
-    const uint64_t total = n * batch.size();
-    CtxObjGuard g;
-    const PimObjId oa = g.track(
-        pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, total, 32,
-                 PimDataType::PIM_INT32));
-    if (oa < 0)
-        return PimStatus::PIM_ERROR;
-    const PimObjId ob = g.track(
-        pimAllocAssociated(32, oa, PimDataType::PIM_INT32));
-    const PimObjId op = g.track(
-        pimAllocAssociated(32, oa, PimDataType::PIM_INT32));
-    if (ob < 0 || op < 0)
-        return PimStatus::PIM_ERROR;
-
-    const bool fused = pimGetFusionEnabled();
-    if (fused)
-        pimBeginFusion();
-    PimStatus status = PimStatus::PIM_OK;
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i)
-        status = pimCopyHostToDevice(batch[i]->spec.a, oa, i * n,
-                                     (i + 1) * n);
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i)
-        status = pimCopyHostToDevice(batch[i]->spec.b, ob, i * n,
-                                     (i + 1) * n);
-    if (status == PimStatus::PIM_OK)
-        status = pimMul(oa, ob, op);
-    if (fused)
-        pimEndFusion();
-    // Each job's products occupy its slice; the ranged reduction sums
-    // exactly the n products the direct path's full pimRedSum sums.
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i)
-        status = pimRedSumRanged(op, i * n, (i + 1) * n,
-                                 &batch[i]->out.scalar);
-    return status;
-}
-
-PimStatus
-runBatchGemvCtx(const std::vector<std::shared_ptr<PimJob>> &batch)
-{
-    const PimJobSpec &head = batch[0]->spec;
-    const uint64_t n = head.n;
-    const uint64_t total = n * batch.size();
-    CtxObjGuard g;
-    const PimObjId acc = g.track(
-        pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, total, 32,
-                 PimDataType::PIM_INT32));
-    if (acc < 0)
-        return PimStatus::PIM_ERROR;
-    const PimObjId col = g.track(
-        pimAllocAssociated(32, acc, PimDataType::PIM_INT32));
-    const PimObjId oc = g.track(
-        pimAllocAssociated(32, acc, PimDataType::PIM_INT32));
-    const PimObjId ot = g.track(
-        pimAllocAssociated(32, acc, PimDataType::PIM_INT32));
-    if (col < 0 || oc < 0 || ot < 0)
-        return PimStatus::PIM_ERROR;
-
-    std::vector<int32_t> coeff(total);
-    const bool fused = pimGetFusionEnabled();
-    if (fused)
-        pimBeginFusion();
-    PimStatus status = pimBroadcastInt(acc, 0);
-    for (uint64_t j = 0; status == PimStatus::PIM_OK && j < head.cols;
-         ++j) {
-        for (size_t i = 0;
-             status == PimStatus::PIM_OK && i < batch.size(); ++i) {
-            status = pimCopyHostToDevice(batch[i]->spec.a + j * n,
-                                         col, i * n, (i + 1) * n);
-            std::fill(coeff.begin() + i * n,
-                      coeff.begin() + (i + 1) * n,
-                      batch[i]->spec.b[j]);
-        }
-        // acc += col * b[j], with the per-job scalar as a vector (the
-        // same wraparound mul+add the direct scaledAdd performs).
-        if (status == PimStatus::PIM_OK)
-            status = pimCopyHostToDevice(coeff.data(), oc);
-        if (status == PimStatus::PIM_OK)
-            status = pimMul(col, oc, ot);
-        if (status == PimStatus::PIM_OK)
-            status = pimAdd(ot, acc, acc);
-    }
-    if (fused)
-        pimEndFusion();
-    for (size_t i = 0; status == PimStatus::PIM_OK && i < batch.size();
-         ++i) {
-        batch[i]->out.values.assign(n, 0);
-        status = pimCopyDeviceToHost(acc, batch[i]->out.values.data(),
-                                     i * n, (i + 1) * n);
-    }
-    return status;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-pool executors. PimShardGroup copies are whole-object, so
-// batches concatenate through host staging buffers instead of ranged
-// copies; per-job ranged reductions are unavailable, hence kDot is
-// never coalesced on sharded pools (see kindBatchable).
-// ---------------------------------------------------------------------------
-
-PimStatus
-runDirectSharded(PimShardGroup &group, const PimJobSpec &spec,
-                 PimJobOutput *out)
-{
-    GroupObjGuard g(&group);
-    switch (spec.kind) {
-      case PimJobKind::kVecAdd:
-      case PimJobKind::kVecMul:
-      case PimJobKind::kVecScaledAdd: {
-        const PimObjId oa = g.track(
-            group.alloc(PimAllocEnum::PIM_ALLOC_AUTO, spec.n,
-                        PimDataType::PIM_INT32));
-        if (oa < 0)
-            return PimStatus::PIM_ERROR;
-        const PimObjId ob =
-            g.track(group.allocAssociated(oa, PimDataType::PIM_INT32));
-        const PimObjId od =
-            g.track(group.allocAssociated(oa, PimDataType::PIM_INT32));
-        if (ob < 0 || od < 0)
-            return PimStatus::PIM_ERROR;
-        PimStatus status = group.copyHostToDevice(spec.a, oa);
-        if (status == PimStatus::PIM_OK)
-            status = group.copyHostToDevice(spec.b, ob);
-        if (status == PimStatus::PIM_OK) {
-            if (spec.kind == PimJobKind::kVecScaledAdd)
-                status = group.executeScaledAdd(oa, ob, od,
-                                                spec.scalar);
-            else
-                status = group.executeBinary(
-                    spec.kind == PimJobKind::kVecAdd
-                        ? PimCmdEnum::kAdd
-                        : PimCmdEnum::kMul,
-                    oa, ob, od);
-        }
-        if (status != PimStatus::PIM_OK)
-            return status;
-        out->values.assign(spec.n, 0);
-        return group.copyDeviceToHost(od, out->values.data());
-      }
-      case PimJobKind::kDot: {
-        const PimObjId oa = g.track(
-            group.alloc(PimAllocEnum::PIM_ALLOC_AUTO, spec.n,
-                        PimDataType::PIM_INT32));
-        if (oa < 0)
-            return PimStatus::PIM_ERROR;
-        const PimObjId ob =
-            g.track(group.allocAssociated(oa, PimDataType::PIM_INT32));
-        const PimObjId op =
-            g.track(group.allocAssociated(oa, PimDataType::PIM_INT32));
-        if (ob < 0 || op < 0)
-            return PimStatus::PIM_ERROR;
-        PimStatus status = group.copyHostToDevice(spec.a, oa);
-        if (status == PimStatus::PIM_OK)
-            status = group.copyHostToDevice(spec.b, ob);
-        if (status == PimStatus::PIM_OK)
-            status = group.executeBinary(PimCmdEnum::kMul, oa, ob, op);
-        if (status == PimStatus::PIM_OK)
-            status = group.executeRedSum(op, &out->scalar);
-        return status;
-      }
-      case PimJobKind::kGemv: {
-        const PimObjId acc = g.track(
-            group.alloc(PimAllocEnum::PIM_ALLOC_AUTO, spec.n,
-                        PimDataType::PIM_INT32));
-        if (acc < 0)
-            return PimStatus::PIM_ERROR;
-        const PimObjId col = g.track(
-            group.allocAssociated(acc, PimDataType::PIM_INT32));
-        if (col < 0)
-            return PimStatus::PIM_ERROR;
-        PimStatus status = group.executeBroadcast(acc, 0);
-        for (uint64_t j = 0;
-             status == PimStatus::PIM_OK && j < spec.cols; ++j) {
-            status = group.copyHostToDevice(spec.a + j * spec.n, col);
-            if (status == PimStatus::PIM_OK)
-                status = group.executeScaledAdd(col, acc, acc,
-                                                sext(spec.b[j]));
-        }
-        if (status != PimStatus::PIM_OK)
-            return status;
-        out->values.assign(spec.n, 0);
-        return group.copyDeviceToHost(acc, out->values.data());
-      }
-    }
-    return fail("serve: unknown job kind");
-}
-
-PimStatus
-runBatchSharded(PimShardGroup &group,
-                const std::vector<std::shared_ptr<PimJob>> &batch)
-{
-    const PimJobSpec &head = batch[0]->spec;
-    const uint64_t n = head.n;
-    const uint64_t total = n * batch.size();
-    GroupObjGuard g(&group);
-
-    if (isElementwise(head.kind)) {
-        std::vector<int32_t> a_cat(total), b_cat(total),
-            out_cat(total);
-        for (size_t i = 0; i < batch.size(); ++i) {
-            std::memcpy(a_cat.data() + i * n, batch[i]->spec.a,
-                        n * sizeof(int32_t));
-            std::memcpy(b_cat.data() + i * n, batch[i]->spec.b,
-                        n * sizeof(int32_t));
-        }
-        const PimObjId oa = g.track(
-            group.alloc(PimAllocEnum::PIM_ALLOC_AUTO, total,
-                        PimDataType::PIM_INT32));
-        if (oa < 0)
-            return PimStatus::PIM_ERROR;
-        const PimObjId ob =
-            g.track(group.allocAssociated(oa, PimDataType::PIM_INT32));
-        const PimObjId od =
-            g.track(group.allocAssociated(oa, PimDataType::PIM_INT32));
-        if (ob < 0 || od < 0)
-            return PimStatus::PIM_ERROR;
-        PimStatus status = group.copyHostToDevice(a_cat.data(), oa);
-        if (status == PimStatus::PIM_OK)
-            status = group.copyHostToDevice(b_cat.data(), ob);
-        bool same_scalar = true;
-        for (const auto &j : batch)
-            same_scalar &= j->spec.scalar == head.scalar;
-        if (status == PimStatus::PIM_OK) {
-            if (head.kind == PimJobKind::kVecScaledAdd &&
-                !same_scalar) {
-                std::vector<int32_t> coeff(total);
-                for (size_t i = 0; i < batch.size(); ++i)
-                    std::fill(coeff.begin() + i * n,
-                              coeff.begin() + (i + 1) * n,
-                              coeffOf(batch[i]->spec));
-                const PimObjId oc = g.track(group.allocAssociated(
-                    oa, PimDataType::PIM_INT32));
-                const PimObjId ot = g.track(group.allocAssociated(
-                    oa, PimDataType::PIM_INT32));
-                if (oc < 0 || ot < 0)
-                    status = PimStatus::PIM_ERROR;
-                if (status == PimStatus::PIM_OK)
-                    status =
-                        group.copyHostToDevice(coeff.data(), oc);
-                if (status == PimStatus::PIM_OK)
-                    status = group.executeBinary(PimCmdEnum::kMul,
-                                                 oa, oc, ot);
-                if (status == PimStatus::PIM_OK)
-                    status = group.executeBinary(PimCmdEnum::kAdd,
-                                                 ot, ob, od);
-            } else if (head.kind == PimJobKind::kVecScaledAdd) {
-                status = group.executeScaledAdd(oa, ob, od,
-                                                head.scalar);
-            } else {
-                status = group.executeBinary(
-                    head.kind == PimJobKind::kVecAdd
-                        ? PimCmdEnum::kAdd
-                        : PimCmdEnum::kMul,
-                    oa, ob, od);
-            }
-        }
-        if (status == PimStatus::PIM_OK)
-            status = group.copyDeviceToHost(od, out_cat.data());
-        if (status != PimStatus::PIM_OK)
-            return status;
-        for (size_t i = 0; i < batch.size(); ++i) {
-            batch[i]->out.values.assign(
-                out_cat.begin() + i * n,
-                out_cat.begin() + (i + 1) * n);
-        }
-        return PimStatus::PIM_OK;
-    }
-
-    if (head.kind == PimJobKind::kGemv) {
-        const PimObjId acc = g.track(
-            group.alloc(PimAllocEnum::PIM_ALLOC_AUTO, total,
-                        PimDataType::PIM_INT32));
-        if (acc < 0)
-            return PimStatus::PIM_ERROR;
-        const PimObjId col = g.track(
-            group.allocAssociated(acc, PimDataType::PIM_INT32));
-        const PimObjId oc = g.track(
-            group.allocAssociated(acc, PimDataType::PIM_INT32));
-        const PimObjId ot = g.track(
-            group.allocAssociated(acc, PimDataType::PIM_INT32));
-        if (col < 0 || oc < 0 || ot < 0)
-            return PimStatus::PIM_ERROR;
-        std::vector<int32_t> col_cat(total), coeff(total),
-            out_cat(total);
-        PimStatus status = group.executeBroadcast(acc, 0);
-        for (uint64_t j = 0;
-             status == PimStatus::PIM_OK && j < head.cols; ++j) {
-            for (size_t i = 0; i < batch.size(); ++i) {
-                std::memcpy(col_cat.data() + i * n,
-                            batch[i]->spec.a + j * n,
-                            n * sizeof(int32_t));
-                std::fill(coeff.begin() + i * n,
-                          coeff.begin() + (i + 1) * n,
-                          batch[i]->spec.b[j]);
-            }
-            status = group.copyHostToDevice(col_cat.data(), col);
-            if (status == PimStatus::PIM_OK)
-                status = group.copyHostToDevice(coeff.data(), oc);
-            if (status == PimStatus::PIM_OK)
-                status = group.executeBinary(PimCmdEnum::kMul, col,
-                                             oc, ot);
-            if (status == PimStatus::PIM_OK)
-                status = group.executeBinary(PimCmdEnum::kAdd, ot,
-                                             acc, acc);
-        }
-        if (status == PimStatus::PIM_OK)
-            status = group.copyDeviceToHost(acc, out_cat.data());
-        if (status != PimStatus::PIM_OK)
-            return status;
-        for (size_t i = 0; i < batch.size(); ++i)
-            batch[i]->out.values.assign(
-                out_cat.begin() + i * n,
-                out_cat.begin() + (i + 1) * n);
-        return PimStatus::PIM_OK;
-    }
-
-    return fail("serve: kDot batches unsupported on sharded pools");
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -676,7 +201,6 @@ struct PimServer::Impl
         std::vector<TenantRec *> tenants; ///< assigned here
         double vclock = 0.0; ///< vtime of the last dispatched tenant
         PimContext ctx = nullptr;
-        std::unique_ptr<PimShardGroup> group;
         int metric_slot = -1;
         std::thread thread;
     };
@@ -728,14 +252,6 @@ struct PimServer::Impl
         return best;
     }
 
-    /** Coalescing eligibility of a kind on this worker's surface. */
-    bool
-    kindBatchable(const Worker &w, PimJobKind kind) const
-    {
-        // Sharded pools have no ranged reduction for per-job dots.
-        return !(w.group && kind == PimJobKind::kDot);
-    }
-
     void
     jobDone()
     {
@@ -784,8 +300,7 @@ struct PimServer::Impl
             return batch;
         const PimJobSpec &head = batch.front()->spec;
         const bool coalesce = cfg.batching && cfg.max_batch > 1 &&
-            head.deadline == PimJobDeadline::kBatchable &&
-            kindBatchable(w, head.kind);
+            head.deadline == PimJobDeadline::kBatchable;
         if (coalesce) {
             for (auto it = t.queue.begin();
                  it != t.queue.end() && batch.size() < cfg.max_batch;) {
@@ -827,30 +342,6 @@ struct PimServer::Impl
         return batch;
     }
 
-    PimStatus
-    runOne(Worker &w, PimJob &job)
-    {
-        if (w.group)
-            return runDirectSharded(*w.group, job.spec, &job.out);
-        return pimJobRunDirect(job.spec, &job.out);
-    }
-
-    PimStatus
-    runBatch(Worker &w,
-             const std::vector<std::shared_ptr<PimJob>> &batch)
-    {
-        if (w.group)
-            return runBatchSharded(*w.group, batch);
-        switch (batch[0]->spec.kind) {
-          case PimJobKind::kDot:
-            return runBatchDotCtx(batch);
-          case PimJobKind::kGemv:
-            return runBatchGemvCtx(batch);
-          default:
-            return runBatchElementwiseCtx(batch);
-        }
-    }
-
     /** Execute one claimed dispatch. Runs without w.mutex. */
     void
     executeBatch(Worker &w, TenantRec &t,
@@ -859,7 +350,11 @@ struct PimServer::Impl
         const uint64_t start = nowNs();
         const uint64_t bsz = batch.size();
         MetricDomainScope domain(w.metric_slot);
+        std::vector<const PimJobSpec *> specs;
+        std::vector<PimJobOutput *> outs;
         for (const auto &j : batch) {
+            specs.push_back(&j->spec);
+            outs.push_back(&j->out);
             j->dispatch_ns.store(start, std::memory_order_relaxed);
             j->batch_size.store(bsz, std::memory_order_relaxed);
             PIM_METRIC_RECORD("serve.queue_ns",
@@ -872,9 +367,7 @@ struct PimServer::Impl
             t.batched_jobs.fetch_add(bsz, std::memory_order_relaxed);
         }
 
-        const PimStatus status = bsz == 1
-            ? runOne(w, *batch.front())
-            : runBatch(w, batch);
+        const PimStatus status = serve_detail::runJobs(specs, outs);
 
         PIM_METRIC_RECORD("serve.exec_ns", nowNs() - start);
         MetricHistogram &qh =
@@ -911,8 +404,7 @@ struct PimServer::Impl
     void
     workerMain(Worker &w)
     {
-        if (w.ctx)
-            pimSetCurrentContext(w.ctx);
+        pimSetCurrentContext(w.ctx);
         PimMetrics::setThreadDomain(w.metric_slot);
         std::unique_lock<std::mutex> lock(w.mutex);
         for (;;) {
@@ -933,8 +425,7 @@ struct PimServer::Impl
             executeBatch(w, *t, batch);
             lock.lock();
         }
-        if (w.ctx)
-            pimSetCurrentContext(nullptr);
+        pimSetCurrentContext(nullptr);
     }
 };
 
@@ -947,43 +438,24 @@ PimServer::create(const PimServeConfig &config)
     Impl &impl = *server->impl_;
     impl.cfg = config;
     impl.cfg.num_workers = std::max<size_t>(1, config.num_workers);
-    impl.cfg.shards_per_worker =
-        std::max<size_t>(1, config.shards_per_worker);
     impl.cfg.tenant_queue_cap =
         std::max<size_t>(1, config.tenant_queue_cap);
     impl.cfg.max_batch = std::max<size_t>(1, config.max_batch);
-    impl.paused.store(config.start_paused);
 
     for (size_t i = 0; i < impl.cfg.num_workers; ++i) {
         auto w = std::make_unique<Impl::Worker>();
         w->index = i;
         const std::string label =
             impl.cfg.label_prefix + ".w" + std::to_string(i);
-        if (impl.cfg.shards_per_worker == 1) {
-            w->ctx = pimCreateContextFromConfig(impl.cfg.device,
-                                                label.c_str());
-            if (!w->ctx)
-                return nullptr; // last error already set
-            w->metric_slot = PimMetrics::instance().domainSlot(
-                pimContextId(w->ctx));
-            if (impl.cfg.fusion >= 0) {
-                PimContextScope scope(w->ctx);
-                pimSetFusionEnabled(impl.cfg.fusion != 0);
-            }
-        } else {
-            w->group = PimShardGroup::create(
-                impl.cfg.device, impl.cfg.shards_per_worker,
-                PimShardPartition::kBlock, label);
-            if (!w->group)
-                return nullptr;
-            w->metric_slot = PimMetrics::instance().domainSlot(
-                pimContextId(w->group->shard(0)));
-            if (impl.cfg.fusion >= 0) {
-                for (size_t s = 0; s < w->group->numShards(); ++s) {
-                    PimContextScope scope(w->group->shard(s));
-                    pimSetFusionEnabled(impl.cfg.fusion != 0);
-                }
-            }
+        w->ctx =
+            pimCreateContextFromConfig(impl.cfg.device, label.c_str());
+        if (!w->ctx)
+            return nullptr; // last error already set
+        w->metric_slot =
+            PimMetrics::instance().domainSlot(pimContextId(w->ctx));
+        if (impl.cfg.fusion >= 0) {
+            PimContextScope scope(w->ctx);
+            pimSetFusionEnabled(impl.cfg.fusion != 0);
         }
         impl.workers.push_back(std::move(w));
     }
@@ -1011,11 +483,8 @@ PimServer::~PimServer()
     for (auto &w : impl.workers)
         if (w->thread.joinable())
             w->thread.join();
-    for (auto &w : impl.workers) {
-        w->group.reset(); // destroys shard contexts
-        if (w->ctx)
-            pimDestroyContext(w->ctx);
-    }
+    for (auto &w : impl.workers)
+        pimDestroyContext(w->ctx);
 }
 
 PimJobHandle
@@ -1168,8 +637,7 @@ PimServer::tenantContext(const std::string &tenant) const
     auto it = impl.tenants.find(tenant);
     if (it == impl.tenants.end())
         return nullptr;
-    Impl::Worker &w = *impl.workers[it->second->worker];
-    return w.group ? nullptr : w.ctx;
+    return impl.workers[it->second->worker]->ctx;
 }
 
 size_t

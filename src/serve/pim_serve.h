@@ -4,11 +4,11 @@
  * of device contexts (API v3; docs/API.md "Serving API").
  *
  * A PimServer owns N worker threads, each pinned to its own
- * PimContext (or a PimShardGroup when shards_per_worker > 1), and a
- * per-tenant job queue per worker. Tenants are assigned to workers
- * round-robin at first submission, so with tenants <= workers every
- * tenant gets a private context — private statistics, trace track,
- * and metric domain (pimContextMetrics on tenantContext()).
+ * PimContext, and a per-tenant job queue per worker. Tenants are
+ * assigned to workers round-robin at first submission, so with
+ * tenants <= workers every tenant gets a private context — private
+ * statistics, trace track, and metric domain (pimContextMetrics on
+ * tenantContext()).
  *
  * Scheduling, per worker:
  *  - Admission control: each tenant's queue is bounded
@@ -24,9 +24,10 @@
  *  - Coalescing: consecutive-in-queue compatible jobs of one tenant
  *    (same kind/shape/dtype, deadline kBatchable) dispatch as one
  *    batched execution of up to max_batch jobs, amortizing
- *    per-command simulation overhead. Results are bit-identical to
- *    running every job alone (see pim_job.h). kInteractive jobs are
- *    never held for batching.
+ *    per-command simulation overhead. A dispatch of one job and a
+ *    coalesced batch run through the same executor, and results are
+ *    bit-identical to running every job alone (see pim_job.h).
+ *    kInteractive jobs are never held for batching.
  *
  * Everything observable lands in serve.* metrics (recorded in the
  * owning tenant's context domain): counters submitted / admitted /
@@ -54,11 +55,8 @@ struct PimServeConfig
 {
     /** Device every pool context simulates. */
     PimDeviceConfig device;
-    /** Worker threads == contexts (or shard groups). */
+    /** Worker threads == contexts. */
     size_t num_workers = 2;
-    /** 1 = plain context per worker; >1 = PimShardGroup of this many
-     *  shards per worker (oversized tenants). */
-    size_t shards_per_worker = 1;
     /** Per-tenant admission bound (queued jobs, per worker). */
     size_t tenant_queue_cap = 256;
     /** Batch-coalescing cap; 1 disables coalescing. */
@@ -68,8 +66,6 @@ struct PimServeConfig
     /** -1 = inherit PIMEVAL_FUSION / runtime config; 0/1 force the
      *  pool contexts' fusion toggle. */
     int fusion = -1;
-    /** Workers start blocked until resume() — deterministic tests. */
-    bool start_paused = false;
     /** Context labels: "<label_prefix>.w<worker>". */
     std::string label_prefix = "serve";
 };
@@ -149,9 +145,9 @@ class PimServer
     PimServeStats stats() const;
 
     /**
-     * The pool context serving @p tenant (nullptr for unknown tenants
-     * or sharded pools). Feed it to pimContextMetrics /
-     * pimContextLabel for the tenant's isolated view.
+     * The pool context serving @p tenant (nullptr for unknown
+     * tenants). Feed it to pimContextMetrics / pimContextLabel for the
+     * tenant's isolated view.
      */
     PimContext tenantContext(const std::string &tenant) const;
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared state behind a PimJobHandle. Internal to the serve layer:
- * pim_serve.cpp mutates it, the handle methods read it.
+ * Internal to the serve layer: the shared state behind a PimJobHandle
+ * (pim_serve.cpp mutates it, the handle methods read it) and the job
+ * executor that pimJobRunDirect and the server both call.
  */
 
 #ifndef PIMEVAL_SERVE_SERVE_INTERNAL_H_
@@ -11,12 +12,23 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "serve/pim_job.h"
 
 namespace pimeval {
 namespace serve_detail {
+
+/**
+ * Run same-shape jobs (validated; equal kind, n and cols) as one batch
+ * on the calling thread's current context; outs[i] receives specs[i]'s
+ * result. A batch too big for the device runs as two halves, each
+ * through runJobs. @return PIM_OK when every job succeeded; otherwise
+ * the last error has the detail.
+ */
+PimStatus runJobs(std::span<const PimJobSpec *const> specs,
+                  std::span<PimJobOutput *const> outs);
 
 /** Monotonic nanoseconds for queueing/latency accounting. */
 inline uint64_t

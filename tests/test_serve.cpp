@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests of the serving layer (API v3): bit-identity of served
- * (batched, sharded) execution against the direct path, admission
- * control, weighted fair queuing, per-tenant metric isolation,
- * cancellation, and registry churn under concurrent submission.
+ * (single and coalesced) execution against the direct path and a host
+ * reference, the direct command stream of a job dispatched alone,
+ * splitting of batches too big for the device, admission control,
+ * weighted fair queuing, per-tenant metric isolation, cancellation,
+ * and registry churn under concurrent submission.
  */
 
 #include <gtest/gtest.h>
@@ -80,7 +82,53 @@ makeSpec(PimJobKind kind, uint64_t n, uint64_t cols, Operands &ops,
     return spec;
 }
 
-/** Reference result: the direct path on a private context. */
+/** Wraparound int32 arithmetic, as the device computes it. */
+int32_t
+wrap(int64_t v)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(v));
+}
+
+/** Host reference result, computed without the simulator. */
+PimJobOutput
+hostReference(const PimJobSpec &spec)
+{
+    PimJobOutput out;
+    const int64_t k = static_cast<int32_t>(
+        static_cast<uint32_t>(spec.scalar));
+    for (uint64_t i = 0; i < spec.n; ++i) {
+        const int64_t a = spec.a[i];
+        switch (spec.kind) {
+          case PimJobKind::kVecAdd:
+            out.values.push_back(wrap(a + spec.b[i]));
+            break;
+          case PimJobKind::kVecMul:
+            out.values.push_back(wrap(a * spec.b[i]));
+            break;
+          case PimJobKind::kVecScaledAdd:
+            out.values.push_back(wrap(a * k + spec.b[i]));
+            break;
+          case PimJobKind::kDot:
+            out.scalar += wrap(a * spec.b[i]);
+            break;
+          case PimJobKind::kGemv: {
+            int32_t acc = 0;
+            for (uint64_t j = 0; j < spec.cols; ++j)
+                acc = wrap(acc +
+                           static_cast<int64_t>(wrap(
+                               static_cast<int64_t>(
+                                   spec.a[j * spec.n + i]) *
+                               spec.b[j])));
+            out.values.push_back(acc);
+            break;
+          }
+        }
+    }
+    return out;
+}
+
+/** Reference result: the direct path on a private context, checked
+ *  against the host reference. */
 PimJobOutput
 runReference(const PimJobSpec &spec)
 {
@@ -93,6 +141,9 @@ runReference(const PimJobSpec &spec)
         EXPECT_EQ(pimJobRunDirect(spec, &out), PimStatus::PIM_OK);
     }
     pimDestroyContext(ctx);
+    const PimJobOutput host = hostReference(spec);
+    EXPECT_EQ(out.values, host.values);
+    EXPECT_EQ(out.scalar, host.scalar);
     return out;
 }
 
@@ -111,10 +162,10 @@ const PimJobKind kAllKinds[] = {
 TEST(PimServe, BatchedBitIdenticalToDirect)
 {
     auto config = serveConfig(1);
-    config.start_paused = true; // queue everything, force batches
     config.max_batch = 8;
     auto server = PimServer::create(config);
     ASSERT_NE(server, nullptr);
+    server->pause(); // queue everything, force batches
 
     Prng rng(7);
     Operands ops;
@@ -146,22 +197,110 @@ TEST(PimServe, BatchedBitIdenticalToDirect)
     EXPECT_GT(stats.batched_jobs, 0u);
 }
 
-/** Same bit-identity over a sharded pool (PimShardGroup workers). */
-TEST(PimServe, ShardedPoolBitIdenticalToDirect)
+/**
+ * A job dispatched alone issues the direct command stream: the op mix
+ * of a hand-written job (no coefficient decomposition), and modeled
+ * stats equal to pimJobRunDirect on a fresh context, on every target,
+ * with fusion off and on.
+ */
+TEST(PimServe, SingletonDispatchIssuesDirectStream)
+{
+    const PimDeviceEnum devices[] = {
+        PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP,
+        PimDeviceEnum::PIM_DEVICE_FULCRUM,
+        PimDeviceEnum::PIM_DEVICE_BANK_LEVEL,
+    };
+    const uint64_t cols = 4;
+    const std::map<PimJobKind, std::map<std::string, uint64_t>> mixes = {
+        {PimJobKind::kVecAdd, {{"add", 1}}},
+        {PimJobKind::kVecMul, {{"mul", 1}}},
+        {PimJobKind::kVecScaledAdd, {{"scaled_add", 1}}},
+        {PimJobKind::kDot, {{"mul", 1}, {"redsum", 1}}},
+        {PimJobKind::kGemv, {{"broadcast", 1}, {"scaled_add", cols}}},
+    };
+    for (const PimDeviceEnum device : devices) {
+        for (const int fusion : {0, 1}) {
+            for (const PimJobKind kind : kAllKinds) {
+                SCOPED_TRACE(testing::Message()
+                             << "device " << static_cast<int>(device)
+                             << " fusion " << fusion << " kind "
+                             << static_cast<int>(kind));
+                Prng rng(53);
+                Operands ops;
+                PimJobSpec spec = makeSpec(kind, 128, cols, ops, rng);
+                spec.deadline = PimJobDeadline::kInteractive;
+
+                auto config = serveConfig(1);
+                config.device = smallConfig(device);
+                config.fusion = fusion;
+                auto server = PimServer::create(config);
+                ASSERT_NE(server, nullptr);
+                auto h = server->submit(spec);
+                ASSERT_EQ(h.wait(), PimJobState::kDone) << h.error();
+                server->drain();
+                std::map<std::string, uint64_t> mix;
+                PimRunStats served;
+                {
+                    PimContextScope scope(
+                        server->tenantContext("default"));
+                    mix = pimGetOpMix();
+                    served = pimGetStats();
+                }
+
+                PimContext ctx = pimCreateContextFromConfig(
+                    smallConfig(device), "tserve.direct");
+                ASSERT_NE(ctx, nullptr);
+                PimJobOutput out;
+                PimRunStats direct;
+                {
+                    PimContextScope scope(ctx);
+                    pimSetFusionEnabled(fusion != 0);
+                    EXPECT_EQ(pimJobRunDirect(spec, &out),
+                              PimStatus::PIM_OK);
+                    direct = pimGetStats();
+                }
+                pimDestroyContext(ctx);
+
+                EXPECT_EQ(mix, mixes.at(kind));
+                EXPECT_EQ(served.kernel_sec, direct.kernel_sec);
+                EXPECT_EQ(served.kernel_j, direct.kernel_j);
+                EXPECT_EQ(served.copy_sec, direct.copy_sec);
+                EXPECT_EQ(served.copy_j, direct.copy_j);
+                EXPECT_EQ(served.host_sec, direct.host_sec);
+                EXPECT_EQ(served.bytes_h2d, direct.bytes_h2d);
+                EXPECT_EQ(served.bytes_d2h, direct.bytes_d2h);
+                EXPECT_EQ(served.bytes_d2d, direct.bytes_d2d);
+                const PimJobOutput host = hostReference(spec);
+                EXPECT_EQ(h.output().values, host.values);
+                EXPECT_EQ(h.output().scalar, host.scalar);
+                EXPECT_EQ(out.values, host.values);
+                EXPECT_EQ(out.scalar, host.scalar);
+            }
+        }
+    }
+}
+
+/** A coalesced kGemv batch whose jobs share b scales each column with
+ *  one pimScaledAdd: no coefficient vector, so no mul and no add. */
+TEST(PimServe, CoalescedGemvSharingBIssuesScaledAdds)
 {
     auto config = serveConfig(1);
-    config.shards_per_worker = 2;
-    config.start_paused = true;
+    config.max_batch = 8;
     auto server = PimServer::create(config);
     ASSERT_NE(server, nullptr);
+    server->pause();
 
-    Prng rng(11);
+    Prng rng(61);
     Operands ops;
+    const uint64_t cols = 5;
+    const int32_t *b = ops.vec(rng, cols);
     std::vector<PimJobSpec> specs;
     std::vector<PimJobHandle> handles;
-    for (const PimJobKind kind : kAllKinds) {
-        for (int r = 0; r < 3; ++r)
-            specs.push_back(makeSpec(kind, 128, 4, ops, rng));
+    for (int i = 0; i < 4; ++i) {
+        specs.push_back(makeSpec(PimJobKind::kGemv, 96, cols, ops, rng));
+        // Equal values in a buffer of its own.
+        ops.bufs.emplace_back(b, b + cols);
+        specs.back().b = ops.bufs.back().data();
     }
     for (const auto &spec : specs)
         handles.push_back(server->submit(spec));
@@ -171,12 +310,72 @@ TEST(PimServe, ShardedPoolBitIdenticalToDirect)
     for (size_t i = 0; i < specs.size(); ++i) {
         ASSERT_EQ(handles[i].wait(), PimJobState::kDone)
             << handles[i].error();
-        const PimJobOutput ref = runReference(specs[i]);
-        EXPECT_EQ(handles[i].output().values, ref.values);
-        EXPECT_EQ(handles[i].output().scalar, ref.scalar);
+        EXPECT_EQ(handles[i].batchSize(), specs.size());
+        EXPECT_EQ(handles[i].output().values,
+                  hostReference(specs[i]).values);
     }
-    // Sharded pools expose no single tenant context.
-    EXPECT_EQ(server->tenantContext("default"), nullptr);
+    PimContextScope scope(server->tenantContext("default"));
+    const std::map<std::string, uint64_t> want = {
+        {"broadcast", 1}, {"scaled_add", cols}};
+    EXPECT_EQ(pimGetOpMix(), want);
+}
+
+/**
+ * A coalesced batch too big for the device runs as halves. Sixteen
+ * scaled-adds with distinct scalars at n = 512 need five objects of
+ * 8,192 elements as one batch, more than the small device holds; each
+ * job fits alone. Jobs too big even alone still fail.
+ */
+TEST(PimServe, OversizedBatchSplitsToFit)
+{
+    auto config = serveConfig(1);
+    config.max_batch = 16;
+    auto server = PimServer::create(config);
+    ASSERT_NE(server, nullptr);
+    server->pause();
+
+    Prng rng(67);
+    Operands ops;
+    const uint64_t n = 512;
+    std::vector<PimJobSpec> specs;
+    std::vector<PimJobHandle> handles;
+    for (int i = 0; i < 16; ++i)
+        specs.push_back(
+            makeSpec(PimJobKind::kVecScaledAdd, n, 0, ops, rng));
+    for (const auto &spec : specs)
+        handles.push_back(server->submit(spec));
+    server->resume();
+    server->drain();
+
+    for (size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_EQ(handles[i].wait(), PimJobState::kDone)
+            << handles[i].error();
+        EXPECT_EQ(handles[i].batchSize(), specs.size());
+        EXPECT_EQ(handles[i].output().values,
+                  hostReference(specs[i]).values);
+    }
+    {
+        // The attempt that did not fit issued nothing: every job's a,
+        // b and coefficient slice went to the device once.
+        PimContextScope scope(server->tenantContext("default"));
+        const PimRunStats stats = pimGetStats();
+        EXPECT_EQ(stats.bytes_h2d, 3 * specs.size() * n * 4);
+        EXPECT_EQ(stats.bytes_d2h, specs.size() * n * 4);
+    }
+
+    server->pause();
+    std::vector<PimJobHandle> huge;
+    for (int i = 0; i < 4; ++i)
+        huge.push_back(server->submit(
+            makeSpec(PimJobKind::kVecAdd, 16384, 0, ops, rng)));
+    server->resume();
+    server->drain();
+    for (auto &h : huge) {
+        EXPECT_EQ(h.wait(), PimJobState::kFailed);
+        EXPECT_NE(std::string(h.error()).find("capacity exhausted"),
+                  std::string::npos)
+            << h.error();
+    }
 }
 
 /** Queue bound: submits past the cap reject immediately with the
@@ -185,9 +384,9 @@ TEST(PimServe, AdmissionControlRejectsPastBound)
 {
     auto config = serveConfig(1);
     config.tenant_queue_cap = 4;
-    config.start_paused = true;
     auto server = PimServer::create(config);
     ASSERT_NE(server, nullptr);
+    server->pause();
 
     Prng rng(3);
     Operands ops;
@@ -243,10 +442,10 @@ TEST(PimServe, WeightedFairQueuing)
 {
     auto config = serveConfig(1);
     config.batching = false; // one dispatch per job, visible order
-    config.start_paused = true;
     config.tenant_queue_cap = 64;
     auto server = PimServer::create(config);
     ASSERT_NE(server, nullptr);
+    server->pause();
     ASSERT_EQ(server->setTenantWeight("heavy", 2.0),
               PimStatus::PIM_OK);
     ASSERT_EQ(server->setTenantWeight("light", 1.0),
@@ -339,10 +538,10 @@ TEST(PimServe, TenantMetricIsolation)
 TEST(PimServe, CancelQueuedJob)
 {
     auto config = serveConfig(1);
-    config.start_paused = true;
     config.batching = false;
     auto server = PimServer::create(config);
     ASSERT_NE(server, nullptr);
+    server->pause();
 
     Prng rng(29);
     Operands ops;
@@ -373,10 +572,10 @@ TEST(PimServe, CancelQueuedJob)
 TEST(PimServe, InteractiveJobsNeverBatch)
 {
     auto config = serveConfig(1);
-    config.start_paused = true;
     config.max_batch = 16;
     auto server = PimServer::create(config);
     ASSERT_NE(server, nullptr);
+    server->pause();
 
     Prng rng(31);
     Operands ops;
