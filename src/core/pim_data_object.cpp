@@ -6,6 +6,7 @@
 #include "core/pim_data_object.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace pimeval {
 
@@ -20,13 +21,14 @@ PimDataObject::PimDataObject(PimObjId id, uint64_t num_elements,
 {
 }
 
-uint64_t
-PimDataObject::maxElementsPerRegion() const
+void
+PimDataObject::setRegions(std::vector<PimRegion> regions)
 {
-    uint64_t max_elems = 0;
+    regions_ = std::move(regions);
+    max_elems_per_region_ = 0;
     for (const auto &region : regions_)
-        max_elems = std::max(max_elems, region.num_elements);
-    return max_elems;
+        max_elems_per_region_ =
+            std::max(max_elems_per_region_, region.num_elements);
 }
 
 int64_t

@@ -52,11 +52,14 @@ class PimDataObject
     bool isVLayout() const { return v_layout_; }
     bool isSigned() const { return pimIsSigned(data_type_); }
 
-    std::vector<PimRegion> &regions() { return regions_; }
     const std::vector<PimRegion> &regions() const { return regions_; }
 
+    /** Record the placement; its largest region is stored with it, so
+     *  costing a command never rescans the regions. */
+    void setRegions(std::vector<PimRegion> regions);
+
     /** Largest element count any single core must process. */
-    uint64_t maxElementsPerRegion() const;
+    uint64_t maxElementsPerRegion() const { return max_elems_per_region_; }
 
     /** Number of distinct cores holding part of this object. */
     uint64_t numCoresUsed() const { return regions_.size(); }
@@ -114,6 +117,7 @@ class PimDataObject
     uint64_t mask_;
     bool pristine_ = false;
     std::vector<PimRegion> regions_;
+    uint64_t max_elems_per_region_ = 0;
     std::vector<uint64_t> data_;
 };
 

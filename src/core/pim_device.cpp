@@ -102,23 +102,21 @@ cmdToAlpuOp(PimCmdEnum cmd, AlpuOp &op)
 }
 
 // ---------------------------------------------------------------------------
-// Chunked kernel execution engine.
+// One command issue path.
 //
-// Functional simulation of element-wise commands runs through
-// op-specialized chunk kernels (fulcrum/alpu_kernels.h): the AlpuOp
-// dispatch happens once per command (selecting a function pointer),
-// not once per element, so the inner loops are tight ALU/logic loops
-// over the masked uint64_t lanes that the compiler can unroll and
-// autovectorize. Chunks are handed to ThreadPool::parallelForChunks,
-// which distributes contiguous [lo, hi) ranges across workers through
-// an atomic work-stealing index. When command fusion is active,
-// chains of these commands lower to expression tapes instead
-// (core/pim_fusion.h). See docs/PERFORMANCE.md.
+// Every fusable command (the elementwise, scaled-add and broadcast
+// commands, a full-object reduction and a host-to-device copy) is
+// built once as a PimFusedOp by makeOp: operand pointers, the
+// op-specialized chunk kernel (fulcrum/alpu_kernels.h, or the
+// host-I/O kernel of core/pim_host_io.h), the issue-time cost profile
+// and the interned stats key. issue() then either buffers it in the
+// fusion window (core/pim_fusion.h) or runs it at once through
+// runFusedOp, the singleton executor, which hands contiguous [lo, hi)
+// chunks to ThreadPool::parallelForChunks. commit() is the only
+// per-command stats record, for singletons and fused chains alike,
+// so fused and unfused runs record identical stats. See
+// docs/PERFORMANCE.md.
 // ---------------------------------------------------------------------------
-
-// Host<->device element conversion kernels live in
-// core/pim_host_io.h, shared with the fusion tape's host-source
-// operands.
 
 /**
  * Chunked reduction of pa[lo, hi): per-chunk partial sums folded into
@@ -314,74 +312,25 @@ PimDevice::copyHostToDevice(const void *src, PimObjId dest,
         return PimStatus::PIM_ERROR;
     }
 
-    const unsigned bits = obj->bitsPerElement();
-    const uint64_t count = idx_end - idx_begin;
-    uint64_t *dst = obj->raw().data() + idx_begin;
-    const uint64_t mask = obj->elementMask();
-    const PimHostToDeviceChunkFn kernel =
-        pimHostToDeviceChunkForBits(bits);
-    const uint64_t host_bytes = count * pimHostStrideForBits(bits);
-    const uint64_t payload = modeledBytes(host_bytes);
-    const auto *first = static_cast<const uint8_t *>(src);
-
-    // A full-object copy with a packed host layout captures as an
-    // is_load window member instead of flushing: the host buffer is
-    // snapshotted here at issue (the caller's pointer need not stay
-    // valid once the call returns), the planner links copy->consumer
-    // RAW chains, and a staging dest consumed only in-window is
-    // elided entirely. The copy's modeled cost still records per
-    // command in issue order at the flush, so stats stay
-    // bit-identical to unfused execution.
-    if (fusionCapturing() && kernel && idx_begin == 0 &&
-        idx_end == obj->numElements()) {
-        PimFusedOp fop;
-        fop.cmd = PimCmdEnum::kCopyH2D;
-        fop.dest = dest;
-        fop.pd = dst;
-        fop.is_load = true;
-        // The snapshot buffer is deliberately uninitialized (plain
-        // new[]) and filled by a pool-parallel memcpy: a serial
-        // vector copy would pay first-touch page faults and the full
-        // copy bandwidth on the issuing thread, dominating the fused
-        // sweep it is meant to accelerate.
-        // The snapshot buffer comes from the recycling pool (fresh
-        // multi-megabyte blocks pay mmap page faults dwarfing the
-        // memcpy) and is filled by a pool-parallel copy: on one core
-        // it degrades to a plain memcpy, on many it spreads the
-        // bandwidth the same way the fused sweep itself does.
-        std::shared_ptr<uint8_t[]> snap =
-            snapshot_pool_->acquire(host_bytes);
-        uint8_t *snap_raw = snap.get();
-        pool_.parallelForChunks(
-            0, host_bytes, [snap_raw, first](size_t lo, size_t hi) {
-                std::memcpy(snap_raw + lo, first + lo, hi - lo);
-            });
-        fop.host = std::move(snap);
-        fop.load_kern = kernel;
-        fop.host_stride = pimHostStrideForBits(bits);
-        fop.copy_payload = payload;
-        fop.bits = bits;
-        fop.dmask = mask;
-        fop.n = count;
-        recordFusion(fop);
+    PimFusedOp op =
+        makeOp(PimCmdEnum::kCopyH2D, *obj, nullptr, nullptr, obj);
+    op.is_load = true;
+    op.pd += idx_begin;
+    op.n = idx_end - idx_begin;
+    op.host = static_cast<const uint8_t *>(src);
+    op.load_kern = pimHostToDeviceChunkForBits(op.bits);
+    op.host_stride = pimHostStrideForBits(op.bits);
+    op.copy_payload = modeledBytes(op.n * op.host_stride);
+    // A full-object copy captures as an is_load window member, so the
+    // planner can link copy->consumer chains and elide a staging dest
+    // consumed only in-window. A ranged copy writes part of dest,
+    // which the planner cannot model: it keeps the flush barrier.
+    if (op.n != obj->numElements()) {
+        flushFusion();
+        runFusedOp(op);
         return PimStatus::PIM_OK;
     }
-    // Ranged and odd-width copies keep the flush barrier.
-    flushFusion();
-
-    PIM_TRACE_SCOPE_ARG("copyH2D", "exec", payload);
-    PIM_METRIC_COUNT("copy.bytes_h2d", payload);
-    if (kernel) {
-        pool_.parallelForChunks(0, count, [=](size_t lo, size_t hi) {
-            kernel(first, dst, lo, hi, mask);
-        });
-    } else {
-        std::fill(dst, dst + count, 0);
-    }
-    stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, payload,
-                      model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                       payload));
-    return PimStatus::PIM_OK;
+    return issue(op);
 }
 
 PimStatus
@@ -411,11 +360,9 @@ PimDevice::copyDeviceToHost(PimObjId src, void *dest, uint64_t idx_begin,
 
     PIM_TRACE_SCOPE_ARG("copyD2H", "exec", payload);
     PIM_METRIC_COUNT("copy.bytes_d2h", payload);
-    if (kernel) {
-        pool_.parallelForChunks(0, count, [=](size_t lo, size_t hi) {
-            kernel(src_raw, bytes, lo, hi);
-        });
-    }
+    pool_.parallelForChunks(0, count, [=](size_t lo, size_t hi) {
+        kernel(src_raw, bytes, lo, hi);
+    });
     stats_.recordCopy(PimCopyEnum::PIM_COPY_D2H, payload,
                       model_->costCopy(PimCopyEnum::PIM_COPY_D2H,
                                        payload));
@@ -569,30 +516,57 @@ PimDevice::setModelingScale(double scale)
     stats_.setHostScale(modeling_scale_);
 }
 
-PimOpProfile
-PimDevice::makeProfile(PimCmdEnum cmd, const PimDataObject &obj,
-                       uint64_t scalar, unsigned aux) const
+PimFusedOp
+PimDevice::makeOp(PimCmdEnum cmd, const PimDataObject &shape,
+                  const PimDataObject *a, const PimDataObject *b,
+                  PimDataObject *dest)
 {
-    PimOpProfile profile;
+    PimFusedOp op;
+    op.cmd = cmd;
+    if (a) {
+        op.a = a->id();
+        op.pa = a->raw().data();
+    }
+    if (b) {
+        op.b = b->id();
+        op.pb = b->raw().data();
+    }
+    if (dest) {
+        op.dest = dest->id();
+        op.pd = dest->raw().data();
+        op.dmask = dest->elementMask();
+    }
+    op.sgn = shape.isSigned();
+    op.bits = shape.bitsPerElement();
+    op.n = shape.numElements();
+    if (cmd == PimCmdEnum::kCopyH2D) {
+        // A copy is costed from its payload at commit, not from an op
+        // profile, and records under no command key.
+        op.trace_name = "copyH2D";
+        return op;
+    }
+
+    PimOpProfile &profile = op.profile;
     profile.cmd = cmd;
-    profile.data_type = obj.dataType();
-    profile.bits = obj.bitsPerElement();
-    profile.num_elements = obj.numElements();
-    profile.max_elems_per_core = obj.maxElementsPerRegion();
-    profile.cores_used = obj.numCoresUsed();
-    profile.scalar = scalar;
-    profile.aux = aux;
+    profile.data_type = shape.dataType();
+    profile.bits = op.bits;
+    profile.num_elements = op.n;
+    profile.max_elems_per_core = shape.maxElementsPerRegion();
+    profile.cores_used = shape.numCoresUsed();
     if (modeling_scale_ > 1.0) {
         // Paper-size what-if: cost the op as if the object held
         // scale-times more elements, balanced across all cores.
         const auto scaled = static_cast<uint64_t>(
-            static_cast<double>(obj.numElements()) * modeling_scale_);
+            static_cast<double>(op.n) * modeling_scale_);
         const uint64_t cores = config_.numCores();
         profile.num_elements = scaled;
         profile.max_elems_per_core = (scaled + cores - 1) / cores;
         profile.cores_used = std::min<uint64_t>(cores, scaled);
     }
-    return profile;
+    const CmdKeyInfo key = keyFor(cmd, shape);
+    op.key_id = key.id;
+    op.trace_name = key.trace_name;
+    return op;
 }
 
 PimDevice::CmdKeyInfo
@@ -653,168 +627,51 @@ PimDevice::executeBinary(PimCmdEnum cmd, PimObjId a, PimObjId b,
     if (!checkCompatible(oa, ob, od, "executeBinary"))
         return PimStatus::PIM_ERROR;
 
-    AlpuOp op;
+    AlpuOp alu;
     const bool is_ne = (cmd == PimCmdEnum::kNE);
     if (is_ne) {
-        op = AlpuOp::kEQ;
-    } else if (!cmdToAlpuOp(cmd, op)) {
+        alu = AlpuOp::kEQ;
+    } else if (!cmdToAlpuOp(cmd, alu)) {
         logError("executeBinary: unsupported command");
         return PimStatus::PIM_ERROR;
     }
 
-    const unsigned bits = oa->bitsPerElement();
-    const bool sgn = oa->isSigned();
-    const uint64_t *pa = oa->raw().data();
-    const uint64_t *pb = ob->raw().data();
-    uint64_t *pd = od->raw().data();
-    const uint64_t dmask = od->elementMask();
-
-    const BinaryChunkFn kernel = is_ne
-        ? binaryChunkFor<true>(op, sgn)
-        : binaryChunkFor<false>(op, sgn);
-    const size_t n = oa->raw().size();
-    const PimOpProfile profile = makeProfile(cmd, *oa, 0, 0);
-    const CmdKeyInfo key = keyFor(cmd, *oa);
-
-    if (fusionCapturing()) {
-        PimFusedOp fop;
-        fop.cmd = cmd;
-        fop.op = op;
-        fop.op_exact = !is_ne; // NE: op says kEQ, kernel negates
-        fop.a = a;
-        fop.b = b;
-        fop.dest = dest;
-        fop.pa = pa;
-        fop.pb = pb;
-        fop.pd = pd;
-        fop.kern2 = kernel;
-        fop.sgn = sgn;
-        fop.bits = bits;
-        fop.dmask = dmask;
-        fop.n = n;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        return PimStatus::PIM_OK;
-    }
-
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-        kernel(pa, pb, pd, lo, hi, bits, dmask);
-    });
-    stats_.recordCmd(key.id, model_->costOp(profile));
-    return PimStatus::PIM_OK;
+    PimFusedOp op = makeOp(cmd, *oa, oa, ob, od);
+    op.op = alu;
+    op.op_exact = !is_ne; // NE: op says kEQ, the kernel negates
+    op.kern2 = is_ne ? binaryChunkFor<true>(alu, op.sgn)
+                     : binaryChunkFor<false>(alu, op.sgn);
+    return issue(op);
 }
 
 PimStatus
-PimDevice::executeUnary(PimCmdEnum cmd, PimObjId a, PimObjId dest)
+PimDevice::executeOneSource(PimCmdEnum cmd, PimObjId a, PimObjId dest,
+                            uint64_t imm, const char *what)
 {
     PimDataObject *oa = resources_.get(a);
     PimDataObject *od = resources_.get(dest);
-    if (!checkCompatible(oa, nullptr, od, "executeUnary"))
+    if (!checkCompatible(oa, nullptr, od, what))
         return PimStatus::PIM_ERROR;
 
-    AlpuOp op;
-    if (!cmdToAlpuOp(cmd, op)) {
-        logError("executeUnary: unsupported command");
-        return PimStatus::PIM_ERROR;
-    }
-
-    const unsigned bits = oa->bitsPerElement();
-    const bool sgn = oa->isSigned();
-    const uint64_t *pa = oa->raw().data();
-    uint64_t *pd = od->raw().data();
-    const uint64_t dmask = od->elementMask();
-
-    const ScalarChunkFn kernel = scalarChunkFor(op, sgn);
-    const size_t n = oa->raw().size();
-    const PimOpProfile profile = makeProfile(cmd, *oa, 0, 0);
-    const CmdKeyInfo key = keyFor(cmd, *oa);
-
-    if (fusionCapturing()) {
-        PimFusedOp fop;
-        fop.cmd = cmd;
-        fop.op = op;
-        fop.a = a;
-        fop.dest = dest;
-        fop.pa = pa;
-        fop.pd = pd;
-        fop.kern1 = kernel;
-        fop.sgn = sgn;
-        fop.scalar = 0;
-        fop.bits = bits;
-        fop.dmask = dmask;
-        fop.n = n;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        return PimStatus::PIM_OK;
-    }
-
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-        kernel(pa, 0, pd, lo, hi, bits, dmask);
-    });
-    stats_.recordCmd(key.id, model_->costOp(profile));
-    return PimStatus::PIM_OK;
-}
-
-PimStatus
-PimDevice::executeScalar(PimCmdEnum cmd, PimObjId a, PimObjId dest,
-                         uint64_t scalar)
-{
-    PimDataObject *oa = resources_.get(a);
-    PimDataObject *od = resources_.get(dest);
-    if (!checkCompatible(oa, nullptr, od, "executeScalar"))
-        return PimStatus::PIM_ERROR;
-
-    AlpuOp op;
-    if (!cmdToAlpuOp(cmd, op)) {
-        logError("executeScalar: unsupported command");
+    AlpuOp alu;
+    if (!cmdToAlpuOp(cmd, alu)) {
+        logError(strCat(what, ": unsupported command"));
         return PimStatus::PIM_ERROR;
     }
 
-    const unsigned bits = oa->bitsPerElement();
-    const bool sgn = oa->isSigned();
-    const uint64_t s = scalar & oa->elementMask();
-    const uint64_t *pa = oa->raw().data();
-    uint64_t *pd = od->raw().data();
-    const uint64_t dmask = od->elementMask();
-
-    const ScalarChunkFn kernel = scalarChunkFor(op, sgn);
-    const size_t n = oa->raw().size();
-    const PimOpProfile profile = makeProfile(cmd, *oa, s, 0);
-    const CmdKeyInfo key = keyFor(cmd, *oa);
-
-    if (fusionCapturing()) {
-        PimFusedOp fop;
-        fop.cmd = cmd;
-        fop.op = op;
-        fop.a = a;
-        fop.dest = dest;
-        fop.pa = pa;
-        fop.pd = pd;
-        fop.kern1 = kernel;
-        fop.sgn = sgn;
-        fop.scalar = s;
-        fop.bits = bits;
-        fop.dmask = dmask;
-        fop.n = n;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        return PimStatus::PIM_OK;
+    PimFusedOp op = makeOp(cmd, *oa, oa, nullptr, od);
+    op.op = alu;
+    op.kern1 = scalarChunkFor(alu, op.sgn);
+    if (alu == AlpuOp::kShiftL || alu == AlpuOp::kShiftR) {
+        // The kernel range-checks the amount itself: masking it to
+        // the element width would wrap 2^bits back to 0.
+        op.scalar = imm;
+        op.profile.aux = static_cast<unsigned>(imm);
+    } else {
+        op.scalar = imm & oa->elementMask();
+        op.profile.scalar = op.scalar;
     }
-
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-        kernel(pa, s, pd, lo, hi, bits, dmask);
-    });
-    stats_.recordCmd(key.id, model_->costOp(profile));
-    return PimStatus::PIM_OK;
+    return issue(op);
 }
 
 PimStatus
@@ -831,100 +688,11 @@ PimDevice::executeScaledAdd(PimObjId a, PimObjId b, PimObjId dest,
     if (!checkCompatible(oa, ob, od, "pimScaledAdd"))
         return PimStatus::PIM_ERROR;
 
-    const unsigned bits = oa->bitsPerElement();
-    const bool sgn = oa->isSigned();
-    const uint64_t s = scalar & oa->elementMask();
-    const uint64_t *pa = oa->raw().data();
-    const uint64_t *pb = ob->raw().data();
-    uint64_t *pd = od->raw().data();
-    const uint64_t dmask = od->elementMask();
-
-    const auto kernel =
-        sgn ? &scaledAddChunk<true> : &scaledAddChunk<false>;
-    const size_t n = oa->raw().size();
-    const PimOpProfile profile =
-        makeProfile(PimCmdEnum::kScaledAdd, *oa, s, 0);
-    const CmdKeyInfo key = keyFor(PimCmdEnum::kScaledAdd, *oa);
-
-    if (fusionCapturing()) {
-        PimFusedOp fop;
-        fop.cmd = PimCmdEnum::kScaledAdd;
-        fop.a = a;
-        fop.b = b;
-        fop.dest = dest;
-        fop.pa = pa;
-        fop.pb = pb;
-        fop.pd = pd;
-        fop.kern_sa = kernel;
-        fop.sgn = sgn;
-        fop.scalar = s;
-        fop.bits = bits;
-        fop.dmask = dmask;
-        fop.n = n;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        return PimStatus::PIM_OK;
-    }
-
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-        kernel(pa, pb, s, pd, lo, hi, bits, dmask);
-    });
-    stats_.recordCmd(key.id, model_->costOp(profile));
-    return PimStatus::PIM_OK;
-}
-
-PimStatus
-PimDevice::executeShift(PimCmdEnum cmd, PimObjId a, PimObjId dest,
-                        unsigned amount)
-{
-    PimDataObject *oa = resources_.get(a);
-    PimDataObject *od = resources_.get(dest);
-    if (!checkCompatible(oa, nullptr, od, "executeShift"))
-        return PimStatus::PIM_ERROR;
-
-    const AlpuOp op = (cmd == PimCmdEnum::kShiftBitsLeft)
-        ? AlpuOp::kShiftL : AlpuOp::kShiftR;
-    const unsigned bits = oa->bitsPerElement();
-    const bool sgn = oa->isSigned();
-    const uint64_t *pa = oa->raw().data();
-    uint64_t *pd = od->raw().data();
-    const uint64_t dmask = od->elementMask();
-
-    const ScalarChunkFn kernel = scalarChunkFor(op, sgn);
-    const size_t n = oa->raw().size();
-    const PimOpProfile profile = makeProfile(cmd, *oa, 0, amount);
-    const CmdKeyInfo key = keyFor(cmd, *oa);
-
-    if (fusionCapturing()) {
-        PimFusedOp fop;
-        fop.cmd = cmd;
-        fop.op = op;
-        fop.a = a;
-        fop.dest = dest;
-        fop.pa = pa;
-        fop.pd = pd;
-        fop.kern1 = kernel;
-        fop.sgn = sgn;
-        fop.scalar = amount;
-        fop.bits = bits;
-        fop.dmask = dmask;
-        fop.n = n;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        return PimStatus::PIM_OK;
-    }
-
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-        kernel(pa, amount, pd, lo, hi, bits, dmask);
-    });
-    stats_.recordCmd(key.id, model_->costOp(profile));
-    return PimStatus::PIM_OK;
+    PimFusedOp op = makeOp(PimCmdEnum::kScaledAdd, *oa, oa, ob, od);
+    op.kern_sa = op.sgn ? &scaledAddChunk<true> : &scaledAddChunk<false>;
+    op.scalar = scalar & oa->elementMask();
+    op.profile.scalar = op.scalar;
+    return issue(op);
 }
 
 PimStatus
@@ -943,56 +711,39 @@ PimDevice::executeRedSum(PimObjId a, uint64_t idx_begin, uint64_t idx_end,
         return PimStatus::PIM_ERROR;
     }
 
-    const unsigned bits = oa->bitsPerElement();
-    const bool sgn = oa->isSigned() && bits < 64;
-    const uint64_t *pa = oa->raw().data();
-    const PimOpProfile profile =
-        makeProfile(PimCmdEnum::kRedSum, *oa, 0, 0);
-    const CmdKeyInfo key = keyFor(PimCmdEnum::kRedSum, *oa);
-
-    // A full-object reduction no longer breaks the fusion window: it
-    // captures as a chain *terminator*, so mul+redSum lowers to one
-    // compute+accumulate sweep with no materialized product. Outside
-    // an explicit region the window flushes immediately after the
-    // capture, preserving the blocking contract (*result is ready on
-    // return); inside pimBeginFusion/pimEndFusion the reduction is
-    // deferred and *result is guaranteed at the next flush (see
-    // docs/API.md).
-    if (fusionCapturing() && idx_begin == 0 &&
-        idx_end == oa->numElements()) {
-        PimFusedOp fop;
-        fop.cmd = PimCmdEnum::kRedSum;
-        fop.a = a;
-        fop.pa = pa;
-        fop.sgn = sgn;
-        fop.bits = bits;
-        fop.n = oa->raw().size();
-        fop.is_reduce = true;
-        fop.red_result = result;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        if (fusion_region_depth_ == 0)
+    PimFusedOp op = makeOp(PimCmdEnum::kRedSum, *oa, oa, nullptr, nullptr);
+    op.is_reduce = true;
+    op.red_result = result;
+    // A full-object reduction captures as a chain *terminator*, so
+    // mul+redSum lowers to one compute+accumulate sweep with no
+    // materialized product. Under the global toggle the window
+    // flushes right after the capture, preserving the blocking
+    // contract (*result is ready on return); inside
+    // pimBeginFusion/pimEndFusion the reduction is deferred and
+    // *result is guaranteed at the next flush (see docs/API.md).
+    if (idx_begin == 0 && idx_end == oa->numElements()) {
+        issue(op);
+        if (fusionCapturing() && fusion_region_depth_ == 0)
             flushFusion();
         return PimStatus::PIM_OK;
     }
-    // Ranged reductions keep the flush-and-execute path: the planner
-    // only models whole-object dataflow.
+    // Ranged reductions flush and run here: the planner only models
+    // whole-object dataflow.
     flushFusion();
     const double fraction =
         static_cast<double>(idx_end - idx_begin) /
         static_cast<double>(oa->numElements());
 
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", idx_end - idx_begin);
-    *result = sumElements(pool_, pa, idx_begin, idx_end, sgn, bits);
+    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", idx_end - idx_begin);
+    *result = sumElements(pool_, op.pa, idx_begin, idx_end, op.sgn,
+                          op.bits);
 
     // Cost the full-object reduction (a ranged sum still touches all
     // rows that hold the range; approximate with the range fraction).
-    PimOpCost cost = model_->costOp(profile);
+    PimOpCost cost = model_->costOp(op.profile);
     cost.runtime_sec *= fraction;
     cost.energy_j *= fraction;
-    stats_.recordCmd(key.id, cost);
+    stats_.recordCmd(op.key_id, cost);
     return PimStatus::PIM_OK;
 }
 
@@ -1004,41 +755,16 @@ PimDevice::executeBroadcast(PimObjId dest, uint64_t value)
         logError("pimBroadcast: unknown object id");
         return PimStatus::PIM_ERROR;
     }
-    const uint64_t v = value & od->elementMask();
-    uint64_t *pd = od->raw().data();
-    const size_t n = od->raw().size();
-    const PimOpProfile profile =
-        makeProfile(PimCmdEnum::kBroadcast, *od, v, 0);
-    const CmdKeyInfo key = keyFor(PimCmdEnum::kBroadcast, *od);
-
     // Broadcast captures as a fill: it can open a chain, and an
     // elided fill consumed on the right-hand side of a binary op
     // folds into that op as a scalar immediate (fusion.scalar_folds)
     // — no chain break, no materialized constant vector.
-    if (fusionCapturing()) {
-        PimFusedOp fop;
-        fop.cmd = PimCmdEnum::kBroadcast;
-        fop.dest = dest;
-        fop.pd = pd;
-        fop.sgn = od->isSigned();
-        fop.scalar = v;
-        fop.bits = od->bitsPerElement();
-        fop.dmask = od->elementMask();
-        fop.n = n;
-        fop.is_fill = true;
-        fop.profile = profile;
-        fop.key_id = key.id;
-        fop.trace_name = key.trace_name;
-        recordFusion(fop);
-        return PimStatus::PIM_OK;
-    }
-
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", n);
-    pool_.parallelForChunks(0, n, [=](size_t lo, size_t hi) {
-        std::fill(pd + lo, pd + hi, v);
-    });
-    stats_.recordCmd(key.id, model_->costOp(profile));
-    return PimStatus::PIM_OK;
+    PimFusedOp op =
+        makeOp(PimCmdEnum::kBroadcast, *od, nullptr, nullptr, od);
+    op.is_fill = true;
+    op.scalar = value & od->elementMask();
+    op.profile.scalar = op.scalar;
+    return issue(op);
 }
 
 // ---------------------------------------------------------------------------
@@ -1063,12 +789,43 @@ fusedTraceName(size_t len)
 
 } // namespace
 
+PimStatus
+PimDevice::issue(const PimFusedOp &op)
+{
+    if (fusionCapturing())
+        recordFusion(op);
+    else
+        runFusedOp(op);
+    return PimStatus::PIM_OK;
+}
+
 void
 PimDevice::recordFusion(const PimFusedOp &op)
 {
     if (fusion_window_.full())
         flushFusion();
-    fusion_window_.record(op);
+    // A captured copy reads a snapshot taken now: the caller's buffer
+    // need not stay valid once the call returns. The buffer comes
+    // from the recycling pool (fresh multi-megabyte blocks pay mmap
+    // page faults dwarfing the memcpy) and is filled by a
+    // pool-parallel copy, spreading the bandwidth the same way the
+    // fused sweep itself does.
+    std::shared_ptr<uint8_t[]> snap;
+    if (op.is_load) {
+        const size_t bytes = op.n * op.host_stride;
+        snap = snapshot_pool_->acquire(bytes);
+        uint8_t *to = snap.get();
+        const uint8_t *from = op.host;
+        pool_.parallelForChunks(0, bytes,
+                                [to, from](size_t lo, size_t hi) {
+            std::memcpy(to + lo, from + lo, hi - lo);
+        });
+    }
+    PimFusedOp &held = fusion_window_.record(op);
+    if (snap) {
+        held.host = snap.get();
+        held.snapshot = std::move(snap);
+    }
 }
 
 void
@@ -1170,35 +927,18 @@ PimDevice::flushFusion()
 void
 PimDevice::runFusedOp(const PimFusedOp &op)
 {
-    if (op.is_load) {
-        // Singleton captured copy: the unfused H2D body, fed from the
-        // snapshot taken at capture.
-        PIM_TRACE_SCOPE_ARG("copyH2D", "exec", op.copy_payload);
-        PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
-        const uint8_t *bytes = op.host.get();
-        pool_.parallelForChunks(0, op.n,
-                                [&op, bytes](size_t lo, size_t hi) {
-            op.load_kern(bytes, op.pd, lo, hi, op.dmask);
-        });
-        stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, op.copy_payload,
-                          model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                           op.copy_payload));
-        return;
-    }
-    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.n);
+    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec",
+                        op.is_load ? op.copy_payload : op.n);
     if (op.is_reduce) {
-        // Singleton reduction: the chain planner found no producer to
-        // fuse with, so this is the unfused path verbatim (full-object
-        // sums only reach the window).
         *op.red_result =
             sumElements(pool_, op.pa, 0, op.n, op.sgn, op.bits);
-    } else if (op.is_fill) {
-        pool_.parallelForChunks(0, op.n, [&op](size_t lo, size_t hi) {
-            std::fill(op.pd + lo, op.pd + hi, op.scalar);
-        });
     } else {
         pool_.parallelForChunks(0, op.n, [&op](size_t lo, size_t hi) {
-            if (op.kern2)
+            if (op.is_load)
+                op.load_kern(op.host, op.pd, lo, hi, op.dmask);
+            else if (op.is_fill)
+                std::fill(op.pd + lo, op.pd + hi, op.scalar);
+            else if (op.kern2)
                 op.kern2(op.pa, op.pb, op.pd, lo, hi, op.bits, op.dmask);
             else if (op.kern_sa)
                 op.kern_sa(op.pa, op.pb, op.scalar, op.pd, lo, hi,
@@ -1208,7 +948,20 @@ PimDevice::runFusedOp(const PimFusedOp &op)
                          op.dmask);
         });
     }
-    stats_.recordCmd(op.key_id, model_->costOp(op.profile));
+    commit(op);
+}
+
+void
+PimDevice::commit(const PimFusedOp &op)
+{
+    if (op.is_load) {
+        PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
+        stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, op.copy_payload,
+                          model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
+                                           op.copy_payload));
+    } else {
+        stats_.recordCmd(op.key_id, model_->costOp(op.profile));
+    }
 }
 
 size_t
@@ -1234,21 +987,10 @@ PimDevice::executeFusedChain(const std::vector<PimFusedOp> &ops,
         *last.red_result =
             static_cast<int64_t>(total.load(std::memory_order_relaxed));
 
-    // Per-member stats records in issue order from issue-time profiles
-    // — exactly what the unfused commands would record. Captured
-    // copies record their modeled transfer instead of an op cost,
-    // interleaved at their window position.
-    for (const PimFusionStep &st : chain) {
-        const PimFusedOp &op = ops[st.op];
-        if (op.is_load) {
-            PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
-            stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, op.copy_payload,
-                              model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                               op.copy_payload));
-        } else {
-            stats_.recordCmd(op.key_id, model_->costOp(op.profile));
-        }
-    }
+    // Per-member stats records in issue order from issue-time
+    // profiles: exactly what each command records when it runs alone.
+    for (const PimFusionStep &st : chain)
+        commit(ops[st.op]);
     return tape.folded_fills;
 }
 

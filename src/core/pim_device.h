@@ -122,13 +122,22 @@ class PimDevice
     // --- Computation ---
     PimStatus executeBinary(PimCmdEnum cmd, PimObjId a, PimObjId b,
                             PimObjId dest);
-    PimStatus executeUnary(PimCmdEnum cmd, PimObjId a, PimObjId dest);
+    PimStatus executeUnary(PimCmdEnum cmd, PimObjId a, PimObjId dest)
+    {
+        return executeOneSource(cmd, a, dest, 0, "executeUnary");
+    }
     PimStatus executeScalar(PimCmdEnum cmd, PimObjId a, PimObjId dest,
-                            uint64_t scalar);
+                            uint64_t scalar)
+    {
+        return executeOneSource(cmd, a, dest, scalar, "executeScalar");
+    }
     PimStatus executeScaledAdd(PimObjId a, PimObjId b, PimObjId dest,
                                uint64_t scalar);
     PimStatus executeShift(PimCmdEnum cmd, PimObjId a, PimObjId dest,
-                           unsigned amount);
+                           unsigned amount)
+    {
+        return executeOneSource(cmd, a, dest, amount, "executeShift");
+    }
     PimStatus executeRedSum(PimObjId a, uint64_t idx_begin,
                             uint64_t idx_end, int64_t *result);
     PimStatus executeBroadcast(PimObjId dest, uint64_t value);
@@ -152,10 +161,6 @@ class PimDevice
             config_.device == PimDeviceEnum::PIM_DEVICE_SIMDRAM;
     }
 
-    /** Build a cost profile for an op on @p shape_obj. */
-    PimOpProfile makeProfile(PimCmdEnum cmd, const PimDataObject &obj,
-                             uint64_t scalar, unsigned aux) const;
-
     /** Transfer size under the modeling scale. */
     uint64_t modeledBytes(uint64_t bytes) const;
 
@@ -176,6 +181,26 @@ class PimDevice
                          const PimDataObject *dest,
                          const char *what) const;
 
+    /**
+     * Build one fusable command over @p shape's elements (its width,
+     * sign and count): operand ids and pointers (null objects leave
+     * them unset), dest's element mask, the issue-time cost profile
+     * and the interned stats key. The caller adds the kernel, the
+     * immediate and the command's flags.
+     */
+    PimFusedOp makeOp(PimCmdEnum cmd, const PimDataObject &shape,
+                      const PimDataObject *a, const PimDataObject *b,
+                      PimDataObject *dest);
+
+    /** Capture @p op in the fusion window, or run it now. */
+    PimStatus issue(const PimFusedOp &op);
+
+    /** The body of executeUnary/Scalar/Shift: a scalar immediate is
+     *  masked to the element width (profile.scalar); a shift amount
+     *  reaches the kernel unmasked (profile.aux). */
+    PimStatus executeOneSource(PimCmdEnum cmd, PimObjId a, PimObjId dest,
+                               uint64_t imm, const char *what);
+
     /** True while fusable elementwise commands should be buffered in
      *  the fusion window instead of issued. */
     bool fusionCapturing() const
@@ -184,21 +209,26 @@ class PimDevice
     }
 
     /** Buffer one captured command (flushing first if the window is
-     *  full). */
+     *  full); a load's host bytes are snapshotted here. */
     void recordFusion(const PimFusedOp &op);
 
     /**
-     * Plan and execute the pending fusion window: singleton chains run
-     * exactly like unfused commands, multi-op chains lower to
-     * expression tapes, and deferred frees resolve (elided temporaries
-     * return pristine to the allocator). No-op when empty.
+     * Plan and execute the pending fusion window: singleton chains go
+     * through runFusedOp, multi-op chains lower to expression tapes,
+     * and deferred frees resolve (elided temporaries return pristine
+     * to the allocator). No-op when empty.
      */
     void flushFusion();
 
-    /** Execute one window command exactly like the unfused command
-     *  (a singleton chain, including singleton reductions and
-     *  broadcast fills). */
+    /** The singleton executor: run one command alone and commit its
+     *  stats. Every uncaptured command and every singleton chain of
+     *  a flushed window runs here. */
     void runFusedOp(const PimFusedOp &op);
+
+    /** The only per-command stats record: a load records its copy
+     *  (plus the copy.bytes_h2d metric), anything else its op cost
+     *  from the issue-time profile. */
+    void commit(const PimFusedOp &op);
 
     /** Execute one multi-op chain as a single tape sweep that
      *  records every member's stats in issue order; a chain ending in

@@ -426,7 +426,7 @@ pimBuildFusedTape(const std::vector<PimFusedOp> &ops,
             const PimFusedOp &w = ops[it->second.op];
             if (it->second.is_load) {
                 slot = nullptr;
-                host = w.host.get();
+                host = w.host;
                 load_kern = w.load_kern;
                 stride = w.host_stride;
                 load_mask = w.dmask;
@@ -456,7 +456,7 @@ pimBuildFusedTape(const std::vector<PimFusedOp> &ops,
             }
             PimFusedTapeStep st;
             st.is_load = true;
-            st.host_a = op.host.get();
+            st.host_a = op.host;
             st.load_a = op.load_kern;
             st.host_stride_a = op.host_stride;
             st.bits = op.bits;

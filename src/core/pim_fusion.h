@@ -28,7 +28,8 @@
  *    as unfused execution — each step applies its own element width
  *    and dest mask, so stored values are bit-identical by
  *    construction. The interpreter is the only fused execution
- *    path; a singleton chain runs its command's unfused kernel.
+ *    path; a singleton chain runs through the device's singleton
+ *    executor, the path every uncaptured command takes.
  *  - An intermediate born in the window, written once, freed inside
  *    the window, and read only by its chain successor is *elided*: its
  *    store is skipped and its storage returns to the allocator
@@ -175,7 +176,8 @@ using PimFusionChain = std::vector<PimFusionStep>;
  * final value per window).
  *
  * Every window op appears in exactly one chain; unfusable neighbors
- * produce singleton chains (executed exactly like unfused commands).
+ * produce singleton chains, which the device's singleton executor
+ * runs as if the command had never been captured.
  */
 std::vector<PimFusionChain>
 pimPlanFusionChains(const std::vector<PimFusionOpView> &ops,
@@ -183,10 +185,11 @@ pimPlanFusionChains(const std::vector<PimFusionOpView> &ops,
                     const std::unordered_set<PimObjId> &freed);
 
 /**
- * One buffered elementwise command with everything captured at issue
- * time, exactly as the unfused execute* paths capture it: raw
- * pointers, the op-specialized kernel, the cost profile, and the
- * interned stats key.
+ * One fusable device command, built once at issue time
+ * (PimDevice::makeOp): raw pointers, the op-specialized kernel, the
+ * cost profile and the interned stats key. The device either buffers
+ * it in the fusion window or runs it at once; both paths execute and
+ * commit this same record.
  */
 struct PimFusedOp
 {
@@ -219,11 +222,14 @@ struct PimFusedOp
     /** Broadcast fill: writes @p scalar (pre-masked) to every element
      *  of dest; reads nothing. */
     bool is_fill = false;
-    /** Captured H2D copy: the host buffer is snapshotted at issue
-     *  (the caller's pointer need not outlive the call), and the
-     *  window keeps the snapshot alive until the chain runs. */
+    /** H2D copy: converts @p n elements of host bytes into dest. */
     bool is_load = false;
-    std::shared_ptr<const uint8_t[]> host;
+    /** The bytes a load reads: the caller's buffer while the copy runs
+     *  at issue, the snapshot once it is captured. */
+    const uint8_t *host = nullptr;
+    /** Owns a captured load's bytes (the caller's buffer need not
+     *  outlive the call) until the chain runs; empty otherwise. */
+    std::shared_ptr<const uint8_t[]> snapshot;
     PimHostToDeviceChunkFn load_kern = nullptr;
     unsigned host_stride = 0;   ///< host bytes per element
     uint64_t copy_payload = 0;  ///< modeled bytes for the stats commit
@@ -341,7 +347,11 @@ class PimFusionWindow
     size_t size() const { return ops_.size(); }
     bool full() const { return ops_.size() >= kMaxFusionWindowOps; }
 
-    void record(const PimFusedOp &op) { ops_.push_back(op); }
+    /** Buffer @p op; returns the window's copy. */
+    PimFusedOp &record(const PimFusedOp &op)
+    {
+        return ops_.emplace_back(op);
+    }
 
     /** An object allocated while fusion captures (cleared at flush):
      *  only window-born temporaries are elision candidates. */

@@ -46,8 +46,8 @@ using PimHostToDeviceChunkFn = void (*)(const uint8_t *, uint64_t *,
 using PimDeviceToHostChunkFn = void (*)(const uint64_t *, uint8_t *,
                                         size_t, size_t);
 
-/** Conversion kernel for an element width in bits (nullptr for widths
- *  with no packed host layout). */
+/** Conversion kernel for an element width in bits (nullptr for a
+ *  width no PimDataType has). */
 inline PimHostToDeviceChunkFn
 pimHostToDeviceChunkForBits(unsigned bits)
 {

@@ -149,7 +149,7 @@ PimResourceMgr::placeRegions(
         placed.push_back(region);
         elem_offset += elems;
     }
-    obj.regions() = std::move(placed);
+    obj.setRegions(std::move(placed));
     return true;
 }
 

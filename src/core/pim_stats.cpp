@@ -6,6 +6,7 @@
 #include "core/pim_stats.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <iomanip>
 #include <vector>
@@ -137,30 +138,6 @@ PimStatsMgr::recordCopy(PimCopyEnum direction, uint64_t bytes,
     copy_j_ += cost.energy_j;
 }
 
-void
-PimStatsMgr::startHostTimer()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    host_start_ = std::chrono::high_resolution_clock::now();
-    host_timing_ = true;
-}
-
-void
-PimStatsMgr::stopHostTimer()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!host_timing_)
-        return;
-    const auto now = std::chrono::high_resolution_clock::now();
-    const double elapsed =
-        std::chrono::duration<double>(now - host_start_).count();
-    host_timing_ = false;
-    if (host_scale_ > 1.0)
-        host_sec_ += elapsed * host_scale_ / hostCalibration();
-    else
-        host_sec_ += elapsed;
-}
-
 PimRunStats
 PimStatsMgr::snapshot() const
 {
@@ -226,7 +203,6 @@ PimStatsMgr::reset()
     bytes_h2d_ = 0;
     bytes_d2h_ = 0;
     bytes_d2d_ = 0;
-    host_timing_ = false;
 }
 
 void

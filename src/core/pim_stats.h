@@ -11,7 +11,6 @@
 #ifndef PIMEVAL_CORE_PIM_STATS_H_
 #define PIMEVAL_CORE_PIM_STATS_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -92,9 +91,6 @@ class PimStatsMgr
     void recordCopy(PimCopyEnum direction, uint64_t bytes,
                     const PimOpCost &cost);
 
-    /** Host-phase timing (RAII-free explicit start/stop). */
-    void startHostTimer();
-    void stopHostTimer();
     /** Add pre-modeled host seconds (no scaling applied). */
     void addHostTimeRaw(double seconds)
     {
@@ -187,8 +183,6 @@ class PimStatsMgr
     uint64_t bytes_h2d_ = 0;
     uint64_t bytes_d2h_ = 0;
     uint64_t bytes_d2d_ = 0;
-    std::chrono::high_resolution_clock::time_point host_start_;
-    bool host_timing_ = false;
     /** Context id stamped on modeled trace spans (default ctx = 1). */
     uint32_t trace_ctx_ = 1;
 };

@@ -116,16 +116,18 @@ alpuComputeT(uint64_t a, uint64_t b, unsigned elem_bits, bool is_signed)
     } else if constexpr (Op == AlpuOp::kEQ) {
         result = (ua == ub);
     } else if constexpr (Op == AlpuOp::kShiftL) {
-        result = (ub >= elem_bits) ? 0 : (ua << ub);
+        // Shift amounts are range-checked untruncated: an amount of
+        // 2^elem_bits or more must not wrap back into range.
+        result = (b >= elem_bits) ? 0 : (ua << b);
     } else if constexpr (Op == AlpuOp::kShiftR) {
         if (is_signed) {
-            const unsigned sh = ub >= elem_bits
+            const unsigned sh = b >= elem_bits
                 ? elem_bits - 1
-                : static_cast<unsigned>(ub);
+                : static_cast<unsigned>(b);
             result = static_cast<uint64_t>(
                 alpuSignExtend(ua, elem_bits) >> sh);
         } else {
-            result = (ub >= elem_bits) ? 0 : (ua >> ub);
+            result = (b >= elem_bits) ? 0 : (ua >> b);
         }
     } else if constexpr (Op == AlpuOp::kPopCount) {
         result = static_cast<uint64_t>(std::popcount(ua));

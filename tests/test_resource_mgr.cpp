@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/pim_resource_mgr.h"
 
 using namespace pimeval;
@@ -121,6 +123,39 @@ TEST(ResourceMgr, AssociatedMatchesReferenceDistribution)
         EXPECT_EQ(assoc->regions()[i].num_elements,
                   ref->regions()[i].num_elements);
     }
+}
+
+TEST(ResourceMgr, StoredMaxRegionMatchesScan)
+{
+    // The largest region is stored at placement; it must agree with a
+    // scan over regions() for fresh, associated and recycled objects.
+    const auto scan = [](const PimDataObject &obj) {
+        uint64_t max_elems = 0;
+        for (const auto &region : obj.regions())
+            max_elems = std::max(max_elems, region.num_elements);
+        return max_elems;
+    };
+    const auto config =
+        tinyConfig(PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP);
+    PimResourceMgr mgr(config);
+    // 301 elements over 4 cores: one region holds 76, the rest 75.
+    PimDataObject *obj = mgr.alloc(301, PimDataType::PIM_INT32, true);
+    ASSERT_NE(obj, nullptr);
+    EXPECT_EQ(obj->maxElementsPerRegion(), 76u);
+    EXPECT_EQ(obj->maxElementsPerRegion(), scan(*obj));
+
+    PimDataObject *assoc =
+        mgr.allocAssociated(*obj, PimDataType::PIM_INT16);
+    ASSERT_NE(assoc, nullptr);
+    EXPECT_EQ(assoc->maxElementsPerRegion(), scan(*assoc));
+
+    // A free-list hit hands back the same object, placement intact.
+    EXPECT_TRUE(mgr.free(obj->id()));
+    PimDataObject *recycled =
+        mgr.alloc(301, PimDataType::PIM_INT32, true);
+    ASSERT_EQ(recycled, obj);
+    EXPECT_EQ(recycled->maxElementsPerRegion(), 76u);
+    EXPECT_EQ(recycled->maxElementsPerRegion(), scan(*recycled));
 }
 
 TEST(ResourceMgr, FreeReuseAndUnknownIds)
