@@ -6,11 +6,8 @@
 #include "core/perf_energy_analog.h"
 
 #include <algorithm>
-#include <mutex>
-#include <shared_mutex>
 
 #include "bitserial/analog_microprograms.h"
-#include "core/pim_metrics.h"
 
 namespace pimeval {
 
@@ -60,28 +57,6 @@ PerfEnergyAnalog::traTime() const
 AnalogOpCounts
 PerfEnergyAnalog::countsForCmd(PimCmdEnum cmd, unsigned bits,
                                uint64_t scalar, unsigned aux) const
-{
-    const uint64_t key_scalar = pimCmdHasScalar(cmd) ? scalar : 0;
-    const CountsKey key{cmd, bits, key_scalar, aux};
-    {
-        std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-        auto it = counts_cache_.find(key);
-        if (it != counts_cache_.end()) {
-            PIM_METRIC_COUNT("cache.analog_counts.hit", 1);
-            return it->second;
-        }
-    }
-    PIM_METRIC_COUNT("cache.analog_counts.miss", 1);
-    const AnalogOpCounts counts =
-        generateCounts(cmd, bits, scalar, aux);
-    std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-    counts_cache_.emplace(key, counts);
-    return counts;
-}
-
-AnalogOpCounts
-PerfEnergyAnalog::generateCounts(PimCmdEnum cmd, unsigned bits,
-                                 uint64_t scalar, unsigned aux) const
 {
     using M = AnalogMicroPrograms;
     const uint32_t base = AnalogRowGroup::kNumRows;

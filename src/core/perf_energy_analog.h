@@ -15,10 +15,6 @@
 #ifndef PIMEVAL_CORE_PERF_ENERGY_ANALOG_H_
 #define PIMEVAL_CORE_PERF_ENERGY_ANALOG_H_
 
-#include <shared_mutex>
-#include <tuple>
-#include <unordered_map>
-
 #include "core/perf_energy_model.h"
 
 namespace pimeval {
@@ -37,7 +33,8 @@ class PerfEnergyAnalog : public PerfEnergyModel
 
     PimOpCost costOp(const PimOpProfile &profile) const override;
 
-    /** Analog row-op counts per chunk for one command (cached). */
+    /** Analog row-op counts per chunk for one command, from a freshly
+     *  generated program (devices memoize whole costs: PimCostMemo). */
     AnalogOpCounts countsForCmd(PimCmdEnum cmd, unsigned bits,
                                 uint64_t scalar, unsigned aux) const;
 
@@ -45,31 +42,6 @@ class PerfEnergyAnalog : public PerfEnergyModel
     double aapTime() const;
     /** TRA latency (one extended row cycle), seconds. */
     double traTime() const;
-
-  private:
-    AnalogOpCounts generateCounts(PimCmdEnum cmd, unsigned bits,
-                                  uint64_t scalar, unsigned aux) const;
-
-    using CountsKey =
-        std::tuple<PimCmdEnum, unsigned, uint64_t, unsigned>;
-    struct CountsKeyHash
-    {
-        size_t operator()(const CountsKey &k) const
-        {
-            uint64_t h = static_cast<uint64_t>(std::get<0>(k));
-            h = h * 0x9e3779b97f4a7c15ull + std::get<1>(k);
-            h = h * 0x9e3779b97f4a7c15ull + std::get<2>(k);
-            h = h * 0x9e3779b97f4a7c15ull + std::get<3>(k);
-            return static_cast<size_t>(h ^ (h >> 32));
-        }
-    };
-    /** Reader/writer lock keeps the const costOp safe to call from
-     *  several host threads; the cache is hit on virtually every
-     *  call, so readers share the lock. */
-    mutable std::shared_mutex cache_mutex_;
-    mutable std::unordered_map<CountsKey, AnalogOpCounts,
-                               CountsKeyHash>
-        counts_cache_;
 };
 
 } // namespace pimeval

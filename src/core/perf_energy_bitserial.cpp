@@ -6,11 +6,8 @@
 #include "core/perf_energy_bitserial.h"
 
 #include <algorithm>
-#include <mutex>
-#include <shared_mutex>
 
 #include "bitserial/microprograms.h"
-#include "core/pim_metrics.h"
 
 namespace pimeval {
 
@@ -22,29 +19,6 @@ PerfEnergyBitSerial::PerfEnergyBitSerial(const PimDeviceConfig &config)
 MicroOpCounts
 PerfEnergyBitSerial::countsForCmd(PimCmdEnum cmd, unsigned bits,
                                   uint64_t scalar, unsigned aux) const
-{
-    // Scalar values only matter for scalar-specialized commands; fold
-    // the key so non-scalar commands share one cache entry.
-    const uint64_t key_scalar = pimCmdHasScalar(cmd) ? scalar : 0;
-    const CountsKey key{cmd, bits, key_scalar, aux};
-    {
-        std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-        auto it = counts_cache_.find(key);
-        if (it != counts_cache_.end()) {
-            PIM_METRIC_COUNT("cache.bitserial_counts.hit", 1);
-            return it->second;
-        }
-    }
-    PIM_METRIC_COUNT("cache.bitserial_counts.miss", 1);
-    const MicroOpCounts counts = generateCounts(cmd, bits, scalar, aux);
-    std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-    counts_cache_.emplace(key, counts);
-    return counts;
-}
-
-MicroOpCounts
-PerfEnergyBitSerial::generateCounts(PimCmdEnum cmd, unsigned bits,
-                                    uint64_t scalar, unsigned aux) const
 {
     // Generate the microprogram with canonical row bases; only the op
     // counts matter for costing. Rows: a at 0, b at bits, dest at

@@ -15,10 +15,6 @@
 #ifndef PIMEVAL_CORE_PERF_ENERGY_BITSERIAL_H_
 #define PIMEVAL_CORE_PERF_ENERGY_BITSERIAL_H_
 
-#include <shared_mutex>
-#include <tuple>
-#include <unordered_map>
-
 #include "core/perf_energy_model.h"
 
 namespace pimeval {
@@ -49,37 +45,15 @@ class PerfEnergyBitSerial : public PerfEnergyModel
     PimOpCost costOp(const PimOpProfile &profile) const override;
 
     /**
-     * Micro-op counts for one chunk of the given command — exposed
-     * for tests that check the model against the actual VM-executed
-     * microprograms.
+     * Micro-op counts for one chunk of the given command, from a
+     * freshly generated microprogram — exposed for tests that check
+     * the model against the actual VM-executed microprograms. Devices
+     * memoize whole costs instead (PimCostMemo).
      */
     MicroOpCounts countsForCmd(PimCmdEnum cmd, unsigned bits,
                                uint64_t scalar, unsigned aux) const;
 
   private:
-    /** Uncached microprogram generation backing countsForCmd. */
-    MicroOpCounts generateCounts(PimCmdEnum cmd, unsigned bits,
-                                 uint64_t scalar, unsigned aux) const;
-
-    using CountsKey = std::tuple<PimCmdEnum, unsigned, uint64_t,
-                                 unsigned>;
-    struct CountsKeyHash
-    {
-        size_t operator()(const CountsKey &k) const
-        {
-            uint64_t h = static_cast<uint64_t>(std::get<0>(k));
-            h = h * 0x9e3779b97f4a7c15ull + std::get<1>(k);
-            h = h * 0x9e3779b97f4a7c15ull + std::get<2>(k);
-            h = h * 0x9e3779b97f4a7c15ull + std::get<3>(k);
-            return static_cast<size_t>(h ^ (h >> 32));
-        }
-    };
-    /** Reader/writer lock keeps the const costOp safe to call from
-     *  several host threads; the cache is hit on virtually every
-     *  call, so readers share the lock. */
-    mutable std::shared_mutex cache_mutex_;
-    mutable std::unordered_map<CountsKey, MicroOpCounts, CountsKeyHash>
-        counts_cache_;
     /** Latency of one chunk given micro-op counts. */
     double chunkLatency(const MicroOpCounts &counts) const;
 

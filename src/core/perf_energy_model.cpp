@@ -6,6 +6,7 @@
 #include "core/perf_energy_model.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/perf_energy_analog.h"
 #include "core/perf_energy_bitserial.h"
@@ -113,6 +114,60 @@ PerfEnergyModel::create(const PimDeviceConfig &config)
         break;
     }
     return nullptr;
+}
+
+namespace {
+
+/** True when @p a and @p b agree on every field a model reads. */
+bool
+sameCostKey(const PimOpProfile &a, const PimOpProfile &b)
+{
+    return a.cmd == b.cmd && a.bits == b.bits &&
+        a.num_elements == b.num_elements &&
+        a.max_elems_per_core == b.max_elems_per_core &&
+        a.cores_used == b.cores_used && a.scalar == b.scalar &&
+        a.aux == b.aux;
+}
+
+/** Home slot of @p p: the top bits of a multiplicative hash over the
+ *  fields sameCostKey compares. */
+size_t
+homeSlot(const PimOpProfile &p)
+{
+    constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+    uint64_t h = static_cast<uint64_t>(p.cmd) * kMul;
+    for (const uint64_t v :
+         {uint64_t{p.bits}, p.num_elements, p.max_elems_per_core,
+          p.cores_used, p.scalar, uint64_t{p.aux}})
+        h = (h ^ v) * kMul;
+    constexpr int kBits = std::countr_zero(PimCostMemo::kCapacity);
+    return static_cast<size_t>(h >> (64 - kBits));
+}
+
+} // namespace
+
+PimOpCost
+PimCostMemo::costOp(const PimOpProfile &profile)
+{
+    const size_t home = homeSlot(profile);
+    for (size_t k = 0; k < kProbeWindow; ++k) {
+        Entry &entry = entries_[(home + k) & (kCapacity - 1)];
+        if (entry.key.cmd == PimCmdEnum::kNone)
+            return fill(entry, profile);
+        if (sameCostKey(entry.key, profile))
+            return entry.cost;
+    }
+    const size_t victim = next_victim_++ % kProbeWindow;
+    return fill(entries_[(home + victim) & (kCapacity - 1)], profile);
+}
+
+PimOpCost
+PimCostMemo::fill(Entry &entry, const PimOpProfile &profile)
+{
+    PIM_METRIC_COUNT("cache.cost_memo.miss", 1);
+    entry.key = profile;
+    entry.cost = model_.costOp(profile);
+    return entry.cost;
 }
 
 } // namespace pimeval

@@ -11,6 +11,7 @@
 #ifndef PIMEVAL_CORE_PERF_ENERGY_MODEL_H_
 #define PIMEVAL_CORE_PERF_ENERGY_MODEL_H_
 
+#include <array>
 #include <memory>
 
 #include "core/pim_params.h"
@@ -100,6 +101,47 @@ class PerfEnergyModel
     /** Always-constructed memory-timing backend (resolved from
      *  config/env; LUT by default). */
     std::unique_ptr<MemTimingBackend> mem_backend_;
+};
+
+/**
+ * Fixed-capacity memo in front of one model's costOp, one per device.
+ * costOp is a pure function of the profile, the model's immutable
+ * configuration and its immutable memory backend, so a hit returns
+ * exactly what the model computes. The key is every profile field a
+ * model reads: all of them except data_type.
+ *
+ * Sized for the Table I apps (485 distinct profiles per device in the
+ * table1_cmd benchmark workload), it never grows or rehashes. A profile probes kProbeWindow slots from
+ * its hash slot; when they are all taken it overwrites one of them in
+ * round-robin order, so a stream of fresh scalars cannot grow it. Only
+ * misses are counted (cache.cost_memo.miss). Issuing thread only.
+ */
+class PimCostMemo
+{
+  public:
+    static constexpr size_t kCapacity = 1024; ///< a power of two
+
+    explicit PimCostMemo(const PerfEnergyModel &model) : model_(model) {}
+
+    /** model.costOp(profile), computed once per distinct key. */
+    PimOpCost costOp(const PimOpProfile &profile);
+
+  private:
+    static constexpr size_t kProbeWindow = 8;
+
+    /** One memoized cost; key.cmd == kNone marks an empty slot. */
+    struct Entry
+    {
+        PimOpProfile key;
+        PimOpCost cost;
+    };
+
+    /** Cost @p profile with the model and remember it in @p entry. */
+    PimOpCost fill(Entry &entry, const PimOpProfile &profile);
+
+    const PerfEnergyModel &model_;
+    std::array<Entry, kCapacity> entries_{};
+    size_t next_victim_ = 0;
 };
 
 } // namespace pimeval

@@ -149,7 +149,7 @@ PimDevice::PimDevice(const PimDeviceConfig &config, uint32_t ctx_id,
                      const std::string &label)
     : config_(config), ctx_id_(ctx_id ? ctx_id : 1), label_(label),
       metric_domain_(ctx_id_), resources_(config),
-      model_(PerfEnergyModel::create(config)),
+      model_(PerfEnergyModel::create(config)), cost_memo_(*model_),
       pool_(0, [slot = metric_domain_.slot] {
           PimMetrics::setThreadDomain(slot);
       })
@@ -740,7 +740,7 @@ PimDevice::executeRedSum(PimObjId a, uint64_t idx_begin, uint64_t idx_end,
 
     // Cost the full-object reduction (a ranged sum still touches all
     // rows that hold the range; approximate with the range fraction).
-    PimOpCost cost = model_->costOp(op.profile);
+    PimOpCost cost = cost_memo_.costOp(op.profile);
     cost.runtime_sec *= fraction;
     cost.energy_j *= fraction;
     stats_.recordCmd(op.key_id, cost);
@@ -960,7 +960,7 @@ PimDevice::commit(const PimFusedOp &op)
                           model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
                                            op.copy_payload));
     } else {
-        stats_.recordCmd(op.key_id, model_->costOp(op.profile));
+        stats_.recordCmd(op.key_id, cost_memo_.costOp(op.profile));
     }
 }
 

@@ -270,6 +270,8 @@ class PimDevice
     MetricDomainLease metric_domain_;
     PimResourceMgr resources_;
     std::unique_ptr<PerfEnergyModel> model_;
+    /** Memoized model_->costOp for commit and ranged reductions. */
+    PimCostMemo cost_memo_;
     PimStatsMgr stats_;
     ThreadPool pool_;
     double modeling_scale_ = 1.0;

@@ -14,7 +14,8 @@
 namespace pimeval {
 
 namespace detail {
-thread_local int tls_metric_domain = -1;
+constinit thread_local int tls_metric_domain = -1;
+constinit thread_local uint32_t tls_inline_runs = 0;
 } // namespace detail
 
 namespace {
@@ -340,9 +341,44 @@ PimMetrics::histogram(const std::string &name)
     return *slot;
 }
 
+void
+PimMetrics::publishThreadTally()
+{
+    const uint32_t pending = detail::tls_inline_runs;
+    if (pending == 0)
+        return;
+    detail::tls_inline_runs = 0;
+    static MetricCounter &inline_runs =
+        instance().counter("threadpool.inline_runs");
+    inline_runs.add(pending);
+}
+
+namespace {
+
+/** Publishes the owning thread's pending tally when the thread exits. */
+struct ThreadTallyFlusher
+{
+    ~ThreadTallyFlusher() { PimMetrics::publishThreadTally(); }
+};
+
+} // namespace
+
+void
+PimMetrics::setThreadDomain(int slot)
+{
+    publishThreadTally();
+    // Every thread that issues commands binds a domain first, so this
+    // arms the exit-time publish for each of them (constructed on the
+    // first call only).
+    static thread_local ThreadTallyFlusher flusher;
+    detail::tls_metric_domain =
+        (slot >= 0 && slot < kPimMetricMaxDomains) ? slot : -1;
+}
+
 bool
 PimMetrics::get(const std::string &name, double *value) const
 {
+    publishThreadTally();
     std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = counters_.find(name); it != counters_.end()) {
         if (value)
@@ -404,6 +440,7 @@ histogramDomainValue(const MetricHistogram &h, int slot)
 std::map<std::string, PimMetricValue>
 PimMetrics::snapshotAll() const
 {
+    publishThreadTally();
     std::lock_guard<std::mutex> lock(mutex_);
     std::map<std::string, PimMetricValue> out;
     for (const auto &[name, c] : counters_) {
@@ -438,6 +475,7 @@ PimMetrics::resetLocked()
 void
 PimMetrics::reset()
 {
+    publishThreadTally();
     std::lock_guard<std::mutex> lock(mutex_);
     resetLocked();
 }
@@ -463,6 +501,7 @@ PimMetrics::acquireDomain(uint64_t ctx_id)
 void
 PimMetrics::releaseDomain(uint64_t ctx_id)
 {
+    publishThreadTally();
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = domain_of_ctx_.find(ctx_id);
     if (it == domain_of_ctx_.end())
@@ -490,6 +529,7 @@ PimMetrics::domainSlot(uint64_t ctx_id) const
 std::map<std::string, PimMetricValue>
 PimMetrics::snapshotDomain(uint64_t ctx_id) const
 {
+    publishThreadTally();
     std::lock_guard<std::mutex> lock(mutex_);
     std::map<std::string, PimMetricValue> out;
     const auto it = domain_of_ctx_.find(ctx_id);

@@ -7,8 +7,10 @@
  *
  * Metrics are always-on but near-free: a counter increment is one
  * relaxed atomic add, and hot loops batch locally and add once per
- * chunk. Handles resolved by name are stable for the process lifetime,
- * so instrumentation sites look them up once through a magic static:
+ * chunk. The one per-command event, threadpool.inline_runs, is tallied
+ * per thread and published in bulk (PimMetrics::countInlineRun).
+ * Handles resolved by name are stable for the process lifetime, so
+ * instrumentation sites look them up once through a magic static:
  *
  *     static MetricCounter &hits =
  *         PimMetrics::instance().counter("freelist.hit");
@@ -55,8 +57,13 @@ namespace pimeval {
 inline constexpr int kPimMetricMaxDomains = 64;
 
 namespace detail {
-/** The calling thread's metric-domain slot (-1 = aggregate only). */
-extern thread_local int tls_metric_domain;
+/** The calling thread's metric-domain slot (-1 = aggregate only).
+ *  constinit: the variable has no dynamic initializer, so a read from
+ *  another translation unit needs no TLS init-function test. */
+extern constinit thread_local int tls_metric_domain;
+/** The calling thread's threadpool.inline_runs events not yet added
+ *  to the registry (see PimMetrics::countInlineRun). */
+extern constinit thread_local uint32_t tls_inline_runs;
 } // namespace detail
 
 /** Monotonic (between resets) event count. */
@@ -286,7 +293,7 @@ struct PimMetricValue
 /**
  * The registry. Naming convention: dotted lowercase paths grouped by
  * subsystem — "fusion.chains", "freelist.hit",
- * "threadpool.chunks_stolen", "cache.bitserial_counts.miss",
+ * "threadpool.chunks_stolen", "cache.cost_memo.miss",
  * "copy.bytes_h2d". See docs/OBSERVABILITY.md for the full glossary.
  */
 class PimMetrics
@@ -346,15 +353,36 @@ class PimMetrics
     std::map<std::string, PimMetricValue>
     snapshotDomain(uint64_t ctx_id) const;
 
-    /** Set / read the calling thread's current domain slot. */
-    static void setThreadDomain(int slot)
-    {
-        detail::tls_metric_domain =
-            (slot >= 0 && slot < kPimMetricMaxDomains) ? slot : -1;
-    }
+    /** Set / read the calling thread's current domain slot. Setting
+     *  it first publishes the thread's pending inline-run tally into
+     *  the domain those runs belong to. */
+    static void setThreadDomain(int slot);
     static int threadDomain() { return detail::tls_metric_domain; }
 
+    /**
+     * Count one threadpool.inline_runs event. Every small command
+     * runs one, so even one atomic add per event shows in the
+     * per-command cost: the calling thread tallies locally and adds
+     * its tally to the counter in one add(n). The tally is published
+     * every kInlineRunBatch events, before setThreadDomain rebinds the
+     * thread, before a registry read or reset on the thread, and when
+     * a thread that ever bound a domain exits. A read on another
+     * thread can trail the count by less than one batch per thread
+     * still issuing.
+     */
+    static void countInlineRun()
+    {
+        if (++detail::tls_inline_runs == kInlineRunBatch)
+            publishThreadTally();
+    }
+
+    /** Add the calling thread's pending inline-run tally to the
+     *  registry (in the thread's current domain). */
+    static void publishThreadTally();
+
   private:
+    static constexpr uint32_t kInlineRunBatch = 256;
+
     PimMetrics() = default;
 
     /** reset() body for callers already holding the mutex. */

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "core/pim_metrics.h"
 #include "util/logging.h"
@@ -77,6 +78,60 @@ RowAllocator::largestFreeExtent() const
     for (const auto &[offset, len] : free_)
         largest = std::max(largest, len);
     return largest;
+}
+
+void
+PimObjectTable::place(std::unique_ptr<PimDataObject> obj)
+{
+    size_t i = slotOf(obj->id());
+    while (slots_[i].obj)
+        i = (i + 1) & mask();
+    slots_[i].id = obj->id();
+    slots_[i].obj = std::move(obj);
+}
+
+void
+PimObjectTable::insert(std::unique_ptr<PimDataObject> obj)
+{
+    assert(obj && obj->id() >= 0 && !get(obj->id()));
+    if (2 * (size_ + 1) > slots_.size()) {
+        std::vector<Slot> old =
+            std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+        for (Slot &slot : old) {
+            if (slot.obj)
+                place(std::move(slot.obj));
+        }
+    }
+    place(std::move(obj));
+    ++size_;
+}
+
+std::unique_ptr<PimDataObject>
+PimObjectTable::take(PimObjId id)
+{
+    if (id < 0)
+        return nullptr;
+    size_t hole = slotOf(id);
+    while (slots_[hole].obj && slots_[hole].id != id)
+        hole = (hole + 1) & mask();
+    std::unique_ptr<PimDataObject> out = std::move(slots_[hole].obj);
+    if (!out)
+        return nullptr;
+    slots_[hole].id = -1;
+    --size_;
+    // Backward-shift delete: an entry later in the chain moves into
+    // the hole when the hole lies on its probe path, i.e. its home
+    // slot is no nearer to it than the hole is (distances mod size).
+    for (size_t j = (hole + 1) & mask(); slots_[j].obj;
+         j = (j + 1) & mask()) {
+        const size_t home = slotOf(slots_[j].id);
+        if (((j - home) & mask()) >= ((j - hole) & mask())) {
+            slots_[hole] = std::move(slots_[j]);
+            slots_[j].id = -1;
+            hole = j;
+        }
+    }
+    return out;
 }
 
 PimResourceMgr::PimResourceMgr(const PimDeviceConfig &config)
@@ -205,7 +260,7 @@ PimResourceMgr::takeFromFreeList(uint64_t num_elements, unsigned bits,
 
     obj->recycle(next_id_, data_type);
     PimDataObject *raw = obj.get();
-    objects_[next_id_] = std::move(obj);
+    objects_.insert(std::move(obj));
     ++next_id_;
     return raw;
 }
@@ -253,7 +308,7 @@ PimResourceMgr::alloc(uint64_t num_elements, PimDataType data_type,
         }
     }
     PimDataObject *raw = obj.get();
-    objects_[next_id_] = std::move(obj);
+    objects_.insert(std::move(obj));
     ++next_id_;
     return raw;
 }
@@ -287,7 +342,7 @@ PimResourceMgr::allocAssociated(const PimDataObject &ref,
         }
     }
     PimDataObject *raw = obj.get();
-    objects_[next_id_] = std::move(obj);
+    objects_.insert(std::move(obj));
     ++next_id_;
     return raw;
 }
@@ -295,30 +350,27 @@ PimResourceMgr::allocAssociated(const PimDataObject &ref,
 bool
 PimResourceMgr::free(PimObjId id)
 {
-    auto it = objects_.find(id);
-    if (it == objects_.end())
+    std::unique_ptr<PimDataObject> obj = objects_.take(id);
+    if (!obj)
         return false;
     if (free_list_count_ < kMaxFreeListObjects) {
         // Park the whole object — storage and row placement — for
         // same-shape reallocation instead of tearing it down.
-        std::unique_ptr<PimDataObject> obj = std::move(it->second);
-        objects_.erase(it);
         free_list_[freeKeyFor(*obj)].push_back(std::move(obj));
         ++free_list_count_;
         return true;
     }
-    releaseRows(*it->second);
-    objects_.erase(it);
+    releaseRows(*obj);
     return true;
 }
 
 bool
 PimResourceMgr::freeElided(PimObjId id)
 {
-    auto it = objects_.find(id);
-    if (it == objects_.end())
+    PimDataObject *obj = objects_.get(id);
+    if (!obj)
         return false;
-    it->second->markPristine();
+    obj->markPristine();
     PIM_METRIC_COUNT("freelist.pristine", 1);
     return free(id);
 }
@@ -343,20 +395,6 @@ PimResourceMgr::flushFreeList()
     }
     free_list_.clear();
     free_list_count_ = 0;
-}
-
-PimDataObject *
-PimResourceMgr::get(PimObjId id)
-{
-    auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.get();
-}
-
-const PimDataObject *
-PimResourceMgr::get(PimObjId id) const
-{
-    auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.get();
 }
 
 double

@@ -55,6 +55,60 @@ class RowAllocator
 };
 
 /**
+ * Live objects by id: an open-addressing table probed linearly from
+ * slot id & mask. Ids are issued in sequence and never reused, so the
+ * live ids sit in consecutive slots and a lookup is one probe in the
+ * common case. The table doubles once it would pass half load, and an
+ * erase shifts the rest of its probe chain back (no tombstones), so
+ * its size follows the peak live count, not the number of ids issued.
+ */
+class PimObjectTable
+{
+  public:
+    PimObjectTable() : slots_(kMinSlots) {}
+
+    /** The live object with @p id; nullptr for a freed, negative or
+     *  never-issued id. */
+    PimDataObject *get(PimObjId id) const
+    {
+        if (id < 0)
+            return nullptr;
+        for (size_t i = slotOf(id);; i = (i + 1) & mask()) {
+            const Slot &slot = slots_[i];
+            if (!slot.obj || slot.id == id)
+                return slot.obj.get();
+        }
+    }
+
+    /** Add @p obj under its id, which must not be live. */
+    void insert(std::unique_ptr<PimDataObject> obj);
+
+    /** Remove and return the object with @p id (nullptr if none). */
+    std::unique_ptr<PimDataObject> take(PimObjId id);
+
+    size_t size() const { return size_; }
+
+  private:
+    struct Slot
+    {
+        PimObjId id = -1;
+        std::unique_ptr<PimDataObject> obj; ///< null = empty slot
+    };
+
+    size_t mask() const { return slots_.size() - 1; }
+    size_t slotOf(PimObjId id) const
+    {
+        return static_cast<size_t>(id) & mask();
+    }
+    /** Place @p obj in the first empty slot of its probe chain. */
+    void place(std::unique_ptr<PimDataObject> obj);
+
+    static constexpr size_t kMinSlots = 64; ///< a power of two
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+};
+
+/**
  * Device-wide resource manager.
  */
 class PimResourceMgr
@@ -94,8 +148,11 @@ class PimResourceMgr
     bool freeElided(PimObjId id);
 
     /** Look up an object (nullptr if unknown). */
-    PimDataObject *get(PimObjId id);
-    const PimDataObject *get(PimObjId id) const;
+    PimDataObject *get(PimObjId id) { return objects_.get(id); }
+    const PimDataObject *get(PimObjId id) const
+    {
+        return objects_.get(id);
+    }
 
     /**
      * Live object count. Free-list entries are not live objects —
@@ -157,7 +214,7 @@ class PimResourceMgr
     PimObjId next_id_ = 0;
     /** Rotating start core for small-object spreading. */
     uint64_t next_core_ = 0;
-    std::map<PimObjId, std::unique_ptr<PimDataObject>> objects_;
+    PimObjectTable objects_;
     std::vector<RowAllocator> row_allocators_; ///< one per core
     /**
      * Freed objects kept whole (storage + row placement) for

@@ -63,7 +63,6 @@ PimRunStats::operator+=(const PimRunStats &o)
 PimStatsMgr::CmdKeyId
 PimStatsMgr::internCmdKey(const std::string &key, PimCmdEnum cmd)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = cmd_key_ids_.find(key);
     if (it != cmd_key_ids_.end())
         return it->second;
@@ -76,7 +75,6 @@ PimStatsMgr::internCmdKey(const std::string &key, PimCmdEnum cmd)
 void
 PimStatsMgr::recordCmd(CmdKeyId id, const PimOpCost &cost)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto &stat = cmd_slots_[id].stat;
     ++stat.count;
     stat.runtime_sec += cost.runtime_sec;
@@ -109,7 +107,6 @@ void
 PimStatsMgr::recordCopy(PimCopyEnum direction, uint64_t bytes,
                         const PimOpCost &cost)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const char *trace_name = nullptr;
     switch (direction) {
       case PimCopyEnum::PIM_COPY_H2D:
@@ -141,7 +138,6 @@ PimStatsMgr::recordCopy(PimCopyEnum direction, uint64_t bytes,
 PimRunStats
 PimStatsMgr::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     PimRunStats s;
     s.kernel_sec = kernel_sec_;
     s.kernel_j = kernel_j_;
@@ -157,7 +153,6 @@ PimStatsMgr::snapshot() const
 std::map<std::string, uint64_t>
 PimStatsMgr::opMix() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::map<std::string, uint64_t> mix;
     for (const auto &slot : cmd_slots_) {
         if (slot.stat.count > 0)
@@ -168,13 +163,6 @@ PimStatsMgr::opMix() const
 
 std::map<std::string, PimCmdStat>
 PimStatsMgr::cmdStats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cmdStatsLocked();
-}
-
-std::map<std::string, PimCmdStat>
-PimStatsMgr::cmdStatsLocked() const
 {
     std::map<std::string, PimCmdStat> table;
     for (const auto &slot : cmd_slots_) {
@@ -191,7 +179,6 @@ PimStatsMgr::cmdStatsLocked() const
 void
 PimStatsMgr::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     // Interned key ids survive reset; only the accumulators clear.
     for (auto &slot : cmd_slots_)
         slot.stat = PimCmdStat{};
@@ -208,7 +195,6 @@ PimStatsMgr::reset()
 void
 PimStatsMgr::printReport(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     os << "----------------------------------------\n";
     os << "Data Copy Stats:\n";
     os << "  Host to Device   : " << bytes_h2d_ << " bytes\n";
@@ -225,7 +211,7 @@ PimStatsMgr::printReport(std::ostream &os) const
        << padLeft("EstimatedRuntime(ms)", 24)
        << padLeft("EstimatedEnergy(mJ)", 24) << "\n";
     uint64_t total_cnt = 0;
-    for (const auto &[key, stat] : cmdStatsLocked()) {
+    for (const auto &[key, stat] : cmdStats()) {
         os << "  " << padRight(key, 24)
            << padLeft(std::to_string(stat.count), 10)
            << padLeft(formatFixed(stat.runtime_sec * 1e3, 6), 24)
@@ -246,7 +232,6 @@ PimStatsMgr::printReport(std::ostream &os) const
 void
 PimStatsMgr::dumpJson(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto flags = os.flags();
     os << std::setprecision(17);
     os << "{\n";
@@ -264,7 +249,7 @@ PimStatsMgr::dumpJson(std::ostream &os) const
     os << "  },\n";
     os << "  \"commands\": {";
     bool first = true;
-    for (const auto &[key, stat] : cmdStatsLocked()) {
+    for (const auto &[key, stat] : cmdStats()) {
         os << (first ? "\n" : ",\n");
         first = false;
         os << "    \"" << key << "\": {\"count\": " << stat.count

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -61,10 +60,12 @@ struct PimRunStats
  * command. The string-keyed views (cmdStats, opMix, printReport) are
  * materialized on demand.
  *
- * Thread safety: all members are guarded by an internal mutex (one
- * uncontended lock per recorded command, not per element), so
- * snapshots taken from another host thread — the profiler's sampler,
- * a shard group aggregating its contexts — never see a torn update.
+ * Ownership: no lock. Every writer runs on the owning device's
+ * issuing thread, and a reader on another thread must synchronize
+ * with that thread first: serve tests read a tenant context's stats
+ * after drain(), and PimShardGroup aggregates its shards on the
+ * calling thread once their commands are issued. The profiler's
+ * sampler reads only the atomic metrics registry, never these stats.
  */
 class PimStatsMgr
 {
@@ -92,16 +93,11 @@ class PimStatsMgr
                     const PimOpCost &cost);
 
     /** Add pre-modeled host seconds (no scaling applied). */
-    void addHostTimeRaw(double seconds)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        host_sec_ += seconds;
-    }
+    void addHostTimeRaw(double seconds) { host_sec_ += seconds; }
 
     /** Directly add externally measured host seconds. */
     void addHostTime(double seconds)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         if (host_scale_ > 1.0)
             host_sec_ += seconds * host_scale_ / hostCalibration();
         else
@@ -115,7 +111,6 @@ class PimStatsMgr
      */
     void setHostScale(double scale)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         host_scale_ = scale >= 1.0 ? scale : 1.0;
     }
 
@@ -168,10 +163,6 @@ class PimStatsMgr
         const char *trace_name = nullptr;
     };
 
-    /** cmdStats() body for callers already holding the mutex. */
-    std::map<std::string, PimCmdStat> cmdStatsLocked() const;
-
-    mutable std::mutex mutex_;
     std::vector<CmdSlot> cmd_slots_;
     std::map<std::string, CmdKeyId> cmd_key_ids_;
     double kernel_sec_ = 0.0;

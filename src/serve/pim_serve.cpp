@@ -368,6 +368,9 @@ struct PimServer::Impl
         }
 
         const PimStatus status = serve_detail::runJobs(specs, outs);
+        // The jobs' inline runs reach the registry before they
+        // complete, so a reader that waits for them sees every one.
+        PimMetrics::publishThreadTally();
 
         PIM_METRIC_RECORD("serve.exec_ns", nowNs() - start);
         MetricHistogram &qh =

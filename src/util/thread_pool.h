@@ -86,7 +86,7 @@ class ThreadPool
         const size_t num_workers = workers_.size();
         if (num_workers <= 1 || total < kMinParallelTotal ||
             inWorkerThread()) {
-            PIM_METRIC_COUNT("threadpool.inline_runs", 1);
+            PimMetrics::countInlineRun();
             body(begin, end);
             return;
         }

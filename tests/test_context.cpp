@@ -257,6 +257,50 @@ TEST_F(ContextTest, ResourceIsolationAcrossContexts)
     EXPECT_EQ(pimDestroyContext(cb), PimStatus::PIM_OK);
 }
 
+TEST_F(ContextTest, InlineRunCountsExactPerContext)
+{
+    // Each small command runs its kernel inline once. The issuing
+    // thread tallies those runs and publishes them in bulk; reads
+    // must still see exact counts, per context and in the aggregate.
+    // Neither count is a multiple of the publish batch.
+    constexpr int kRunsA = 1000, kRunsB = 700;
+    PimContext ca = pimCreateContextFromConfig(
+        smallConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM), "runs-a");
+    PimContext cb = pimCreateContextFromConfig(
+        smallConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM), "runs-b");
+    ASSERT_NE(ca, nullptr);
+    ASSERT_NE(cb, nullptr);
+    const auto issue = [](PimContext ctx, int runs) {
+        ASSERT_EQ(pimSetCurrentContext(ctx), PimStatus::PIM_OK);
+        // Unfused, so every command runs alone (PIMEVAL_FUSION=1 too).
+        ASSERT_EQ(pimSetFusionEnabled(false), PimStatus::PIM_OK);
+        const PimObjId obj = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, 64,
+                                      32, PimDataType::PIM_INT32);
+        ASSERT_GE(obj, 0);
+        for (int i = 0; i < runs; ++i)
+            ASSERT_EQ(pimAddScalar(obj, obj, 1), PimStatus::PIM_OK);
+        ASSERT_EQ(pimFree(obj), PimStatus::PIM_OK);
+    };
+    const auto runsIn = [](PimContext ctx) {
+        const auto metrics = pimContextMetrics(ctx);
+        const auto it = metrics.find("threadpool.inline_runs");
+        return it == metrics.end() ? -1.0 : it->second.value;
+    };
+
+    ASSERT_EQ(pimResetMetrics(), PimStatus::PIM_OK);
+    issue(ca, kRunsA);
+    issue(cb, kRunsB);
+    EXPECT_EQ(runsIn(ca), kRunsA);
+    EXPECT_EQ(runsIn(cb), kRunsB);
+    double total = 0.0;
+    EXPECT_TRUE(pimGetMetric("threadpool.inline_runs", &total));
+    EXPECT_EQ(total, kRunsA + kRunsB);
+
+    pimSetCurrentContext(nullptr);
+    EXPECT_EQ(pimDestroyContext(ca), PimStatus::PIM_OK);
+    EXPECT_EQ(pimDestroyContext(cb), PimStatus::PIM_OK);
+}
+
 TEST_F(ContextTest, ConcurrentContextsBitIdenticalToSequential)
 {
     const uint64_t n = 4000;

@@ -967,6 +967,61 @@ TEST_P(PimApiTest, PerCommandModeledCostGolden)
     }
 }
 
+TEST_P(PimApiTest, CostMemoExactUnderEviction)
+{
+    // Half again as many distinct scalars as the device's cost memo
+    // holds, issued twice: the memo must evict in both rounds, and
+    // every recorded cost must still be exactly what the model
+    // computes for the same profile.
+    constexpr uint64_t n = 3001;
+    constexpr size_t kScalars =
+        PimCostMemo::kCapacity + PimCostMemo::kCapacity / 2;
+    const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    const PimObjId d = pimAllocAssociated(32, a, PimDataType::PIM_INT32);
+    ASSERT_GE(a, 0);
+    ASSERT_GE(d, 0);
+    PimDevice *dev = PimSim::instance().device();
+    const PimDataObject *obj = dev->object(a);
+    PimOpProfile profile;
+    profile.cmd = PimCmdEnum::kMulScalar;
+    profile.bits = 32;
+    profile.num_elements = n;
+    profile.max_elems_per_core = obj->maxElementsPerRegion();
+    profile.cores_used = obj->numCoresUsed();
+
+    ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+    double misses0 = 0.0; // unset until the first miss registers it
+    pimGetMetric("cache.cost_memo.miss", &misses0);
+    PimCmdStat want;
+    for (int round = 0; round < 2; ++round) {
+        for (size_t i = 0; i < kScalars; ++i) {
+            // An odd multiplier permutes the 32-bit values: distinct.
+            const uint64_t scalar = (i * 2654435761u + 1) & 0xffffffffu;
+            ASSERT_EQ(pimMulScalar(a, d, scalar), PimStatus::PIM_OK);
+            profile.scalar = scalar;
+            const PimOpCost cost = dev->model()->costOp(profile);
+            ++want.count;
+            want.runtime_sec += cost.runtime_sec;
+            want.energy_j += cost.energy_j;
+        }
+    }
+    // Under PIMEVAL_FUSION=1 the last commands wait in the window.
+    ASSERT_EQ(pimSync(), PimStatus::PIM_OK);
+    const auto table = dev->stats().cmdStats();
+    ASSERT_EQ(table.size(), 1u);
+    const PimCmdStat &got = table.begin()->second;
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.runtime_sec, want.runtime_sec);
+    EXPECT_EQ(got.energy_j, want.energy_j);
+    double misses = 0.0;
+    ASSERT_TRUE(pimGetMetric("cache.cost_memo.miss", &misses));
+    // Round one misses on every scalar; round two on each one evicted.
+    EXPECT_GT(misses - misses0, static_cast<double>(kScalars));
+    pimFree(a);
+    pimFree(d);
+}
+
 TEST_P(PimApiTest, OpScalarEntryPoint)
 {
     // The consolidated entry point rejects non-scalar commands and
