@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <unordered_set>
 
 #include "core/pim_host_io.h"
@@ -112,11 +113,29 @@ cmdToAlpuOp(PimCmdEnum cmd, AlpuOp &op)
 // and the interned stats key. issue() then either buffers it in the
 // fusion window (core/pim_fusion.h) or runs it at once through
 // runFusedOp, the singleton executor, which hands contiguous [lo, hi)
-// chunks to ThreadPool::parallelForChunks. commit() is the only
-// per-command stats record, for singletons and fused chains alike,
-// so fused and unfused runs record identical stats. See
-// docs/PERFORMANCE.md.
+// chunks to ThreadPool::parallelForChunks. The commands that never
+// fuse (device-to-host and device-to-device copies, element shifts
+// and a ranged reduction) build their op the same way and run their
+// own body. commit() is the only per-command stats record, for all
+// of them and for fused chains alike, so fused and unfused runs
+// record identical stats. See docs/PERFORMANCE.md.
 // ---------------------------------------------------------------------------
+
+/** The transfer direction of a copy command; empty for any other. */
+std::optional<PimCopyEnum>
+copyDirection(PimCmdEnum cmd)
+{
+    switch (cmd) {
+      case PimCmdEnum::kCopyH2D:
+        return PimCopyEnum::PIM_COPY_H2D;
+      case PimCmdEnum::kCopyD2H:
+        return PimCopyEnum::PIM_COPY_D2H;
+      case PimCmdEnum::kCopyD2D:
+        return PimCopyEnum::PIM_COPY_D2D;
+      default:
+        return std::nullopt;
+    }
+}
 
 /**
  * Chunked reduction of pa[lo, hi): per-chunk partial sums folded into
@@ -350,22 +369,20 @@ PimDevice::copyDeviceToHost(PimObjId src, void *dest, uint64_t idx_begin,
         return PimStatus::PIM_ERROR;
     }
 
-    const unsigned bits = obj->bitsPerElement();
-    const uint64_t count = idx_end - idx_begin;
-    auto *bytes = static_cast<uint8_t *>(dest);
-    const uint64_t *src_raw = obj->raw().data() + idx_begin;
+    PimFusedOp op =
+        makeOp(PimCmdEnum::kCopyD2H, *obj, obj, nullptr, nullptr);
+    op.pa += idx_begin;
+    op.n = idx_end - idx_begin;
+    op.copy_payload = modeledBytes(op.n * pimHostStrideForBits(op.bits));
     const PimDeviceToHostChunkFn kernel =
-        pimDeviceToHostChunkForBits(bits);
-    const uint64_t payload = modeledBytes(count * ((bits + 7) / 8));
+        pimDeviceToHostChunkForBits(op.bits);
+    auto *bytes = static_cast<uint8_t *>(dest);
 
-    PIM_TRACE_SCOPE_ARG("copyD2H", "exec", payload);
-    PIM_METRIC_COUNT("copy.bytes_d2h", payload);
-    pool_.parallelForChunks(0, count, [=](size_t lo, size_t hi) {
-        kernel(src_raw, bytes, lo, hi);
+    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.copy_payload);
+    pool_.parallelForChunks(0, op.n, [&](size_t lo, size_t hi) {
+        kernel(op.pa, bytes, lo, hi);
     });
-    stats_.recordCopy(PimCopyEnum::PIM_COPY_D2H, payload,
-                      model_->costCopy(PimCopyEnum::PIM_COPY_D2H,
-                                       payload));
+    commit(op);
     return PimStatus::PIM_OK;
 }
 
@@ -377,18 +394,19 @@ PimDevice::copyDeviceToDevice(PimObjId src, PimObjId dest)
     PimDataObject *d = resources_.get(dest);
     if (!checkCompatible(s, nullptr, d, "pimCopyDeviceToDevice"))
         return PimStatus::PIM_ERROR;
+    // Lanes hold values masked to their source's width: copied into
+    // another width they would sit out of range or lose their sign.
+    if (d->bitsPerElement() != s->bitsPerElement()) {
+        logError("pimCopyDeviceToDevice: element width mismatch");
+        return PimStatus::PIM_ERROR;
+    }
 
-    const uint64_t *ps = s->raw().data();
-    uint64_t *pd = d->raw().data();
-    const size_t n = s->raw().size();
-    const uint64_t payload = modeledBytes(s->payloadBytes());
+    PimFusedOp op = makeOp(PimCmdEnum::kCopyD2D, *s, s, nullptr, d);
+    op.copy_payload = modeledBytes(s->payloadBytes());
 
-    PIM_TRACE_SCOPE_ARG("copyD2D", "exec", payload);
-    PIM_METRIC_COUNT("copy.bytes_d2d", payload);
-    std::copy(ps, ps + n, pd);
-    stats_.recordCopy(PimCopyEnum::PIM_COPY_D2D, payload,
-                      model_->costCopy(PimCopyEnum::PIM_COPY_D2D,
-                                       payload));
+    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.copy_payload);
+    std::copy(op.pa, op.pa + op.n, op.pd);
+    commit(op);
     return PimStatus::PIM_OK;
 }
 
@@ -414,12 +432,12 @@ PimDevice::executeElementShift(PimCmdEnum cmd, PimObjId obj_id)
         return PimStatus::PIM_ERROR;
     }
 
+    const PimFusedOp op = makeOp(cmd, *obj, obj, nullptr, obj);
     const uint64_t payload = modeledBytes(obj->payloadBytes());
     const uint64_t boundary_bytes =
-        obj->numCoresUsed() * ((obj->bitsPerElement() + 7) / 8);
-    const CmdKeyInfo key = keyFor(cmd, *obj);
+        obj->numCoresUsed() * pimHostStrideForBits(op.bits);
 
-    PIM_TRACE_SCOPE_ARG(key.trace_name, "exec", payload);
+    PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", payload);
     auto &raw = obj->raw();
     const size_t n = raw.size();
     // Whole-object data movement: memmove/rotate instead of an
@@ -449,7 +467,7 @@ PimDevice::executeElementShift(PimCmdEnum cmd, PimObjId obj_id)
     PimOpCost cost = model_->costCopy(PimCopyEnum::PIM_COPY_D2D, payload);
     cost += model_->costCopy(PimCopyEnum::PIM_COPY_D2H, boundary_bytes);
     cost += model_->costCopy(PimCopyEnum::PIM_COPY_H2D, boundary_bytes);
-    stats_.recordCmd(key.id, cost);
+    commit(op, cost);
     return PimStatus::PIM_OK;
 }
 
@@ -539,10 +557,12 @@ PimDevice::makeOp(PimCmdEnum cmd, const PimDataObject &shape,
     op.sgn = shape.isSigned();
     op.bits = shape.bitsPerElement();
     op.n = shape.numElements();
-    if (cmd == PimCmdEnum::kCopyH2D) {
+    if (const std::optional<PimCopyEnum> dir = copyDirection(cmd)) {
         // A copy is costed from its payload at commit, not from an op
         // profile, and records under no command key.
-        op.trace_name = "copyH2D";
+        static const char *const kTraceNames[] = {"copyH2D", "copyD2H",
+                                                  "copyD2D"};
+        op.trace_name = kTraceNames[static_cast<size_t>(*dir)];
         return op;
     }
 
@@ -743,7 +763,7 @@ PimDevice::executeRedSum(PimObjId a, uint64_t idx_begin, uint64_t idx_end,
     PimOpCost cost = cost_memo_.costOp(op.profile);
     cost.runtime_sec *= fraction;
     cost.energy_j *= fraction;
-    stats_.recordCmd(op.key_id, cost);
+    commit(op, cost);
     return PimStatus::PIM_OK;
 }
 
@@ -954,14 +974,31 @@ PimDevice::runFusedOp(const PimFusedOp &op)
 void
 PimDevice::commit(const PimFusedOp &op)
 {
-    if (op.is_load) {
-        PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
-        stats_.recordCopy(PimCopyEnum::PIM_COPY_H2D, op.copy_payload,
-                          model_->costCopy(PimCopyEnum::PIM_COPY_H2D,
-                                           op.copy_payload));
-    } else {
-        stats_.recordCmd(op.key_id, cost_memo_.costOp(op.profile));
+    const std::optional<PimCopyEnum> dir = copyDirection(op.cmd);
+    if (!dir) {
+        commit(op, cost_memo_.costOp(op.profile));
+        return;
     }
+    switch (*dir) {
+      case PimCopyEnum::PIM_COPY_H2D:
+        PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
+        break;
+      case PimCopyEnum::PIM_COPY_D2H:
+        PIM_METRIC_COUNT("copy.bytes_d2h", op.copy_payload);
+        break;
+      case PimCopyEnum::PIM_COPY_D2D:
+        PIM_METRIC_COUNT("copy.bytes_d2d", op.copy_payload);
+        break;
+    }
+    stats_.recordCopy(*dir, op.copy_payload,
+                      model_->costCopy(*dir, op.copy_payload));
+}
+
+void
+PimDevice::commit(const PimFusedOp &op, const PimOpCost &cost)
+{
+    assert(!copyDirection(op.cmd));
+    stats_.recordCmd(op.key_id, cost);
 }
 
 size_t

@@ -182,11 +182,12 @@ class PimDevice
                          const char *what) const;
 
     /**
-     * Build one fusable command over @p shape's elements (its width,
-     * sign and count): operand ids and pointers (null objects leave
-     * them unset), dest's element mask, the issue-time cost profile
-     * and the interned stats key. The caller adds the kernel, the
-     * immediate and the command's flags.
+     * Build one command over @p shape's elements (its width, sign and
+     * count): operand ids and pointers (null objects leave them
+     * unset), dest's element mask, the issue-time cost profile and
+     * the interned stats key (a copy gets neither: commit() costs it
+     * from its payload). The caller adds the kernel, the immediate
+     * and the command's flags.
      */
     PimFusedOp makeOp(PimCmdEnum cmd, const PimDataObject &shape,
                       const PimDataObject *a, const PimDataObject *b,
@@ -221,14 +222,24 @@ class PimDevice
     void flushFusion();
 
     /** The singleton executor: run one command alone and commit its
-     *  stats. Every uncaptured command and every singleton chain of
-     *  a flushed window runs here. */
+     *  stats. Every uncaptured fusable command (a ranged H2D copy
+     *  included) and every singleton chain of a flushed window runs
+     *  here. */
     void runFusedOp(const PimFusedOp &op);
 
-    /** The only per-command stats record: a load records its copy
-     *  (plus the copy.bytes_h2d metric), anything else its op cost
-     *  from the issue-time profile. */
+    /**
+     * The only per-command stats record, and the only place the
+     * copy.bytes_* metrics count. A copy (op.cmd kCopyH2D, kCopyD2H
+     * or kCopyD2D) records its transfer of op.copy_payload bytes,
+     * costed by the transfer model; any other op records under its
+     * key, costed from its issue-time profile.
+     */
     void commit(const PimFusedOp &op);
+
+    /** commit() of a non-copy op with a cost the caller computed: an
+     *  element shift's data movement, a ranged reduction's range
+     *  fraction. */
+    void commit(const PimFusedOp &op, const PimOpCost &cost);
 
     /** Execute one multi-op chain as a single tape sweep that
      *  records every member's stats in issue order; a chain ending in

@@ -185,11 +185,12 @@ pimPlanFusionChains(const std::vector<PimFusionOpView> &ops,
                     const std::unordered_set<PimObjId> &freed);
 
 /**
- * One fusable device command, built once at issue time
- * (PimDevice::makeOp): raw pointers, the op-specialized kernel, the
- * cost profile and the interned stats key. The device either buffers
- * it in the fusion window or runs it at once; both paths execute and
- * commit this same record.
+ * One device command, built once at issue time (PimDevice::makeOp):
+ * raw pointers, the op-specialized kernel, the cost profile and the
+ * interned stats key. The device either buffers a fusable command in
+ * the fusion window or runs it at once; both paths execute and commit
+ * this same record. A command that never fuses runs its own body and
+ * commits its record the same way.
  */
 struct PimFusedOp
 {

@@ -46,20 +46,6 @@ PimStatsMgr::hostCalibration()
     return factor;
 }
 
-PimRunStats &
-PimRunStats::operator+=(const PimRunStats &o)
-{
-    kernel_sec += o.kernel_sec;
-    kernel_j += o.kernel_j;
-    copy_sec += o.copy_sec;
-    copy_j += o.copy_j;
-    host_sec += o.host_sec;
-    bytes_h2d += o.bytes_h2d;
-    bytes_d2h += o.bytes_d2h;
-    bytes_d2d += o.bytes_d2d;
-    return *this;
-}
-
 PimStatsMgr::CmdKeyId
 PimStatsMgr::internCmdKey(const std::string &key, PimCmdEnum cmd)
 {

@@ -47,8 +47,6 @@ struct PimRunStats
     uint64_t bytes_d2d = 0;
 
     double totalSec() const { return kernel_sec + copy_sec + host_sec; }
-
-    PimRunStats &operator+=(const PimRunStats &o);
 };
 
 /**
@@ -63,9 +61,8 @@ struct PimRunStats
  * Ownership: no lock. Every writer runs on the owning device's
  * issuing thread, and a reader on another thread must synchronize
  * with that thread first: serve tests read a tenant context's stats
- * after drain(), and PimShardGroup aggregates its shards on the
- * calling thread once their commands are issued. The profiler's
- * sampler reads only the atomic metrics registry, never these stats.
+ * after drain(). The profiler's sampler reads only the atomic
+ * metrics registry, never these stats.
  */
 class PimStatsMgr
 {

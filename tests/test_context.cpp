@@ -2,8 +2,8 @@
  * @file
  * Tests of the multi-context registry (API v2): context isolation,
  * the global-API shim over per-thread current contexts, concurrent
- * multi-context execution bit-identical to sequential, the sharded
- * execution layer, and thread-local last-error reporting.
+ * multi-context execution bit-identical to sequential, and
+ * thread-local last-error reporting.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "core/pim_api.h"
 #include "core/pim_context.h"
 #include "core/pim_error.h"
-#include "core/pim_shard.h"
 #include "core/pim_sim.h"
 #include "util/logging.h"
 #include "util/prng.h"
@@ -354,132 +353,4 @@ TEST_F(ContextTest, ConcurrentContextsBitIdenticalToSequential)
             << "concurrency";
         EXPECT_EQ(par[t].mix, seq[t].mix);
     }
-}
-
-TEST_F(ContextTest, ShardedExecutionMatchesUnsharded)
-{
-    const uint64_t n = 3001; // deliberately not divisible by 3
-    Prng rng(11);
-    const std::vector<int> a = rng.intVector(n, -100000, 100000);
-    const std::vector<int> b = rng.intVector(n, -100000, 100000);
-    const PimDeviceConfig config =
-        smallConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM);
-
-    // Unsharded baseline.
-    RunOutcome base;
-    {
-        PimContext ctx = pimCreateContextFromConfig(config, "base");
-        ASSERT_NE(ctx, nullptr);
-        PimContextScope scope(ctx);
-        base = runWorkload(a, b);
-        ASSERT_TRUE(base.ok);
-        pimSetCurrentContext(nullptr);
-        EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
-    }
-
-    for (const PimShardPartition partition :
-         {PimShardPartition::kBlock, PimShardPartition::kRoundRobin}) {
-        auto group = PimShardGroup::create(config, 3, partition);
-        ASSERT_NE(group, nullptr);
-
-        const PimObjId oa = group->alloc(
-            PimAllocEnum::PIM_ALLOC_AUTO, n, PimDataType::PIM_INT32);
-        const PimObjId ob =
-            group->allocAssociated(oa, PimDataType::PIM_INT32);
-        const PimObjId od =
-            group->allocAssociated(oa, PimDataType::PIM_INT32);
-        ASSERT_GE(oa, 0);
-        ASSERT_GE(ob, 0);
-        ASSERT_GE(od, 0);
-        EXPECT_EQ(group->numElements(oa), n);
-
-        ASSERT_EQ(group->copyHostToDevice(a.data(), oa),
-                  PimStatus::PIM_OK);
-        ASSERT_EQ(group->copyHostToDevice(b.data(), ob),
-                  PimStatus::PIM_OK);
-        ASSERT_EQ(group->executeBinary(PimCmdEnum::kAdd, oa, ob, od),
-                  PimStatus::PIM_OK);
-        ASSERT_EQ(group->executeScalar(
-                      PimCmdEnum::kMulScalar, od, od,
-                      static_cast<uint64_t>(int64_t{-3})),
-                  PimStatus::PIM_OK);
-        ASSERT_EQ(group->executeScaledAdd(
-                      oa, od, od, static_cast<uint64_t>(int64_t{7})),
-                  PimStatus::PIM_OK);
-        ASSERT_EQ(group->executeScalar(
-                      PimCmdEnum::kMaxScalar, od, od,
-                      static_cast<uint64_t>(int64_t{-100000})),
-                  PimStatus::PIM_OK);
-
-        int64_t sum = 0;
-        ASSERT_EQ(group->executeRedSum(od, &sum), PimStatus::PIM_OK);
-        EXPECT_EQ(sum, base.sum);
-
-        std::vector<int> out(n, 0);
-        ASSERT_EQ(group->copyDeviceToHost(od, out.data()),
-                  PimStatus::PIM_OK);
-        EXPECT_EQ(out, base.out);
-
-        // Aggregated fleet stats equal the manual sum over shards.
-        const PimRunStats fleet = group->aggregatedStats();
-        PimRunStats manual;
-        for (size_t s = 0; s < group->numShards(); ++s)
-            manual += group->shard(s)->device->stats().snapshot();
-        EXPECT_TRUE(sameModeledStats(fleet, manual));
-        EXPECT_GT(fleet.kernel_sec, 0.0);
-        EXPECT_EQ(fleet.bytes_h2d, base.stats.bytes_h2d);
-        EXPECT_EQ(fleet.bytes_d2h, base.stats.bytes_d2h);
-
-        EXPECT_EQ(group->free(oa), PimStatus::PIM_OK);
-        EXPECT_EQ(group->free(ob), PimStatus::PIM_OK);
-        EXPECT_EQ(group->free(od), PimStatus::PIM_OK);
-    }
-}
-
-TEST_F(ContextTest, SingleShardGroupMatchesPlainContextStats)
-{
-    const uint64_t n = 512;
-    Prng rng(13);
-    const std::vector<int> a = rng.intVector(n, -1000, 1000);
-    const PimDeviceConfig config =
-        smallConfig(PimDeviceEnum::PIM_DEVICE_BANK_LEVEL);
-
-    // Plain context.
-    PimRunStats plain;
-    std::vector<int> plain_out(n, 0);
-    {
-        PimContext ctx = pimCreateContextFromConfig(config, "plain");
-        ASSERT_NE(ctx, nullptr);
-        PimContextScope scope(ctx);
-        const PimObjId oa = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n,
-                                     32, PimDataType::PIM_INT32);
-        ASSERT_GE(oa, 0);
-        pimCopyHostToDevice(a.data(), oa);
-        pimAddScalar(oa, oa, static_cast<uint64_t>(int64_t{-17}));
-        pimCopyDeviceToHost(oa, plain_out.data());
-        plain = pimGetStats();
-        pimFree(oa);
-        pimSetCurrentContext(nullptr);
-        EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
-    }
-
-    // K=1 shard group: the degenerate sharding is exactly the plain
-    // context, down to every modeled stat.
-    auto group = PimShardGroup::create(config, 1,
-                                       PimShardPartition::kBlock);
-    ASSERT_NE(group, nullptr);
-    const PimObjId oa = group->alloc(PimAllocEnum::PIM_ALLOC_AUTO, n,
-                                     PimDataType::PIM_INT32);
-    ASSERT_GE(oa, 0);
-    ASSERT_EQ(group->copyHostToDevice(a.data(), oa),
-              PimStatus::PIM_OK);
-    ASSERT_EQ(group->executeScalar(PimCmdEnum::kAddScalar, oa, oa,
-                                   static_cast<uint64_t>(int64_t{-17})),
-              PimStatus::PIM_OK);
-    std::vector<int> out(n, 0);
-    ASSERT_EQ(group->copyDeviceToHost(oa, out.data()),
-              PimStatus::PIM_OK);
-    EXPECT_EQ(out, plain_out);
-    EXPECT_TRUE(sameModeledStats(group->aggregatedStats(), plain));
-    EXPECT_EQ(group->free(oa), PimStatus::PIM_OK);
 }

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/pim_api.h"
+#include "core/pim_error.h"
 #include "util/logging.h"
 #include "util/prng.h"
 
@@ -175,6 +179,25 @@ TEST_F(LayoutTest, CopyBetweenMismatchedObjectsFails)
               PimStatus::PIM_ERROR);
     EXPECT_EQ(pimCopyDeviceToDevice(small, 999),
               PimStatus::PIM_ERROR);
+
+    // Same count, narrower element: int32 lanes must not land in a
+    // uint8 object, where values above 255 would corrupt it.
+    const PimObjId narrow = pimAllocAssociated(8, small,
+                                               PimDataType::PIM_UINT8);
+    ASSERT_GE(narrow, 0);
+    std::vector<int> src(10, 300);
+    src[0] = -1;
+    ASSERT_EQ(pimCopyHostToDevice(src.data(), small), PimStatus::PIM_OK);
+    pimClearLastError();
+    EXPECT_EQ(pimCopyDeviceToDevice(small, narrow), PimStatus::PIM_ERROR);
+    EXPECT_EQ(pimGetLastError(), PimStatus::PIM_ERROR);
+    EXPECT_NE(std::string(pimGetLastErrorMessage())
+                  .find("pimCopyDeviceToDevice"),
+              std::string::npos);
+    int64_t sum = -1;
+    ASSERT_EQ(pimRedSum(narrow, &sum), PimStatus::PIM_OK);
+    EXPECT_EQ(sum, 0); // the rejected copy left the object untouched
+    pimFree(narrow);
     pimFree(small);
     pimFree(big);
 }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <numeric>
 #include <sstream>
 
@@ -943,6 +945,229 @@ expectPerCommandGolden(const TargetGolden &g, const char *mode)
                   << actual.str();
 }
 
+/** Bytes counted so far by copy.bytes_h2d, _d2h and _d2d (a metric
+ *  reads 0 until its first copy registers it). */
+std::array<double, 3>
+copyMetricBytes()
+{
+    std::array<double, 3> bytes{};
+    pimGetMetric("copy.bytes_h2d", &bytes[0]);
+    pimGetMetric("copy.bytes_d2h", &bytes[1]);
+    pimGetMetric("copy.bytes_d2d", &bytes[2]);
+    return bytes;
+}
+
+/** The copy metrics grew by exactly @p s's byte totals since
+ *  @p before. */
+void
+expectCopyMetricsMatchStats(const std::array<double, 3> &before,
+                            const PimRunStats &s, const char *mode)
+{
+    const std::array<double, 3> after = copyMetricBytes();
+    EXPECT_EQ(after[0] - before[0], static_cast<double>(s.bytes_h2d))
+        << mode;
+    EXPECT_EQ(after[1] - before[1], static_cast<double>(s.bytes_d2h))
+        << mode;
+    EXPECT_EQ(after[2] - before[2], static_cast<double>(s.bytes_d2d))
+        << mode;
+}
+
+/**
+ * The whole stats record of one command issued alone: the command
+ * key it counts under and the run totals it leaves behind.
+ */
+struct CmdRecordGolden
+{
+    const char *call;
+    double scale;
+    const char *key; ///< "" for a copy
+    double kernel_sec;
+    double kernel_j;
+    double copy_sec;
+    double copy_j;
+    uint64_t bytes_h2d;
+    uint64_t bytes_d2h;
+    uint64_t bytes_d2d;
+};
+
+struct TargetRecordGolden
+{
+    PimDeviceEnum device;
+    std::vector<CmdRecordGolden> rows;
+};
+
+/** Exact records of the copies, element shifts and ranged reduction
+ *  on n = 3,001 int32 elements at modeling scales 1 and 1,024, under
+ *  analytical transfer timing. The scaled rows pin the unscaled terms
+ *  (an element shift's per-core boundary fix-up, a ranged sum's range
+ *  fraction) next to the scaled payload. */
+const std::vector<TargetRecordGolden> &
+cmdRecordGolden()
+{
+    // clang-format off
+    static const std::vector<TargetRecordGolden> golden = {
+    {PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP,
+     {
+      {"pimCopyDeviceToHost", 1, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-22, 0x1.002c3bcd31659p-21, 0, 12004, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-22, 0x1.ec3335398d0f2p-22, 0, 11532, 0},
+      {"pimCopyDeviceToDevice", 1, "", 0x0p+0, 0x0p+0, 0x1.cfdb417c18a1bp-20, 0x1.366cf64d3de03p-21, 0, 0, 12004},
+      {"pimShiftElementsLeft", 1, "shift_elem_l.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1, "shift_elem_r.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1, "rotate_elem_l.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1, "rotate_elem_r.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1, "redsum.int32.v", 0x1.d9f6a4ca1c339p-21, 0x1.0960a42353719p-22, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimCopyDeviceToHost", 1024, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-12, 0x1.002c3bcd31659p-11, 0, 12292096, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1024, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-12, 0x1.ec3335398d0f2p-12, 0, 11808768, 0},
+      {"pimCopyDeviceToDevice", 1024, "", 0x0p+0, 0x0p+0, 0x1.c522c58dfa655p-10, 0x1.35b407171ac0dp-11, 0, 0, 12292096},
+      {"pimShiftElementsLeft", 1024, "shift_elem_l.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1024, "shift_elem_r.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1024, "rotate_elem_l.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1024, "rotate_elem_r.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1024, "redsum.int32.v", 0x1.5b9aa35b3a2edp-11, 0x1.f0549656f243cp-13, 0x0p+0, 0x0p+0, 0, 0, 0},
+     }},
+    {PimDeviceEnum::PIM_DEVICE_FULCRUM,
+     {
+      {"pimCopyDeviceToHost", 1, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-22, 0x1.002c3bcd31659p-21, 0, 12004, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-22, 0x1.ec3335398d0f2p-22, 0, 11532, 0},
+      {"pimCopyDeviceToDevice", 1, "", 0x0p+0, 0x0p+0, 0x1.c6315ac982c9p-19, 0x1.366cf64d3de03p-21, 0, 0, 12004},
+      {"pimShiftElementsLeft", 1, "shift_elem_l.int32.h", 0x1.c68741050b8b4p-19, 0x1.37c25c4830c33p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1, "shift_elem_r.int32.h", 0x1.c68741050b8b4p-19, 0x1.37c25c4830c33p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1, "rotate_elem_l.int32.h", 0x1.c68741050b8b4p-19, 0x1.37c25c4830c33p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1, "rotate_elem_r.int32.h", 0x1.c68741050b8b4p-19, 0x1.37c25c4830c33p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1, "redsum.int32.h", 0x1.4068292b91b56p-19, 0x1.5ed25790fbb3bp-22, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimCopyDeviceToHost", 1024, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-12, 0x1.002c3bcd31659p-11, 0, 12292096, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1024, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-12, 0x1.ec3335398d0f2p-12, 0, 11808768, 0},
+      {"pimCopyDeviceToDevice", 1024, "", 0x0p+0, 0x0p+0, 0x1.c522c58dfa655p-9, 0x1.35b407171ac0dp-11, 0, 0, 12292096},
+      {"pimShiftElementsLeft", 1024, "shift_elem_l.int32.h", 0x1.c522db0789479p-9, 0x1.35b45c70997d9p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1024, "shift_elem_r.int32.h", 0x1.c522db0789479p-9, 0x1.35b45c70997d9p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1024, "rotate_elem_l.int32.h", 0x1.c522db0789479p-9, 0x1.35b45c70997d9p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1024, "rotate_elem_r.int32.h", 0x1.c522db0789479p-9, 0x1.35b45c70997d9p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1024, "redsum.int32.h", 0x1.3fa947b6724e4p-9, 0x1.5e0e1a7c66adap-12, 0x0p+0, 0x0p+0, 0, 0, 0},
+     }},
+    {PimDeviceEnum::PIM_DEVICE_BANK_LEVEL,
+     {
+      {"pimCopyDeviceToHost", 1, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-22, 0x1.002c3bcd31659p-21, 0, 12004, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-22, 0x1.ec3335398d0f2p-22, 0, 11532, 0},
+      {"pimCopyDeviceToDevice", 1, "", 0x0p+0, 0x0p+0, 0x1.c6315ac982c9p-18, 0x1.366cf64d3de03p-21, 0, 0, 12004},
+      {"pimShiftElementsLeft", 1, "shift_elem_l.int32.h", 0x1.c646d45864f98p-18, 0x1.3717a94ab751bp-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1, "shift_elem_r.int32.h", 0x1.c646d45864f98p-18, 0x1.3717a94ab751bp-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1, "rotate_elem_l.int32.h", 0x1.c646d45864f98p-18, 0x1.3717a94ab751bp-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1, "rotate_elem_r.int32.h", 0x1.c646d45864f98p-18, 0x1.3717a94ab751bp-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1, "redsum.int32.h", 0x1.85cd4244a7b23p-19, 0x1.26388f59318b4p-22, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimCopyDeviceToHost", 1024, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-12, 0x1.002c3bcd31659p-11, 0, 12292096, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1024, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-12, 0x1.ec3335398d0f2p-12, 0, 11808768, 0},
+      {"pimCopyDeviceToDevice", 1024, "", 0x0p+0, 0x0p+0, 0x1.c522c58dfa655p-8, 0x1.35b407171ac0dp-11, 0, 0, 12292096},
+      {"pimShiftElementsLeft", 1024, "shift_elem_l.int32.h", 0x1.c522caec5e1ddp-8, 0x1.35b431c3da1f2p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1024, "shift_elem_r.int32.h", 0x1.c522caec5e1ddp-8, 0x1.35b431c3da1f2p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1024, "rotate_elem_l.int32.h", 0x1.c522caec5e1ddp-8, 0x1.35b431c3da1f2p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1024, "rotate_elem_r.int32.h", 0x1.c522caec5e1ddp-8, 0x1.35b431c3da1f2p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1024, "redsum.int32.h", 0x1.84e50959174e6p-9, 0x1.258ebfa5f3742p-12, 0x0p+0, 0x0p+0, 0, 0, 0},
+     }},
+    {PimDeviceEnum::PIM_DEVICE_SIMDRAM,
+     {
+      {"pimCopyDeviceToHost", 1, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-22, 0x1.002c3bcd31659p-21, 0, 12004, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-22, 0x1.ec3335398d0f2p-22, 0, 11532, 0},
+      {"pimCopyDeviceToDevice", 1, "", 0x0p+0, 0x0p+0, 0x1.cfdb417c18a1bp-20, 0x1.366cf64d3de03p-21, 0, 0, 12004},
+      {"pimShiftElementsLeft", 1, "shift_elem_l.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1, "shift_elem_r.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1, "rotate_elem_l.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1, "rotate_elem_r.int32.v", 0x1.d132da6a3baa7p-20, 0x1.3917c24323a64p-21, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1, "redsum.int32.v", 0x1.c80c26af8f176p-21, 0x1.8060780f07a6fp-22, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimCopyDeviceToHost", 1024, "", 0x0p+0, 0x0p+0, 0x1.f77bf7f31637ap-12, 0x1.002c3bcd31659p-11, 0, 12292096, 0},
+      {"pimCopyDeviceToHost[17,2900)", 1024, "", 0x0p+0, 0x0p+0, 0x1.e3afe83a91766p-12, 0x1.ec3335398d0f2p-12, 0, 11808768, 0},
+      {"pimCopyDeviceToDevice", 1024, "", 0x0p+0, 0x0p+0, 0x1.c522c58dfa655p-10, 0x1.35b407171ac0dp-11, 0, 0, 12292096},
+      {"pimShiftElementsLeft", 1024, "shift_elem_l.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimShiftElementsRight", 1024, "shift_elem_r.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsLeft", 1024, "rotate_elem_l.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRotateElementsRight", 1024, "rotate_elem_r.int32.v", 0x1.c5231b7435ee1p-10, 0x1.35b4b1ca183a4p-11, 0x0p+0, 0x0p+0, 0, 0, 0},
+      {"pimRedSumRanged[5,2000)", 1024, "redsum.int32.v", 0x1.c80c26af8f176p-11, 0x1.8060780f07a6fp-12, 0x0p+0, 0x0p+0, 0, 0, 0},
+     }},
+    };
+    // clang-format on
+    return golden;
+}
+
+/** Issue each golden call alone at each scale and compare its record
+ *  with @p rows exactly; a mismatch prints the actual rows. */
+void
+expectCmdRecordGolden(const std::vector<CmdRecordGolden> &rows)
+{
+    constexpr uint64_t n = 3001;
+    Prng rng(11);
+    const std::vector<int> x = rng.intVector(n, -5000, 5000);
+    const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    const PimObjId d = pimAllocAssociated(32, a, PimDataType::PIM_INT32);
+    ASSERT_GE(a, 0);
+    ASSERT_GE(d, 0);
+    ASSERT_EQ(pimCopyHostToDevice(x.data(), a), PimStatus::PIM_OK);
+    std::vector<int> out(n);
+    int64_t sum = 0;
+    const std::vector<std::pair<const char *, std::function<PimStatus()>>>
+        calls = {
+            {"pimCopyDeviceToHost",
+             [&] { return pimCopyDeviceToHost(a, out.data()); }},
+            {"pimCopyDeviceToHost[17,2900)",
+             [&] { return pimCopyDeviceToHost(a, out.data(), 17, 2900); }},
+            {"pimCopyDeviceToDevice",
+             [&] { return pimCopyDeviceToDevice(a, d); }},
+            {"pimShiftElementsLeft", [&] { return pimShiftElementsLeft(d); }},
+            {"pimShiftElementsRight",
+             [&] { return pimShiftElementsRight(d); }},
+            {"pimRotateElementsLeft",
+             [&] { return pimRotateElementsLeft(d); }},
+            {"pimRotateElementsRight",
+             [&] { return pimRotateElementsRight(d); }},
+            {"pimRedSumRanged[5,2000)",
+             [&] { return pimRedSumRanged(a, 5, 2000, &sum); }},
+        };
+    const std::array<double, 2> scales = {1.0, 1024.0};
+    bool match = rows.size() == scales.size() * calls.size();
+    std::ostringstream actual;
+    size_t i = 0;
+    for (const double scale : scales) {
+        ASSERT_EQ(pimSetModelingScale(scale), PimStatus::PIM_OK);
+        for (const auto &[call, fn] : calls) {
+            ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+            const std::array<double, 3> metrics0 = copyMetricBytes();
+            ASSERT_EQ(fn(), PimStatus::PIM_OK) << call;
+            const PimRunStats s = pimGetStats();
+            expectCopyMetricsMatchStats(metrics0, s, call);
+            // A lone command leaves one count under its key; a copy
+            // leaves the command table empty.
+            std::string key;
+            for (const auto &[k, stat] : PimSim::instance()
+                                             .device()
+                                             ->stats()
+                                             .cmdStats())
+                key += stat.count == 1 ? k
+                                       : strCat(k, " x", stat.count);
+            if (i < rows.size()) {
+                const CmdRecordGolden &g = rows[i];
+                match = match && g.call == std::string(call) &&
+                    g.scale == scale && g.key == key &&
+                    g.kernel_sec == s.kernel_sec &&
+                    g.kernel_j == s.kernel_j && g.copy_sec == s.copy_sec &&
+                    g.copy_j == s.copy_j && g.bytes_h2d == s.bytes_h2d &&
+                    g.bytes_d2h == s.bytes_d2h && g.bytes_d2d == s.bytes_d2d;
+            }
+            ++i;
+            actual << "      {\"" << call << "\", " << scale << ", \""
+                   << key << "\", " << std::hexfloat << s.kernel_sec
+                   << ", " << s.kernel_j << ", " << s.copy_sec << ", "
+                   << s.copy_j << ", " << std::defaultfloat << s.bytes_h2d
+                   << ", " << s.bytes_d2h << ", " << s.bytes_d2d << "},\n";
+        }
+    }
+    ASSERT_EQ(pimSetModelingScale(1.0), PimStatus::PIM_OK);
+    pimFree(a);
+    pimFree(d);
+    if (!match)
+        ADD_FAILURE() << "lone-command records differ from the golden "
+                      << "table; actual:\n"
+                      << actual.str();
+}
+
 } // namespace
 
 TEST_P(PimApiTest, PerCommandModeledCostGolden)
@@ -961,10 +1186,21 @@ TEST_P(PimApiTest, PerCommandModeledCostGolden)
     const TargetGolden empty{device, {}, 0, 0, 0, 0, 0, 0, 0};
     const TargetGolden &g = it != all.end() ? *it : empty;
     for (const bool regions : {false, true}) {
+        const char *mode = regions ? "fusion regions" : "unfused";
         ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+        const std::array<double, 3> metrics0 = copyMetricBytes();
         issueEveryDeviceCommand(regions);
-        expectPerCommandGolden(g, regions ? "fusion regions" : "unfused");
+        expectPerCommandGolden(g, mode);
+        expectCopyMetricsMatchStats(metrics0, pimGetStats(), mode);
     }
+
+    const auto &records = cmdRecordGolden();
+    const auto rit = std::find_if(
+        records.begin(), records.end(),
+        [device](const TargetRecordGolden &r) { return r.device == device; });
+    expectCmdRecordGolden(rit != records.end()
+                              ? rit->rows
+                              : std::vector<CmdRecordGolden>{});
 }
 
 TEST_P(PimApiTest, CostMemoExactUnderEviction)
