@@ -5,30 +5,20 @@
 
 #include "core/pim_data_object.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace pimeval {
 
 PimDataObject::PimDataObject(PimObjId id, uint64_t num_elements,
-                             PimDataType data_type, bool v_layout)
+                             PimDataType data_type, bool v_layout,
+                             PimPlacement placement)
     : id_(id), num_elements_(num_elements), data_type_(data_type),
       bits_per_element_(pimBitsOfDataType(data_type)),
       v_layout_(v_layout),
       mask_(bits_per_element_ >= 64 ? ~0ull
                                     : ((1ull << bits_per_element_) - 1)),
-      data_(num_elements, 0)
+      placement_(std::move(placement)), data_(num_elements, 0)
 {
-}
-
-void
-PimDataObject::setRegions(std::vector<PimRegion> regions)
-{
-    regions_ = std::move(regions);
-    max_elems_per_region_ = 0;
-    for (const auto &region : regions_)
-        max_elems_per_region_ =
-            std::max(max_elems_per_region_, region.num_elements);
 }
 
 int64_t

@@ -2,11 +2,18 @@
  * @file
  * PIM data objects and their placement across PIM cores.
  *
- * A PIM data object is a 1-D vector of fixed-width elements spanning
- * one or more 2-D memory regions across PIM cores (paper Section V-A).
- * Depending on the architecture, elements are laid out vertically
- * (bit i of an element in row base+i — bit-serial) or horizontally
- * (element bits contiguous in a row — Fulcrum / bank-level).
+ * A PIM data object is a 1-D vector of fixed-width elements spread
+ * over the device's PIM cores (paper Section V-A). Depending on the
+ * architecture, elements are laid out vertically (bit i of an element
+ * in row base+i — bit-serial) or horizontally (element bits contiguous
+ * in a row — Fulcrum / bank-level).
+ *
+ * Placement is balanced, so it needs no per-core record. An n-element
+ * object on a C-core device starts at a first core f: its i-th core,
+ * (f + i) mod C for i < min(n, C), holds the n / C + (i < n mod C)
+ * consecutive elements that follow those of cores 0..i-1. The rows
+ * those cores hold are kept as row spans, one per run of cores (see
+ * PimResourceMgr) the object occupies.
  *
  * Functional simulation stores each element canonically as the low
  * @c bits_per_element bits of a uint64_t; the layout affects only
@@ -25,15 +32,27 @@
 namespace pimeval {
 
 /**
- * One contiguous allocation inside a single PIM core.
+ * Rows an object holds in neighbouring cores: each of cores
+ * [core_begin, core_begin + num_cores) holds rows
+ * [row_offset, row_offset + num_rows).
  */
-struct PimRegion
+struct PimRowSpan
 {
-    uint64_t core_id = 0;
-    uint64_t row_offset = 0;    ///< first row of the region
-    uint64_t num_rows = 0;      ///< rows occupied
-    uint64_t elem_offset = 0;   ///< first element index held here
-    uint64_t num_elements = 0;  ///< elements held in this region
+    uint64_t core_begin = 0;
+    uint64_t num_cores = 0;
+    uint64_t row_offset = 0;
+    uint64_t num_rows = 0;
+};
+
+/**
+ * Where an object lives: its first core on a device of
+ * @c device_cores cores and the rows it holds there.
+ */
+struct PimPlacement
+{
+    uint64_t first_core = 0;
+    uint64_t device_cores = 1;
+    std::vector<PimRowSpan> spans; ///< disjoint, in placement order
 };
 
 /**
@@ -43,7 +62,8 @@ class PimDataObject
 {
   public:
     PimDataObject(PimObjId id, uint64_t num_elements,
-                  PimDataType data_type, bool v_layout);
+                  PimDataType data_type, bool v_layout,
+                  PimPlacement placement);
 
     PimObjId id() const { return id_; }
     uint64_t numElements() const { return num_elements_; }
@@ -52,17 +72,29 @@ class PimDataObject
     bool isVLayout() const { return v_layout_; }
     bool isSigned() const { return pimIsSigned(data_type_); }
 
-    const std::vector<PimRegion> &regions() const { return regions_; }
+    /** The core holding element 0. */
+    uint64_t firstCore() const { return placement_.first_core; }
 
-    /** Record the placement; its largest region is stored with it, so
-     *  costing a command never rescans the regions. */
-    void setRegions(std::vector<PimRegion> regions);
+    /** The rows held, one span per run of cores occupied. */
+    const std::vector<PimRowSpan> &spans() const
+    {
+        return placement_.spans;
+    }
 
-    /** Largest element count any single core must process. */
-    uint64_t maxElementsPerRegion() const { return max_elems_per_region_; }
+    /** Largest element count any single core must process:
+     *  ceil(n / C). */
+    uint64_t maxElementsPerRegion() const
+    {
+        const uint64_t cores = placement_.device_cores;
+        return num_elements_ / cores + (num_elements_ % cores != 0);
+    }
 
-    /** Number of distinct cores holding part of this object. */
-    uint64_t numCoresUsed() const { return regions_.size(); }
+    /** Number of distinct cores holding part of this object:
+     *  min(n, C). */
+    uint64_t numCoresUsed() const
+    {
+        return std::min(num_elements_, placement_.device_cores);
+    }
 
     /** Canonical raw storage: low bits_per_element bits valid. */
     std::vector<uint64_t> &raw() { return data_; }
@@ -89,7 +121,7 @@ class PimDataObject
 
     /**
      * Reset identity for allocator free-list reuse: shape, layout, and
-     * row placement stay; the object gets a fresh id, the (same-width)
+     * placement stay; the object gets a fresh id, the (same-width)
      * element type, and data cleared to the fresh-allocation state.
      * Pristine objects (fusion-elided dead temporaries whose stores
      * never happened) are already all-zero, so the fill is skipped.
@@ -116,8 +148,7 @@ class PimDataObject
     bool v_layout_;
     uint64_t mask_;
     bool pristine_ = false;
-    std::vector<PimRegion> regions_;
-    uint64_t max_elems_per_region_ = 0;
+    PimPlacement placement_;
     std::vector<uint64_t> data_;
 };
 

@@ -135,12 +135,10 @@ PimObjectTable::take(PimObjId id)
 }
 
 PimResourceMgr::PimResourceMgr(const PimDeviceConfig &config)
-    : config_(config)
+    : config_(config), num_cores_(config.numCores())
 {
-    const uint64_t num_cores = config_.numCores();
-    row_allocators_.reserve(num_cores);
-    for (uint64_t c = 0; c < num_cores; ++c)
-        row_allocators_.emplace_back(config_.rowsPerCore());
+    if (num_cores_ > 0)
+        runs_.emplace(0, RowAllocator(config_.rowsPerCore()));
 }
 
 uint64_t
@@ -152,60 +150,151 @@ PimResourceMgr::rowsForRegion(uint64_t elems, unsigned bits,
     if (v_layout) {
         // Groups of `cols` elements stacked in `bits`-row chunks.
         const uint64_t cols = config_.colsPerCore();
-        const uint64_t chunks = (elems + cols - 1) / cols;
-        return chunks * bits;
+        const uint64_t chunks = elems / cols + (elems % cols != 0);
+        return chunks > UINT64_MAX / bits ? UINT64_MAX : chunks * bits;
     }
     // Horizontal: whole rows of elems_per_row elements. The row is
     // charged fully even when partially used (paper Section V-E).
     const uint64_t elems_per_row =
         std::max<uint64_t>(1, config_.colsPerCore() / bits);
-    return (elems + elems_per_row - 1) / elems_per_row;
+    return elems / elems_per_row + (elems % elems_per_row != 0);
 }
 
-std::vector<uint64_t>
-PimResourceMgr::balancedSplit(uint64_t num_elements) const
+PimResourceMgr::Runs::iterator
+PimResourceMgr::splitAt(uint64_t core)
 {
-    const uint64_t num_cores = config_.numCores();
-    std::vector<uint64_t> counts(num_cores, 0);
-    const uint64_t base = num_elements / num_cores;
-    const uint64_t rem = num_elements % num_cores;
-    for (uint64_t c = 0; c < num_cores; ++c)
-        counts[c] = base + (c < rem ? 1 : 0);
-    return counts;
+    if (core >= num_cores_)
+        return runs_.end();
+    const auto holder = std::prev(runs_.upper_bound(core));
+    if (holder->first == core)
+        return holder;
+    return runs_.emplace_hint(std::next(holder), core, holder->second);
 }
 
-bool
-PimResourceMgr::placeRegions(
-    PimDataObject &obj,
-    const std::vector<std::pair<uint64_t, uint64_t>> &core_elem_counts)
+void
+PimResourceMgr::coalesce(uint64_t begin, uint64_t end)
 {
-    const unsigned bits = obj.bitsPerElement();
-    uint64_t elem_offset = 0;
-    std::vector<PimRegion> placed;
-    placed.reserve(core_elem_counts.size());
-
-    for (const auto &[core_id, elems] : core_elem_counts) {
-        const uint64_t rows = rowsForRegion(elems, bits, obj.isVLayout());
-        const uint64_t offset = row_allocators_[core_id].allocate(rows);
-        if (offset == UINT64_MAX) {
-            // Roll back everything placed so far.
-            for (const auto &region : placed) {
-                row_allocators_[region.core_id].release(region.row_offset,
-                                                        region.num_rows);
-            }
-            return false;
-        }
-        PimRegion region;
-        region.core_id = core_id;
-        region.row_offset = offset;
-        region.num_rows = rows;
-        region.elem_offset = elem_offset;
-        region.num_elements = elems;
-        placed.push_back(region);
-        elem_offset += elems;
+    // The run at core 0 has no predecessor.
+    auto it = runs_.lower_bound(std::max<uint64_t>(begin, 1));
+    while (it != runs_.end() && it->first <= end) {
+        if (std::prev(it)->second == it->second)
+            it = runs_.erase(it);
+        else
+            ++it;
     }
-    obj.setRegions(std::move(placed));
-    return true;
+}
+
+void
+PimResourceMgr::releaseSpan(const PimRowSpan &span)
+{
+    // The span's cores shared their rows when it was placed; later
+    // placements may have split them over several runs since, and
+    // their ends may lie inside runs that reach past the span.
+    const uint64_t end = span.core_begin + span.num_cores;
+    const auto last = splitAt(end);
+    for (auto it = splitAt(span.core_begin); it != last; ++it)
+        it->second.release(span.row_offset, span.num_rows);
+    coalesce(span.core_begin, end);
+}
+
+std::optional<PimPlacement>
+PimResourceMgr::place(uint64_t num_elements, unsigned bits,
+                      bool v_layout, uint64_t first_core)
+{
+    if (num_cores_ == 0)
+        return std::nullopt;
+    // The object's i-th core holds base + (i < rem) elements, so its
+    // cores form one or two relative ranges of one row count each,
+    // and each range may wrap past the last core: up to four ranges
+    // of absolute cores [begin, end).
+    struct Range
+    {
+        uint64_t begin, end, rows;
+    };
+    Range ranges[4];
+    size_t num_ranges = 0;
+    const auto addRange = [&](uint64_t from, uint64_t to, uint64_t rows) {
+        const uint64_t begin = (first_core + from) % num_cores_;
+        const uint64_t end = begin + (to - from);
+        if (end <= num_cores_) {
+            ranges[num_ranges++] = {begin, end, rows};
+        } else {
+            ranges[num_ranges++] = {begin, num_cores_, rows};
+            ranges[num_ranges++] = {0, end - num_cores_, rows};
+        }
+    };
+    const uint64_t base = num_elements / num_cores_;
+    const uint64_t rem = num_elements % num_cores_;
+    const uint64_t used = std::min(num_elements, num_cores_);
+    const uint64_t rows_base = rowsForRegion(base, bits, v_layout);
+    const uint64_t rows_extra = rowsForRegion(base + 1, bits, v_layout);
+    if (rem == 0) {
+        addRange(0, used, rows_base);
+    } else if (base == 0 || rows_extra == rows_base) {
+        addRange(0, used, rows_extra);
+    } else {
+        addRange(0, rem, rows_extra);
+        addRange(rem, used, rows_base);
+    }
+
+    PimPlacement placement;
+    placement.first_core = first_core;
+    placement.device_cores = num_cores_;
+    bool placed = true;
+    for (size_t r = 0; r < num_ranges && placed; ++r) {
+        const Range &range = ranges[r];
+        const auto last = splitAt(range.end);
+        for (auto it = splitAt(range.begin); it != last; ++it) {
+            const uint64_t offset = it->second.allocate(range.rows);
+            if (offset == UINT64_MAX) {
+                placed = false;
+                break;
+            }
+            placement.spans.push_back({it->first, runEnd(it) - it->first,
+                                       offset, range.rows});
+        }
+    }
+    if (!placed) {
+        for (const PimRowSpan &span : placement.spans)
+            releaseSpan(span);
+    }
+    for (size_t r = 0; r < num_ranges; ++r)
+        coalesce(ranges[r].begin, ranges[r].end);
+    if (!placed)
+        return std::nullopt;
+    return placement;
+}
+
+PimDataObject *
+PimResourceMgr::create(uint64_t num_elements, PimDataType data_type,
+                       bool v_layout, uint64_t first_core, bool quiet,
+                       const char *exhausted)
+{
+    const unsigned bits = pimBitsOfDataType(data_type);
+    std::optional<PimPlacement> placement =
+        place(num_elements, bits, v_layout, first_core);
+    if (!placement) {
+        // The cache may be parked on the rows placement needs.
+        const bool flushed = free_list_count_ > 0;
+        if (flushed) {
+            flushFreeList();
+            placement = place(num_elements, bits, v_layout, first_core);
+        }
+        if (!placement) {
+            if (!quiet)
+                logError(exhausted);
+            return nullptr;
+        }
+    }
+    // Storage is allocated only once the rows are placed, so a request
+    // past the device's capacity never sizes host memory.
+    auto obj = std::make_unique<PimDataObject>(next_id_, num_elements,
+                                               data_type, v_layout,
+                                               std::move(*placement));
+    PimDataObject *raw = obj.get();
+    objects_.insert(std::move(obj));
+    ++next_id_;
+    return raw;
 }
 
 PimDataObject *
@@ -224,23 +313,11 @@ PimResourceMgr::takeFromFreeList(uint64_t num_elements, unsigned bits,
     if (ref == nullptr) {
         pick = cached.size() - 1;
     } else {
-        // Association requires the reference's element distribution:
-        // the same per-region core and element count sequence (row
-        // offsets within a core are irrelevant to pairing).
+        // Association requires the reference's element distribution.
+        // The bucket fixes the element count, so the first core alone
+        // decides it.
         for (size_t i = cached.size(); i-- > 0;) {
-            const auto &regions = cached[i]->regions();
-            const auto &want = ref->regions();
-            if (regions.size() != want.size())
-                continue;
-            bool match = true;
-            for (size_t r = 0; r < regions.size(); ++r) {
-                if (regions[r].core_id != want[r].core_id ||
-                    regions[r].num_elements != want[r].num_elements) {
-                    match = false;
-                    break;
-                }
-            }
-            if (match) {
+            if (cached[i]->firstCore() == ref->firstCore()) {
                 pick = i;
                 break;
             }
@@ -279,38 +356,15 @@ PimResourceMgr::alloc(uint64_t num_elements, PimDataType data_type,
                                               nullptr))
         return hit;
 
-    auto obj = std::make_unique<PimDataObject>(next_id_, num_elements,
-                                               data_type, v_layout);
     // Rotate the starting core per allocation so that many small
     // objects spread across the device instead of piling onto the
     // first cores.
-    const auto counts = balancedSplit(num_elements);
-    const uint64_t num_cores = counts.size();
-    std::vector<std::pair<uint64_t, uint64_t>> nonzero;
-    uint64_t used = 0;
-    for (uint64_t c = 0; c < num_cores; ++c) {
-        if (counts[c] > 0) {
-            nonzero.emplace_back((next_core_ + c) % num_cores,
-                                 counts[c]);
-            ++used;
-        }
-    }
-    next_core_ = (next_core_ + used) % num_cores;
-    if (!placeRegions(*obj, nonzero)) {
-        // The cache may be parked on the rows placement needs.
-        const bool flushed = free_list_count_ > 0;
-        if (flushed)
-            flushFreeList();
-        if (!flushed || !placeRegions(*obj, nonzero)) {
-            if (!quiet_exhaustion)
-                logError("pimAlloc: device capacity exhausted");
-            return nullptr;
-        }
-    }
-    PimDataObject *raw = obj.get();
-    objects_.insert(std::move(obj));
-    ++next_id_;
-    return raw;
+    const uint64_t first_core = next_core_;
+    if (num_cores_ > 0)
+        next_core_ =
+            (next_core_ + std::min(num_elements, num_cores_)) % num_cores_;
+    return create(num_elements, data_type, v_layout, first_core,
+                  quiet_exhaustion, "pimAlloc: device capacity exhausted");
 }
 
 PimDataObject *
@@ -323,28 +377,9 @@ PimResourceMgr::allocAssociated(const PimDataObject &ref,
                                               ref.isVLayout(),
                                               data_type, &ref))
         return hit;
-
-    auto obj = std::make_unique<PimDataObject>(
-        next_id_, ref.numElements(), data_type, ref.isVLayout());
-    std::vector<std::pair<uint64_t, uint64_t>> counts;
-    counts.reserve(ref.regions().size());
-    for (const auto &region : ref.regions())
-        counts.emplace_back(region.core_id, region.num_elements);
-    if (!placeRegions(*obj, counts)) {
-        const bool flushed = free_list_count_ > 0;
-        if (flushed)
-            flushFreeList();
-        if (!flushed || !placeRegions(*obj, counts)) {
-            if (!quiet_exhaustion)
-                logError("pimAllocAssociated: device capacity "
-                         "exhausted");
-            return nullptr;
-        }
-    }
-    PimDataObject *raw = obj.get();
-    objects_.insert(std::move(obj));
-    ++next_id_;
-    return raw;
+    return create(ref.numElements(), data_type, ref.isVLayout(),
+                  ref.firstCore(), quiet_exhaustion,
+                  "pimAllocAssociated: device capacity exhausted");
 }
 
 bool
@@ -378,10 +413,8 @@ PimResourceMgr::freeElided(PimObjId id)
 void
 PimResourceMgr::releaseRows(const PimDataObject &obj)
 {
-    for (const auto &region : obj.regions()) {
-        row_allocators_[region.core_id].release(region.row_offset,
-                                                region.num_rows);
-    }
+    for (const PimRowSpan &span : obj.spans())
+        releaseSpan(span);
 }
 
 void
@@ -401,17 +434,17 @@ double
 PimResourceMgr::utilization() const
 {
     const uint64_t rows_per_core = config_.rowsPerCore();
-    uint64_t total = 0, used = 0;
-    for (const auto &alloc : row_allocators_) {
-        total += rows_per_core;
-        used += rows_per_core - alloc.freeRows();
-    }
+    const uint64_t total = num_cores_ * rows_per_core;
+    uint64_t used = 0;
+    for (auto it = runs_.begin(); it != runs_.end(); ++it)
+        used += (runEnd(it) - it->first) *
+                (rows_per_core - it->second.freeRows());
     // Rows parked in the free-list are available capacity, not live
     // allocations (the cache is flushed whenever placement needs it).
     for (const auto &[key, bucket] : free_list_) {
         for (const auto &obj : bucket) {
-            for (const auto &region : obj->regions())
-                used -= region.num_rows;
+            for (const PimRowSpan &span : obj->spans())
+                used -= span.num_cores * span.num_rows;
         }
     }
     return total == 0 ? 0.0

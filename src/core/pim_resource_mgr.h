@@ -3,21 +3,36 @@
  * PIM resource manager: object allocation, placement, and tracking
  * (paper Section V-A).
  *
- * Objects are spread across all PIM cores to maximize parallelism.
- * Rows within each core are managed with a first-fit interval
- * allocator so that objects can be freed and reallocated throughout a
- * benchmark (e.g., per-iteration temporaries in K-means).
+ * Objects are spread across all PIM cores to maximize parallelism,
+ * each from a first core that rotates per allocation. Rows are handed
+ * out first-fit so that objects can be freed and reallocated
+ * throughout a benchmark (e.g., per-iteration temporaries in K-means).
+ *
+ * The cores are kept as runs: maximal ranges of neighbouring cores
+ * whose free rows are identical, each owning one shared first-fit
+ * allocator. An object's cores form at most four ranges that need one
+ * row count each (the wrap past the last core and the cores holding
+ * one extra element cut them), so an allocation splits runs only at
+ * those range ends and first-fits once per run; a free releases each
+ * of the object's row spans and merges neighbouring runs that became
+ * equal. Every core of a run has seen the same allocations and
+ * releases, so each first-fit decision, each capacity failure and the
+ * utilization equal those of one allocator per core, at a cost that
+ * follows the number of runs rather than the number of cores.
  *
  * pimAllocAssociated() clones the element distribution of a reference
- * object so corresponding elements of both objects land in the same
- * core — the precondition for element-wise SIMD commands.
+ * object (its first core) so corresponding elements of both objects
+ * land in the same core — the precondition for element-wise SIMD
+ * commands.
  */
 
 #ifndef PIMEVAL_CORE_PIM_RESOURCE_MGR_H_
 #define PIMEVAL_CORE_PIM_RESOURCE_MGR_H_
 
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -27,7 +42,8 @@
 namespace pimeval {
 
 /**
- * First-fit row interval allocator for one PIM core.
+ * First-fit row interval allocator for one PIM core, or for a run of
+ * cores that share their free rows.
  */
 class RowAllocator
 {
@@ -48,6 +64,10 @@ class RowAllocator
 
     /** Largest single free extent. */
     uint64_t largestFreeExtent() const;
+
+    /** Same free rows. Intervals are kept merged, so equal free rows
+     *  mean equal interval maps. */
+    bool operator==(const RowAllocator &) const = default;
 
   private:
     uint64_t num_rows_;
@@ -174,17 +194,48 @@ class PimResourceMgr
     void flushFreeList();
 
   private:
-    /** Rows one region needs for @p elems elements of @p bits. */
+    /** Core runs: first core -> the allocator its run shares. A run
+     *  ends where the next one begins, the last at the core count. */
+    using Runs = std::map<uint64_t, RowAllocator>;
+
+    /** Rows one core needs for @p elems elements of @p bits
+     *  (UINT64_MAX when the count would not fit in 64 bits). */
     uint64_t rowsForRegion(uint64_t elems, unsigned bits,
                            bool v_layout) const;
 
-    /** Build a balanced element distribution across cores. */
-    std::vector<uint64_t> balancedSplit(uint64_t num_elements) const;
+    /**
+     * Place the rows of an object whose element 0 sits on
+     * @p first_core, or leave every core as it was and return
+     * nullopt when some core lacks them.
+     */
+    std::optional<PimPlacement> place(uint64_t num_elements,
+                                      unsigned bits, bool v_layout,
+                                      uint64_t first_core);
 
-    /** Place regions for the given per-core element counts. */
-    bool placeRegions(PimDataObject &obj,
-                      const std::vector<std::pair<uint64_t, uint64_t>>
-                          &core_elem_counts);
+    /** Place and register a new object, flushing the free list and
+     *  retrying once when rows are short; on failure logs
+     *  @p exhausted (unless @p quiet) and returns nullptr. */
+    PimDataObject *create(uint64_t num_elements, PimDataType data_type,
+                          bool v_layout, uint64_t first_core,
+                          bool quiet, const char *exhausted);
+
+    /** The run starting at @p core, split off the run holding it
+     *  (end() for the core count). */
+    Runs::iterator splitAt(uint64_t core);
+
+    /** One past the last core of run @p it. */
+    uint64_t runEnd(Runs::const_iterator it) const
+    {
+        const auto next = std::next(it);
+        return next == runs_.end() ? num_cores_ : next->first;
+    }
+
+    /** Merge each run starting in [begin, end] into its predecessor
+     *  when their free rows are equal. */
+    void coalesce(uint64_t begin, uint64_t end);
+
+    /** Return a span's rows on every core it covers. */
+    void releaseSpan(const PimRowSpan &span);
 
     /** Free-list bucket key: objects of one storage shape. */
     using FreeKey = std::tuple<uint64_t, unsigned, bool>;
@@ -198,9 +249,9 @@ class PimResourceMgr
     /**
      * Pop a cached object of the given shape, recycle its identity,
      * and re-register it as live. @p ref, when given, restricts the
-     * match to objects whose region distribution mirrors the
-     * reference (the pimAllocAssociated contract). Returns nullptr on
-     * miss.
+     * match to objects with the reference's first core, i.e. its
+     * element distribution (the pimAllocAssociated contract). Returns
+     * nullptr on miss.
      */
     PimDataObject *takeFromFreeList(uint64_t num_elements,
                                     unsigned bits, bool v_layout,
@@ -211,11 +262,12 @@ class PimResourceMgr
     void releaseRows(const PimDataObject &obj);
 
     PimDeviceConfig config_;
+    uint64_t num_cores_;
     PimObjId next_id_ = 0;
     /** Rotating start core for small-object spreading. */
     uint64_t next_core_ = 0;
     PimObjectTable objects_;
-    std::vector<RowAllocator> row_allocators_; ///< one per core
+    Runs runs_;
     /**
      * Freed objects kept whole (storage + row placement) for
      * same-shape reallocation — PIMbench apps alloc/free identical

@@ -2,17 +2,23 @@
  * @file
  * Tests of the resource manager: the row interval allocator, object
  * placement across cores, associated allocation, free/reuse cycles,
- * capacity exhaustion, and the id -> object table.
+ * capacity exhaustion, the id -> object table, and a differential
+ * check of run-based placement against one allocator per core.
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "core/pim_api.h"
+#include "core/pim_error.h"
 #include "core/pim_resource_mgr.h"
 #include "util/logging.h"
 #include "util/prng.h"
@@ -33,6 +39,276 @@ tinyConfig(PimDeviceEnum device)
     config.num_cols_per_row = 128;
     return config;
 }
+
+/** What one core holds of an object. */
+struct CoreRegion
+{
+    uint64_t core = 0;
+    uint64_t row_offset = 0;
+    uint64_t num_rows = 0;
+    uint64_t elem_offset = 0;
+    uint64_t num_elements = 0;
+
+    bool operator==(const CoreRegion &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CoreRegion &r)
+{
+    return os << "{core " << r.core << ", rows " << r.row_offset << "+"
+              << r.num_rows << ", elems " << r.elem_offset << "+"
+              << r.num_elements << "}";
+}
+
+/**
+ * An object's placement core by core, in element order: the balanced
+ * split from its first core, with each core's rows looked up in the
+ * span covering it. Every span core must hold elements, and no core
+ * may sit in two spans.
+ */
+std::vector<CoreRegion>
+expandRegions(const PimDataObject &obj, uint64_t cores)
+{
+    std::map<uint64_t, const PimRowSpan *> span_of;
+    for (const PimRowSpan &span : obj.spans()) {
+        for (uint64_t c = span.core_begin;
+             c < span.core_begin + span.num_cores; ++c) {
+            EXPECT_TRUE(span_of.emplace(c, &span).second)
+                << "core " << c << " is in two spans";
+        }
+    }
+    const uint64_t n = obj.numElements();
+    std::vector<CoreRegion> regions;
+    uint64_t elem_offset = 0;
+    for (uint64_t i = 0; i < std::min(n, cores); ++i) {
+        CoreRegion region;
+        region.core = (obj.firstCore() + i) % cores;
+        region.elem_offset = elem_offset;
+        region.num_elements = n / cores + (i < n % cores ? 1 : 0);
+        const auto it = span_of.find(region.core);
+        if (it == span_of.end()) {
+            ADD_FAILURE() << "core " << region.core << " holds no rows";
+        } else {
+            region.row_offset = it->second->row_offset;
+            region.num_rows = it->second->num_rows;
+        }
+        elem_offset += region.num_elements;
+        regions.push_back(region);
+    }
+    EXPECT_EQ(span_of.size(), regions.size())
+        << "spans cover cores that hold no elements";
+    return regions;
+}
+
+/** Largest element count of any core, by scanning the expansion. */
+uint64_t
+scanMaxElements(const std::vector<CoreRegion> &regions)
+{
+    uint64_t max_elems = 0;
+    for (const CoreRegion &region : regions)
+        max_elems = std::max(max_elems, region.num_elements);
+    return max_elems;
+}
+
+/**
+ * Object placement with one first-fit RowAllocator per core: balanced
+ * regions from a first core that rotates per allocation, placed all
+ * or nothing, with up to 16 freed objects parked whole for same-shape
+ * reuse and flushed when placement fails. PimResourceMgr must make
+ * every decision this reference makes.
+ */
+class PerCoreReference
+{
+  public:
+    struct Object
+    {
+        PimObjId id = -1;
+        uint64_t num_elements = 0;
+        unsigned bits = 0;
+        bool v_layout = false;
+        std::vector<CoreRegion> regions;
+    };
+
+    explicit PerCoreReference(const PimDeviceConfig &config)
+        : config_(config), cores_(config.numCores()),
+          allocators_(cores_, RowAllocator(config.rowsPerCore()))
+    {
+    }
+
+    /** The new (or recycled) object; nullopt when capacity is
+     *  exhausted. */
+    std::optional<Object> alloc(uint64_t n, unsigned bits, bool v_layout)
+    {
+        if (auto hit = takeFromFreeList(n, bits, v_layout, nullptr))
+            return hit;
+        std::vector<std::pair<uint64_t, uint64_t>> counts;
+        for (uint64_t c = 0; c < cores_; ++c) {
+            const uint64_t elems = n / cores_ + (c < n % cores_ ? 1 : 0);
+            if (elems > 0)
+                counts.emplace_back((next_core_ + c) % cores_, elems);
+        }
+        next_core_ = (next_core_ + counts.size()) % cores_;
+        return create(n, bits, v_layout, counts);
+    }
+
+    std::optional<Object> allocAssociated(const Object &ref,
+                                          unsigned bits)
+    {
+        if (auto hit = takeFromFreeList(ref.num_elements, bits,
+                                        ref.v_layout, &ref))
+            return hit;
+        std::vector<std::pair<uint64_t, uint64_t>> counts;
+        for (const CoreRegion &region : ref.regions)
+            counts.emplace_back(region.core, region.num_elements);
+        return create(ref.num_elements, bits, ref.v_layout, counts);
+    }
+
+    void free(PimObjId id)
+    {
+        Object obj = std::move(live_.extract(id).mapped());
+        if (parked_ < kMaxParked) {
+            free_list_[{obj.num_elements, obj.bits, obj.v_layout}]
+                .push_back(std::move(obj));
+            ++parked_;
+        } else {
+            release(obj);
+        }
+    }
+
+    double utilization() const
+    {
+        const uint64_t rows_per_core = config_.rowsPerCore();
+        uint64_t total = 0, used = 0;
+        for (const RowAllocator &alloc : allocators_) {
+            total += rows_per_core;
+            used += rows_per_core - alloc.freeRows();
+        }
+        for (const auto &[key, bucket] : free_list_) {
+            for (const Object &obj : bucket) {
+                for (const CoreRegion &region : obj.regions)
+                    used -= region.num_rows;
+            }
+        }
+        return total == 0 ? 0.0
+                          : static_cast<double>(used) /
+                              static_cast<double>(total);
+    }
+
+    size_t numObjects() const { return live_.size(); }
+
+  private:
+    using FreeKey = std::tuple<uint64_t, unsigned, bool>;
+    static constexpr size_t kMaxParked = 16;
+
+    uint64_t rowsFor(uint64_t elems, unsigned bits, bool v_layout) const
+    {
+        const uint64_t cols = config_.colsPerCore();
+        if (v_layout)
+            return (elems + cols - 1) / cols * bits;
+        const uint64_t per_row = std::max<uint64_t>(1, cols / bits);
+        return (elems + per_row - 1) / per_row;
+    }
+
+    bool placeRegions(
+        Object &obj,
+        const std::vector<std::pair<uint64_t, uint64_t>> &counts)
+    {
+        obj.regions.clear();
+        uint64_t elem_offset = 0;
+        for (const auto &[core, elems] : counts) {
+            const uint64_t rows = rowsFor(elems, obj.bits, obj.v_layout);
+            const uint64_t offset = allocators_[core].allocate(rows);
+            if (offset == UINT64_MAX) {
+                release(obj);
+                obj.regions.clear();
+                return false;
+            }
+            obj.regions.push_back(
+                {core, offset, rows, elem_offset, elems});
+            elem_offset += elems;
+        }
+        return true;
+    }
+
+    std::optional<Object>
+    create(uint64_t n, unsigned bits, bool v_layout,
+           const std::vector<std::pair<uint64_t, uint64_t>> &counts)
+    {
+        Object obj{next_id_, n, bits, v_layout, {}};
+        if (!placeRegions(obj, counts)) {
+            const bool flushed = parked_ > 0;
+            if (flushed)
+                flushFreeList();
+            if (!flushed || !placeRegions(obj, counts))
+                return std::nullopt;
+        }
+        ++next_id_;
+        return live_[obj.id] = obj;
+    }
+
+    std::optional<Object> takeFromFreeList(uint64_t n, unsigned bits,
+                                           bool v_layout,
+                                           const Object *ref)
+    {
+        const auto bucket = free_list_.find({n, bits, v_layout});
+        if (bucket == free_list_.end())
+            return std::nullopt;
+        std::vector<Object> &cached = bucket->second;
+        size_t pick = cached.size();
+        for (size_t i = cached.size(); i-- > 0;) {
+            bool match = ref == nullptr;
+            if (!match && cached[i].regions.size() == ref->regions.size()) {
+                match = true;
+                for (size_t r = 0; r < ref->regions.size(); ++r) {
+                    match = match &&
+                        cached[i].regions[r].core ==
+                            ref->regions[r].core &&
+                        cached[i].regions[r].num_elements ==
+                            ref->regions[r].num_elements;
+                }
+            }
+            if (match) {
+                pick = i;
+                break;
+            }
+        }
+        if (pick == cached.size())
+            return std::nullopt;
+        Object obj = std::move(cached[pick]);
+        cached.erase(cached.begin() + static_cast<std::ptrdiff_t>(pick));
+        if (cached.empty())
+            free_list_.erase(bucket);
+        --parked_;
+        obj.id = next_id_++;
+        return live_[obj.id] = obj;
+    }
+
+    void release(const Object &obj)
+    {
+        for (const CoreRegion &region : obj.regions)
+            allocators_[region.core].release(region.row_offset,
+                                             region.num_rows);
+    }
+
+    void flushFreeList()
+    {
+        for (const auto &[key, bucket] : free_list_) {
+            for (const Object &obj : bucket)
+                release(obj);
+        }
+        free_list_.clear();
+        parked_ = 0;
+    }
+
+    PimDeviceConfig config_;
+    uint64_t cores_;
+    std::vector<RowAllocator> allocators_;
+    uint64_t next_core_ = 0;
+    PimObjId next_id_ = 0;
+    std::map<PimObjId, Object> live_;
+    std::map<FreeKey, std::vector<Object>> free_list_;
+    size_t parked_ = 0;
+};
 
 } // namespace
 
@@ -87,12 +363,13 @@ TEST(ResourceMgr, VerticalPlacementGeometry)
     ASSERT_NE(obj, nullptr);
     EXPECT_EQ(obj->numCoresUsed(), 4u);
     EXPECT_EQ(obj->maxElementsPerRegion(), 125u);
-    for (const auto &region : obj->regions())
+    const auto regions = expandRegions(*obj, config.numCores());
+    for (const auto &region : regions)
         EXPECT_EQ(region.num_rows, 32u);
 
     // Element offsets must tile the object contiguously.
     uint64_t expected_offset = 0;
-    for (const auto &region : obj->regions()) {
+    for (const auto &region : regions) {
         EXPECT_EQ(region.elem_offset, expected_offset);
         expected_offset += region.num_elements;
     }
@@ -108,60 +385,132 @@ TEST(ResourceMgr, HorizontalPlacementGeometry)
     PimDataObject *obj = mgr.alloc(100, PimDataType::PIM_INT32, false);
     ASSERT_NE(obj, nullptr);
     EXPECT_EQ(obj->numCoresUsed(), 2u);
-    for (const auto &region : obj->regions())
+    for (const auto &region : expandRegions(*obj, config.numCores()))
         EXPECT_EQ(region.num_rows, 13u);
 }
 
+namespace {
+
+/**
+ * Placement shapes on the 4-core tiny bit-serial device. A first
+ * allocation of @c rotate elements moves the start core to
+ * rotate mod 4 before the object of @c n elements is placed.
+ */
+struct GeometryCase
+{
+    uint64_t rotate;
+    uint64_t n;
+    uint64_t max_elems; ///< ceil(n / 4)
+};
+
+constexpr GeometryCase kGeometryCases[] = {
+    {0, 301, 76}, // n > C with a remainder: one core holds 76
+    {0, 4, 1},    // n == C
+    {0, 300, 75}, // n > C without a remainder
+    {0, 3, 1},    // n < C
+    {3, 3, 1},    // wraps: cores 3, 0, 1
+    {3, 6, 2},    // wraps with a remainder: cores 3, 0 hold 2
+    {2, 301, 76}, // wraps with a remainder, n > C
+};
+
+} // namespace
+
 TEST(ResourceMgr, AssociatedMatchesReferenceDistribution)
 {
-    const auto config =
-        tinyConfig(PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP);
-    PimResourceMgr mgr(config);
-    PimDataObject *ref = mgr.alloc(301, PimDataType::PIM_INT32, true);
-    ASSERT_NE(ref, nullptr);
-    PimDataObject *assoc =
-        mgr.allocAssociated(*ref, PimDataType::PIM_INT16);
-    ASSERT_NE(assoc, nullptr);
-    ASSERT_EQ(assoc->regions().size(), ref->regions().size());
-    for (size_t i = 0; i < ref->regions().size(); ++i) {
-        EXPECT_EQ(assoc->regions()[i].core_id,
-                  ref->regions()[i].core_id);
-        EXPECT_EQ(assoc->regions()[i].num_elements,
-                  ref->regions()[i].num_elements);
+    // 128 rows per core hold every object each case places.
+    auto config = tinyConfig(PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP);
+    config.num_rows_per_subarray = 128;
+    const uint64_t cores = config.numCores();
+    for (const GeometryCase &c : kGeometryCases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rotate " << c.rotate << ", n " << c.n);
+        PimResourceMgr mgr(config);
+        if (c.rotate > 0) {
+            ASSERT_NE(mgr.alloc(c.rotate, PimDataType::PIM_INT8, true),
+                      nullptr);
+        }
+        PimDataObject *ref =
+            mgr.alloc(c.n, PimDataType::PIM_INT32, true);
+        ASSERT_NE(ref, nullptr);
+        EXPECT_EQ(ref->firstCore(), c.rotate % cores);
+        PimDataObject *assoc =
+            mgr.allocAssociated(*ref, PimDataType::PIM_INT16);
+        ASSERT_NE(assoc, nullptr);
+        EXPECT_EQ(assoc->firstCore(), ref->firstCore());
+        EXPECT_EQ(assoc->maxElementsPerRegion(), c.max_elems);
+        EXPECT_EQ(assoc->numCoresUsed(), std::min(c.n, cores));
+
+        const auto want = expandRegions(*ref, cores);
+        const auto got = expandRegions(*assoc, cores);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].core, want[i].core);
+            EXPECT_EQ(got[i].elem_offset, want[i].elem_offset);
+            EXPECT_EQ(got[i].num_elements, want[i].num_elements);
+        }
+
+        // A free-list hit must keep the distribution: with a parked
+        // same-shape object from another first core on top of the
+        // bucket, the hit is the associated object itself.
+        if ((ref->firstCore() + ref->numCoresUsed()) % cores ==
+            ref->firstCore()) {
+            ASSERT_NE(mgr.alloc(1, PimDataType::PIM_BOOL, true),
+                      nullptr);
+        }
+        PimDataObject *other =
+            mgr.alloc(c.n, PimDataType::PIM_INT16, true);
+        ASSERT_NE(other, nullptr);
+        EXPECT_NE(other->firstCore(), ref->firstCore());
+        EXPECT_TRUE(mgr.free(assoc->id()));
+        EXPECT_TRUE(mgr.free(other->id()));
+        PimDataObject *hit =
+            mgr.allocAssociated(*ref, PimDataType::PIM_INT16);
+        ASSERT_EQ(hit, assoc);
+        EXPECT_EQ(hit->firstCore(), ref->firstCore());
+        EXPECT_EQ(expandRegions(*hit, cores), got);
     }
 }
 
 TEST(ResourceMgr, StoredMaxRegionMatchesScan)
 {
-    // The largest region is stored at placement; it must agree with a
-    // scan over regions() for fresh, associated and recycled objects.
-    const auto scan = [](const PimDataObject &obj) {
-        uint64_t max_elems = 0;
-        for (const auto &region : obj.regions())
-            max_elems = std::max(max_elems, region.num_elements);
-        return max_elems;
-    };
+    // maxElementsPerRegion() and numCoresUsed() follow from n and the
+    // core count; they must agree with a scan of the per-core
+    // placement for fresh, associated and recycled objects.
     const auto config =
         tinyConfig(PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP);
-    PimResourceMgr mgr(config);
-    // 301 elements over 4 cores: one region holds 76, the rest 75.
-    PimDataObject *obj = mgr.alloc(301, PimDataType::PIM_INT32, true);
-    ASSERT_NE(obj, nullptr);
-    EXPECT_EQ(obj->maxElementsPerRegion(), 76u);
-    EXPECT_EQ(obj->maxElementsPerRegion(), scan(*obj));
+    const uint64_t cores = config.numCores();
+    for (const GeometryCase &c : kGeometryCases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rotate " << c.rotate << ", n " << c.n);
+        PimResourceMgr mgr(config);
+        if (c.rotate > 0) {
+            ASSERT_NE(mgr.alloc(c.rotate, PimDataType::PIM_INT8, true),
+                      nullptr);
+        }
+        PimDataObject *obj =
+            mgr.alloc(c.n, PimDataType::PIM_INT32, true);
+        ASSERT_NE(obj, nullptr);
+        const auto regions = expandRegions(*obj, cores);
+        EXPECT_EQ(obj->maxElementsPerRegion(), c.max_elems);
+        EXPECT_EQ(obj->maxElementsPerRegion(), scanMaxElements(regions));
+        EXPECT_EQ(obj->numCoresUsed(), regions.size());
 
-    PimDataObject *assoc =
-        mgr.allocAssociated(*obj, PimDataType::PIM_INT16);
-    ASSERT_NE(assoc, nullptr);
-    EXPECT_EQ(assoc->maxElementsPerRegion(), scan(*assoc));
+        PimDataObject *assoc =
+            mgr.allocAssociated(*obj, PimDataType::PIM_INT16);
+        ASSERT_NE(assoc, nullptr);
+        const auto assoc_regions = expandRegions(*assoc, cores);
+        EXPECT_EQ(assoc->maxElementsPerRegion(),
+                  scanMaxElements(assoc_regions));
+        EXPECT_EQ(assoc->numCoresUsed(), assoc_regions.size());
 
-    // A free-list hit hands back the same object, placement intact.
-    EXPECT_TRUE(mgr.free(obj->id()));
-    PimDataObject *recycled =
-        mgr.alloc(301, PimDataType::PIM_INT32, true);
-    ASSERT_EQ(recycled, obj);
-    EXPECT_EQ(recycled->maxElementsPerRegion(), 76u);
-    EXPECT_EQ(recycled->maxElementsPerRegion(), scan(*recycled));
+        // A free-list hit hands back the same object, placement intact.
+        EXPECT_TRUE(mgr.free(obj->id()));
+        PimDataObject *recycled =
+            mgr.alloc(c.n, PimDataType::PIM_INT32, true);
+        ASSERT_EQ(recycled, obj);
+        EXPECT_EQ(recycled->maxElementsPerRegion(), c.max_elems);
+        EXPECT_EQ(expandRegions(*recycled, cores), regions);
+    }
 }
 
 TEST(ResourceMgr, FreeReuseAndUnknownIds)
@@ -196,6 +545,41 @@ TEST(ResourceMgr, CapacityExhaustionAndRollback)
     // ...without leaking rows from the failed attempt.
     EXPECT_TRUE(mgr.free(big->id()));
     EXPECT_NE(mgr.alloc(1024, PimDataType::PIM_INT32, true), nullptr);
+
+    // Through the C API on the serve workload's 8-core Fulcrum device,
+    // requests far past capacity fail before any host storage is
+    // sized: none may throw, and none may touch gigabytes of memory.
+    PimDeviceConfig serve_device;
+    serve_device.device = PimDeviceEnum::PIM_DEVICE_FULCRUM;
+    serve_device.num_ranks = 1;
+    serve_device.num_banks_per_rank = 4;
+    serve_device.num_subarrays_per_bank = 4;
+    serve_device.num_rows_per_subarray = 256;
+    serve_device.num_cols_per_row = 256;
+    LogConfig::setThreshold(LogLevel::Error);
+    ASSERT_EQ(pimCreateDeviceFromConfig(serve_device), PimStatus::PIM_OK);
+    const auto peakRssKb = [] {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        return usage.ru_maxrss;
+    };
+    const long rss_before_kb = peakRssKb();
+    for (const uint64_t n : {1ull << 40, 1ull << 61, 1ull << 28}) {
+        SCOPED_TRACE(::testing::Message() << "n = " << n);
+        pimClearLastError();
+        EXPECT_EQ(pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                           PimDataType::PIM_INT32),
+                  -1);
+        EXPECT_EQ(pimGetLastError(), PimStatus::PIM_ERROR);
+        EXPECT_STREQ(pimGetLastErrorMessage(),
+                     "pimAlloc: device capacity exhausted");
+    }
+    EXPECT_LT(peakRssKb() - rss_before_kb, 256l << 10);
+    const PimObjId id = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, 4096, 32,
+                                 PimDataType::PIM_INT32);
+    EXPECT_GE(id, 0);
+    EXPECT_EQ(pimFree(id), PimStatus::PIM_OK);
+    EXPECT_EQ(pimDeleteDevice(), PimStatus::PIM_OK);
 }
 
 TEST(ResourceMgr, ManySmallObjectsChurn)
@@ -231,7 +615,7 @@ TEST(ObjectTable, EraseShiftsChainsThatWrap)
     std::map<PimObjId, PimDataObject *> ref;
     for (const PimObjId id : ids) {
         auto obj = std::make_unique<PimDataObject>(
-            id, 1, PimDataType::PIM_INT32, false);
+            id, 1, PimDataType::PIM_INT32, false, PimPlacement{});
         ref[id] = obj.get();
         table.insert(std::move(obj));
     }
@@ -351,6 +735,133 @@ TEST(ResourceMgr, ObjectTableMatchesMapUnderRandomChurn)
         kill(false);
     EXPECT_EQ(mgr.numObjects(), 0u);
     EXPECT_EQ(mgr.utilization(), 0.0);
+}
+
+namespace {
+
+/**
+ * Run a seeded trace of alloc / allocAssociated / free / freeElided
+ * against PimResourceMgr and PerCoreReference together, checking op
+ * by op that both succeed or fail alike and agree on the per-core
+ * placement of each new object, utilization() and numObjects().
+ * Phases of kPhase steps alternately fill the device and drain it.
+ * Returns {allocations, capacity failures}.
+ */
+std::pair<size_t, size_t>
+runPlacementTrace(const PimDeviceConfig &config, uint64_t seed)
+{
+    constexpr int kSteps = 4000;
+    constexpr int kPhase = 250;
+    constexpr PimDataType kTypes[] = {
+        PimDataType::PIM_BOOL,   PimDataType::PIM_INT8,
+        PimDataType::PIM_INT16,  PimDataType::PIM_INT32,
+        PimDataType::PIM_INT64,  PimDataType::PIM_UINT8,
+        PimDataType::PIM_UINT16, PimDataType::PIM_UINT32,
+        PimDataType::PIM_UINT64,
+    };
+    const uint64_t cores = config.numCores();
+    const bool native_v =
+        config.device == PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP;
+    PimResourceMgr mgr(config);
+    PerCoreReference ref(config);
+    Prng rng(seed);
+    std::vector<std::pair<PimDataObject *, PerCoreReference::Object>>
+        live;
+    size_t allocs = 0, failures = 0;
+    const auto check = [&](PimDataObject *got,
+                           std::optional<PerCoreReference::Object> want) {
+        ++allocs;
+        EXPECT_EQ(got != nullptr, want.has_value());
+        if (!got || !want) {
+            ++failures;
+            return;
+        }
+        EXPECT_EQ(got->id(), want->id);
+        EXPECT_EQ(expandRegions(*got, cores), want->regions);
+        live.emplace_back(got, std::move(*want));
+    };
+    for (int step = 0; step < kSteps; ++step) {
+        const bool filling = (step / kPhase) % 2 == 0;
+        const int64_t r = rng.nextInt(0, 99);
+        const PimDataType type =
+            kTypes[rng.nextInt(0, std::size(kTypes) - 1)];
+        const unsigned bits = pimBitsOfDataType(type);
+        const auto pick = [&] {
+            return static_cast<size_t>(
+                rng.nextInt(0, static_cast<int64_t>(live.size()) - 1));
+        };
+        if (live.empty() || r < (filling ? 50 : 20)) {
+            const auto n = static_cast<uint64_t>(
+                rng.nextInt(1, 4 * static_cast<int64_t>(cores)));
+            const bool v_layout =
+                rng.nextInt(0, 3) == 0 ? !native_v : native_v;
+            check(mgr.alloc(n, type, v_layout, true),
+                  ref.alloc(n, bits, v_layout));
+        } else if (r < (filling ? 75 : 30)) {
+            const auto &[obj, want] = live[pick()];
+            check(mgr.allocAssociated(*obj, type, true),
+                  ref.allocAssociated(want, bits));
+        } else {
+            const size_t i = pick();
+            const PimObjId id = live[i].first->id();
+            EXPECT_TRUE(r % 2 == 0 ? mgr.freeElided(id) : mgr.free(id));
+            ref.free(id);
+            live[i] = std::move(live.back());
+            live.pop_back();
+        }
+        EXPECT_EQ(mgr.utilization(), ref.utilization());
+        EXPECT_EQ(mgr.numObjects(), ref.numObjects());
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "first mismatch at step " << step;
+            break;
+        }
+    }
+    while (!live.empty() && !::testing::Test::HasFailure()) {
+        const PimObjId id = live.back().first->id();
+        EXPECT_TRUE(mgr.free(id));
+        ref.free(id);
+        live.pop_back();
+        EXPECT_EQ(mgr.utilization(), ref.utilization());
+    }
+    EXPECT_EQ(mgr.utilization(), 0.0);
+    return {allocs, failures};
+}
+
+} // namespace
+
+TEST(ResourceMgr, PlacementMatchesPerCoreAllocators)
+{
+    // A 16-core bit-serial device (vertical layout native) and an
+    // 8-core Fulcrum device (horizontal), both small enough that the
+    // fill phases run out of rows; a quarter of the allocations take
+    // the other layout.
+    PimDeviceConfig bitserial =
+        tinyConfig(PimDeviceEnum::PIM_DEVICE_BITSIMD_V_AP);
+    bitserial.num_banks_per_rank = 4;
+    bitserial.num_subarrays_per_bank = 4;
+    bitserial.num_rows_per_subarray = 256;
+    bitserial.num_cols_per_row = 16;
+    PimDeviceConfig fulcrum = tinyConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM);
+    fulcrum.num_banks_per_rank = 4;
+    fulcrum.num_subarrays_per_bank = 4;
+    fulcrum.num_rows_per_subarray = 64;
+    fulcrum.num_cols_per_row = 64;
+    ASSERT_EQ(bitserial.numCores(), 16u);
+    ASSERT_EQ(fulcrum.numCores(), 8u);
+
+    for (const PimDeviceConfig &config : {bitserial, fulcrum}) {
+        for (const uint64_t seed : {1, 2, 3, 4, 5}) {
+            SCOPED_TRACE(::testing::Message()
+                         << pimDeviceName(config.device) << ", seed "
+                         << seed);
+            const auto [allocs, failures] =
+                runPlacementTrace(config, seed);
+            ASSERT_FALSE(::testing::Test::HasFailure());
+            // At least 5% of the allocations run out of capacity.
+            EXPECT_GE(failures * 20, allocs)
+                << failures << " of " << allocs << " failed";
+        }
+    }
 }
 
 TEST(ResourceMgr, DoubleFreeThroughApiFails)
