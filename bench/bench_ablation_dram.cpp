@@ -70,16 +70,19 @@ main()
              "2 channels shared"});
         struct Variant
         {
-            bool timed;
+            PimMemBackend backend;
             uint64_t channels;
         };
-        const Variant variants[] = {{false, 0}, {true, 4}, {true, 2}};
+        const Variant variants[] = {
+            {PimMemBackend::PIM_MEM_BACKEND_DEFAULT, 0},
+            {PimMemBackend::PIM_MEM_BACKEND_CYCLE, 4},
+            {PimMemBackend::PIM_MEM_BACKEND_CYCLE, 2}};
 
         std::vector<std::vector<double>> rows(apps.size());
         for (const auto &variant : variants) {
             PimDeviceConfig config =
                 benchConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM, 32);
-            config.use_dram_timing = variant.timed;
+            config.mem_backend = variant.backend;
             config.num_channels = variant.channels;
             DeviceSession session(config);
             if (!session.ok())

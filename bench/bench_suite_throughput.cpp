@@ -908,7 +908,7 @@ main()
              << "    \"default_backend\": \""
              << pimMemBackendName(
                     pimeval::MemTimingBackend::resolve(
-                        PimMemBackend::PIM_MEM_BACKEND_DEFAULT, false))
+                        PimMemBackend::PIM_MEM_BACKEND_DEFAULT))
              << "\",\n"
              << "    \"cycle_channel\": {\"utilization\": "
              << channel_telemetry.util

@@ -34,8 +34,8 @@ PerfEnergyModel::PerfEnergyModel(const PimDeviceConfig &config)
         static_cast<uint32_t>(config_.num_cols_per_row / 8);
     topology.addr_map = config_.addr_map;
     topology.flat_bw_bytes_per_sec = config_.hostBandwidthBytesPerSec();
-    const PimMemBackend kind = MemTimingBackend::resolve(
-        config_.mem_backend, config_.use_dram_timing);
+    const PimMemBackend kind =
+        MemTimingBackend::resolve(config_.mem_backend);
     mem_backend_ = MemTimingBackend::create(kind, topology);
     switch (kind) {
       case PimMemBackend::PIM_MEM_BACKEND_CYCLE:

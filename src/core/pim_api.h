@@ -54,8 +54,8 @@ const pimeval::PimDeviceConfig &pimGetDeviceConfig();
  * Resolved memory-timing backend of the active device (docs/
  * PERFORMANCE.md): the implementation costing H2D/D2H transfers.
  * Selection: PimDeviceConfig::mem_backend, else PIMEVAL_MEM_BACKEND
- * (cycle|analytical|lut), else use_dram_timing implies CYCLE, else
- * LUT. Returns PIM_MEM_BACKEND_DEFAULT when no device is active.
+ * (cycle|analytical|lut), else LUT. Returns PIM_MEM_BACKEND_DEFAULT
+ * when no device is active.
  */
 PimMemBackend pimGetMemBackend();
 

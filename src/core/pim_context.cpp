@@ -71,11 +71,3 @@ pimContextMemBackend(PimContext ctx)
         ? ctx->device->model()->memBackendKind()
         : PimMemBackend::PIM_MEM_BACKEND_DEFAULT;
 }
-
-std::map<std::string, pimeval::PimMetricValue>
-pimContextMetrics(PimContext ctx)
-{
-    if (!ctx || !PimSim::instance().validContext(ctx))
-        return {};
-    return pimeval::PimMetrics::instance().snapshotDomain(ctx->id);
-}

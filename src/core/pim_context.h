@@ -27,10 +27,8 @@
 #define PIMEVAL_CORE_PIM_CONTEXT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 
-#include "core/pim_metrics.h"
 #include "core/pim_params.h"
 #include "core/pim_types.h"
 
@@ -88,15 +86,6 @@ PimDeviceEnum pimContextDeviceType(PimContext ctx);
  *  transfers (never PIM_MEM_BACKEND_DEFAULT for a live context;
  *  DEFAULT for nullptr / dead handles). */
 PimMemBackend pimContextMemBackend(PimContext ctx);
-
-/**
- * Snapshot of @p ctx's metric domain: the registry values recorded by
- * threads executing in this context (the process-wide aggregate is
- * pimGetAllMetrics). Empty for nullptr / dead handles, and for
- * contexts beyond the domain-slot capacity (kPimMetricMaxDomains).
- */
-std::map<std::string, pimeval::PimMetricValue>
-pimContextMetrics(PimContext ctx);
 
 namespace pimeval {
 

@@ -167,18 +167,14 @@ sumElements(ThreadPool &pool, const uint64_t *pa, size_t lo, size_t hi,
 PimDevice::PimDevice(const PimDeviceConfig &config, uint32_t ctx_id,
                      const std::string &label)
     : config_(config), ctx_id_(ctx_id ? ctx_id : 1), label_(label),
-      metric_domain_(ctx_id_), resources_(config),
-      model_(PerfEnergyModel::create(config)), cost_memo_(*model_),
-      pool_(0, [slot = metric_domain_.slot] {
-          PimMetrics::setThreadDomain(slot);
-      })
+      resources_(config), model_(PerfEnergyModel::create(config)),
+      cost_memo_(*model_)
 {
     // The thread constructing the device is its issuing thread; label
     // its trace track accordingly. Concurrent contexts each name their
     // own issuing thread.
     PimTracer::instance().setThreadName(
         label_.empty() ? "issue-thread" : label_ + ".issue");
-    PimMetrics::setThreadDomain(metric_domain_.slot);
     stats_.setTraceContext(ctx_id_);
     PimTracer::instance().registerContext(ctx_id_, label_);
     logInfo(strCat("Current Device = PIM_FUNCTIONAL, Simulation Target = ",

@@ -20,7 +20,6 @@
 #include "core/perf_energy_model.h"
 #include "core/pim_data_object.h"
 #include "core/pim_fusion.h"
-#include "core/pim_metrics.h"
 #include "core/pim_params.h"
 #include "core/pim_resource_mgr.h"
 #include "core/pim_stats.h"
@@ -55,11 +54,6 @@ class PimDevice
 
     /** Context label ("" for the default context). */
     const std::string &label() const { return label_; }
-
-    /** This context's metric-domain slot (-1 when the registry ran
-     *  out of slots); threads bound to it record per-context metrics
-     *  alongside the aggregate. */
-    int metricDomain() const { return metric_domain_.slot; }
 
     /**
      * Modeling scale factor (paper-size what-if): functional
@@ -249,36 +243,9 @@ class PimDevice
     size_t executeFusedChain(const std::vector<PimFusedOp> &ops,
                              const PimFusionChain &chain);
 
-    /**
-     * RAII per-context metric-domain slot. Declared right after
-     * ctx_id_/label_ and before every thread-owning member, so the
-     * slot is acquired before any worker can record into it and
-     * released only after pool_ has joined its threads (destruction
-     * is reverse declaration order).
-     */
-    struct MetricDomainLease
-    {
-        explicit MetricDomainLease(uint32_t ctx)
-            : ctx_id(ctx),
-              slot(PimMetrics::instance().acquireDomain(ctx))
-        {
-        }
-        ~MetricDomainLease()
-        {
-            if (slot >= 0)
-                PimMetrics::instance().releaseDomain(ctx_id);
-        }
-        MetricDomainLease(const MetricDomainLease &) = delete;
-        MetricDomainLease &operator=(const MetricDomainLease &) =
-            delete;
-        uint32_t ctx_id;
-        int slot;
-    };
-
     PimDeviceConfig config_;
     uint32_t ctx_id_ = 1;
     std::string label_;
-    MetricDomainLease metric_domain_;
     PimResourceMgr resources_;
     std::unique_ptr<PerfEnergyModel> model_;
     /** Memoized model_->costOp for commit and ranged reductions. */

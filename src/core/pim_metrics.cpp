@@ -14,7 +14,6 @@
 namespace pimeval {
 
 namespace detail {
-constinit thread_local int tls_metric_domain = -1;
 constinit thread_local uint32_t tls_inline_runs = 0;
 } // namespace detail
 
@@ -102,42 +101,42 @@ MetricHistogram::bucketMid(int idx)
 }
 
 void
-MetricHistogram::Bins::record(double v)
+MetricHistogram::record(double v)
 {
-    count.fetch_add(1, std::memory_order_relaxed);
-    buckets[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     // CAS-accumulate the double sum.
-    uint64_t cur = sum_bits.load(std::memory_order_relaxed);
-    while (!sum_bits.compare_exchange_weak(
+    uint64_t cur = sum_bits_.load(std::memory_order_relaxed);
+    while (!sum_bits_.compare_exchange_weak(
         cur, packDouble(unpackDouble(cur) + v),
         std::memory_order_relaxed))
         ;
     // Min/max start at +/-inf, so first samples need no special case.
-    uint64_t min_cur = min_bits.load(std::memory_order_relaxed);
+    uint64_t min_cur = min_bits_.load(std::memory_order_relaxed);
     while (v < unpackDouble(min_cur) &&
-           !min_bits.compare_exchange_weak(min_cur, packDouble(v),
-                                           std::memory_order_relaxed))
+           !min_bits_.compare_exchange_weak(min_cur, packDouble(v),
+                                            std::memory_order_relaxed))
         ;
-    uint64_t max_cur = max_bits.load(std::memory_order_relaxed);
+    uint64_t max_cur = max_bits_.load(std::memory_order_relaxed);
     while (v > unpackDouble(max_cur) &&
-           !max_bits.compare_exchange_weak(max_cur, packDouble(v),
-                                           std::memory_order_relaxed))
+           !max_bits_.compare_exchange_weak(max_cur, packDouble(v),
+                                            std::memory_order_relaxed))
         ;
 }
 
 void
-MetricHistogram::Bins::reset()
+MetricHistogram::reset()
 {
-    count.store(0, std::memory_order_relaxed);
-    sum_bits.store(0, std::memory_order_relaxed);
-    min_bits.store(kPosInfBits, std::memory_order_relaxed);
-    max_bits.store(kNegInfBits, std::memory_order_relaxed);
-    for (auto &b : buckets)
+    count_.store(0, std::memory_order_relaxed);
+    sum_bits_.store(0, std::memory_order_relaxed);
+    min_bits_.store(kPosInfBits, std::memory_order_relaxed);
+    max_bits_.store(kNegInfBits, std::memory_order_relaxed);
+    for (auto &b : buckets_)
         b.store(0, std::memory_order_relaxed);
 }
 
 double
-MetricHistogram::Bins::percentile(double q) const
+MetricHistogram::percentile(double q) const
 {
     // Derive the rank denominator from the bins themselves (not the
     // separately-stored count), so a query racing a reset or a
@@ -145,7 +144,7 @@ MetricHistogram::Bins::percentile(double q) const
     uint64_t cum[kNumBuckets];
     uint64_t total = 0;
     for (int i = 0; i < kNumBuckets; ++i) {
-        total += buckets[i].load(std::memory_order_relaxed);
+        total += buckets_[i].load(std::memory_order_relaxed);
         cum[i] = total;
     }
     if (total == 0)
@@ -160,54 +159,19 @@ MetricHistogram::Bins::percentile(double q) const
     // Clamp to the observed range: exact at the extremes, and the
     // underflow/overflow bins report the true min/max instead of 0 /
     // 2^kMaxExp.
-    const double lo = unpackDouble(min_bits.load(std::memory_order_relaxed));
-    const double hi = unpackDouble(max_bits.load(std::memory_order_relaxed));
+    const double lo =
+        unpackDouble(min_bits_.load(std::memory_order_relaxed));
+    const double hi =
+        unpackDouble(max_bits_.load(std::memory_order_relaxed));
     if (std::isfinite(lo) && std::isfinite(hi) && lo <= hi)
         v = std::clamp(v, lo, hi);
     return v;
 }
 
-MetricHistogram::~MetricHistogram()
-{
-    for (auto &slot : domains_)
-        delete slot.load(std::memory_order_relaxed);
-}
-
-MetricHistogram::Bins *
-MetricHistogram::domainBins(int slot)
-{
-    Bins *b = domains_[slot].load(std::memory_order_acquire);
-    if (b)
-        return b;
-    Bins *fresh = new Bins();
-    if (domains_[slot].compare_exchange_strong(
-            b, fresh, std::memory_order_acq_rel))
-        return fresh;
-    delete fresh; // another thread won the race
-    return b;
-}
-
-const MetricHistogram::Bins *
-MetricHistogram::domainBinsIfAny(int slot) const
-{
-    if (slot < 0 || slot >= kPimMetricMaxDomains)
-        return nullptr;
-    return domains_[slot].load(std::memory_order_acquire);
-}
-
-void
-MetricHistogram::record(double v)
-{
-    agg_.record(v);
-    const int d = detail::tls_metric_domain;
-    if (d >= 0)
-        domainBins(d)->record(v);
-}
-
 double
 MetricHistogram::sum() const
 {
-    return unpackDouble(agg_.sum_bits.load(std::memory_order_relaxed));
+    return unpackDouble(sum_bits_.load(std::memory_order_relaxed));
 }
 
 double
@@ -215,7 +179,7 @@ MetricHistogram::min() const
 {
     if (count() == 0)
         return 0.0;
-    return unpackDouble(agg_.min_bits.load(std::memory_order_relaxed));
+    return unpackDouble(min_bits_.load(std::memory_order_relaxed));
 }
 
 double
@@ -223,79 +187,7 @@ MetricHistogram::max() const
 {
     if (count() == 0)
         return 0.0;
-    return unpackDouble(agg_.max_bits.load(std::memory_order_relaxed));
-}
-
-double
-MetricHistogram::percentile(double q) const
-{
-    return agg_.percentile(q);
-}
-
-uint64_t
-MetricHistogram::countInDomain(int slot) const
-{
-    const Bins *b = domainBinsIfAny(slot);
-    return b ? b->count.load(std::memory_order_relaxed) : 0;
-}
-
-double
-MetricHistogram::sumInDomain(int slot) const
-{
-    const Bins *b = domainBinsIfAny(slot);
-    return b ? unpackDouble(b->sum_bits.load(std::memory_order_relaxed))
-             : 0.0;
-}
-
-double
-MetricHistogram::minInDomain(int slot) const
-{
-    const Bins *b = domainBinsIfAny(slot);
-    if (!b || b->count.load(std::memory_order_relaxed) == 0)
-        return 0.0;
-    return unpackDouble(b->min_bits.load(std::memory_order_relaxed));
-}
-
-double
-MetricHistogram::maxInDomain(int slot) const
-{
-    const Bins *b = domainBinsIfAny(slot);
-    if (!b || b->count.load(std::memory_order_relaxed) == 0)
-        return 0.0;
-    return unpackDouble(b->max_bits.load(std::memory_order_relaxed));
-}
-
-double
-MetricHistogram::meanInDomain(int slot) const
-{
-    const uint64_t n = countInDomain(slot);
-    return n ? sumInDomain(slot) / static_cast<double>(n) : 0.0;
-}
-
-double
-MetricHistogram::percentileInDomain(int slot, double q) const
-{
-    const Bins *b = domainBinsIfAny(slot);
-    return b ? b->percentile(q) : 0.0;
-}
-
-void
-MetricHistogram::reset()
-{
-    agg_.reset();
-    for (auto &slot : domains_) {
-        if (Bins *b = slot.load(std::memory_order_acquire))
-            b->reset();
-    }
-}
-
-void
-MetricHistogram::resetDomain(int slot)
-{
-    if (slot < 0 || slot >= kPimMetricMaxDomains)
-        return;
-    if (Bins *b = domains_[slot].load(std::memory_order_acquire))
-        b->reset();
+    return unpackDouble(max_bits_.load(std::memory_order_relaxed));
 }
 
 // ---------------------------------------------------------------------------
@@ -364,15 +256,10 @@ struct ThreadTallyFlusher
 } // namespace
 
 void
-PimMetrics::setThreadDomain(int slot)
+PimMetrics::armThreadExitPublish()
 {
-    publishThreadTally();
-    // Every thread that issues commands binds a domain first, so this
-    // arms the exit-time publish for each of them (constructed on the
-    // first call only).
+    // Constructed on the thread's first call only.
     static thread_local ThreadTallyFlusher flusher;
-    detail::tls_metric_domain =
-        (slot >= 0 && slot < kPimMetricMaxDomains) ? slot : -1;
 }
 
 bool
@@ -418,23 +305,6 @@ histogramValue(const MetricHistogram &h)
     return v;
 }
 
-PimMetricValue
-histogramDomainValue(const MetricHistogram &h, int slot)
-{
-    PimMetricValue v;
-    v.kind = PimMetricValue::Kind::kHistogram;
-    v.count = h.countInDomain(slot);
-    v.sum = h.sumInDomain(slot);
-    v.min = h.minInDomain(slot);
-    v.max = h.maxInDomain(slot);
-    v.value = h.meanInDomain(slot);
-    v.p50 = h.percentileInDomain(slot, 0.50);
-    v.p90 = h.percentileInDomain(slot, 0.90);
-    v.p99 = h.percentileInDomain(slot, 0.99);
-    v.p999 = h.percentileInDomain(slot, 0.999);
-    return v;
-}
-
 } // namespace
 
 std::map<std::string, PimMetricValue>
@@ -462,96 +332,16 @@ PimMetrics::snapshotAll() const
 }
 
 void
-PimMetrics::resetLocked()
+PimMetrics::reset()
 {
+    publishThreadTally();
+    std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[name, c] : counters_)
         c->reset();
     for (auto &[name, g] : gauges_)
         g->reset();
     for (auto &[name, h] : histograms_)
         h->reset();
-}
-
-void
-PimMetrics::reset()
-{
-    publishThreadTally();
-    std::lock_guard<std::mutex> lock(mutex_);
-    resetLocked();
-}
-
-int
-PimMetrics::acquireDomain(uint64_t ctx_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = domain_of_ctx_.find(ctx_id);
-        it != domain_of_ctx_.end())
-        return it->second;
-    for (int slot = 0; slot < kPimMetricMaxDomains; ++slot) {
-        const uint64_t bit = uint64_t{1} << slot;
-        if (domain_slots_used_ & bit)
-            continue;
-        domain_slots_used_ |= bit;
-        domain_of_ctx_[ctx_id] = slot;
-        return slot;
-    }
-    return -1; // all slots live; context aggregates only
-}
-
-void
-PimMetrics::releaseDomain(uint64_t ctx_id)
-{
-    publishThreadTally();
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = domain_of_ctx_.find(ctx_id);
-    if (it == domain_of_ctx_.end())
-        return;
-    const int slot = it->second;
-    domain_of_ctx_.erase(it);
-    domain_slots_used_ &= ~(uint64_t{1} << slot);
-    // Scrub the slot so the next context reusing it starts clean.
-    for (auto &[name, c] : counters_)
-        c->resetDomain(slot);
-    for (auto &[name, g] : gauges_)
-        g->resetDomain(slot);
-    for (auto &[name, h] : histograms_)
-        h->resetDomain(slot);
-}
-
-int
-PimMetrics::domainSlot(uint64_t ctx_id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = domain_of_ctx_.find(ctx_id);
-    return it == domain_of_ctx_.end() ? -1 : it->second;
-}
-
-std::map<std::string, PimMetricValue>
-PimMetrics::snapshotDomain(uint64_t ctx_id) const
-{
-    publishThreadTally();
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, PimMetricValue> out;
-    const auto it = domain_of_ctx_.find(ctx_id);
-    if (it == domain_of_ctx_.end())
-        return out;
-    const int slot = it->second;
-    for (const auto &[name, c] : counters_) {
-        PimMetricValue v;
-        v.kind = PimMetricValue::Kind::kCounter;
-        v.count = c->valueInDomain(slot);
-        v.value = static_cast<double>(v.count);
-        out.emplace(name, v);
-    }
-    for (const auto &[name, g] : gauges_) {
-        PimMetricValue v;
-        v.kind = PimMetricValue::Kind::kGauge;
-        v.value = g->valueInDomain(slot);
-        out.emplace(name, v);
-    }
-    for (const auto &[name, h] : histograms_)
-        out.emplace(name, histogramDomainValue(*h, slot));
-    return out;
 }
 
 void

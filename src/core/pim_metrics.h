@@ -21,13 +21,10 @@
  * percentile queries (p50/p90/p99/p99.9) answer within one bucket's
  * relative error (<= 1/kSubBuckets per octave, ~6%).
  *
- * Per-context metric domains: every metric additionally accumulates
- * into the calling thread's *current domain* — a slot assigned to a
- * live PimContext — so multi-tenant runs get isolated per-context
- * views while the aggregate view is preserved. The domain of a thread
- * is set by the dispatch layer (PimSim::device()) and by each
- * device's worker threads at startup; threads with no domain update
- * only the aggregate.
+ * The registry has one scope, the process: an update writes only the
+ * process-wide value, never a per-context copy. Per-context modeled
+ * numbers live in each context's PimStatsMgr (pimGetStats under
+ * PimContextScope) and per-tenant serving counts in PimServeStats.
  *
  * Snapshot/reset/dump are thread-safe, and reset is atomic with
  * respect to a concurrent snapshotAll (both serialize on the registry
@@ -52,17 +49,11 @@
 
 namespace pimeval {
 
-/** Maximum simultaneously-live metric domains (contexts). Contexts
- *  beyond this accumulate into the aggregate only. */
-inline constexpr int kPimMetricMaxDomains = 64;
-
 namespace detail {
-/** The calling thread's metric-domain slot (-1 = aggregate only).
- *  constinit: the variable has no dynamic initializer, so a read from
- *  another translation unit needs no TLS init-function test. */
-extern constinit thread_local int tls_metric_domain;
 /** The calling thread's threadpool.inline_runs events not yet added
- *  to the registry (see PimMetrics::countInlineRun). */
+ *  to the registry (see PimMetrics::countInlineRun). constinit: the
+ *  variable has no dynamic initializer, so a read from another
+ *  translation unit needs no TLS init-function test. */
 extern constinit thread_local uint32_t tls_inline_runs;
 } // namespace detail
 
@@ -75,9 +66,6 @@ class MetricCounter
     void add(uint64_t n = 1)
     {
         value_.fetch_add(n, std::memory_order_relaxed);
-        const int d = detail::tls_metric_domain;
-        if (d >= 0)
-            domains_[d].fetch_add(n, std::memory_order_relaxed);
     }
 
     uint64_t value() const
@@ -85,32 +73,13 @@ class MetricCounter
         return value_.load(std::memory_order_relaxed);
     }
 
-    uint64_t valueInDomain(int slot) const
-    {
-        if (slot < 0 || slot >= kPimMetricMaxDomains)
-            return 0;
-        return domains_[slot].load(std::memory_order_relaxed);
-    }
-
-    void reset()
-    {
-        value_.store(0, std::memory_order_relaxed);
-        for (auto &d : domains_)
-            d.store(0, std::memory_order_relaxed);
-    }
-
-    void resetDomain(int slot)
-    {
-        if (slot >= 0 && slot < kPimMetricMaxDomains)
-            domains_[slot].store(0, std::memory_order_relaxed);
-    }
+    void reset() { value_.store(0, std::memory_order_relaxed); }
 
     const std::string &name() const { return name_; }
 
   private:
     const std::string name_;
     std::atomic<uint64_t> value_{0};
-    std::atomic<uint64_t> domains_[kPimMetricMaxDomains]{};
 };
 
 /** Last-written instantaneous value (e.g. current queue depth). */
@@ -122,9 +91,6 @@ class MetricGauge
     void set(double v)
     {
         bits_.store(pack(v), std::memory_order_relaxed);
-        const int d = detail::tls_metric_domain;
-        if (d >= 0)
-            domains_[d].store(pack(v), std::memory_order_relaxed);
     }
 
     double value() const
@@ -132,25 +98,7 @@ class MetricGauge
         return unpack(bits_.load(std::memory_order_relaxed));
     }
 
-    double valueInDomain(int slot) const
-    {
-        if (slot < 0 || slot >= kPimMetricMaxDomains)
-            return 0.0;
-        return unpack(domains_[slot].load(std::memory_order_relaxed));
-    }
-
-    void reset()
-    {
-        bits_.store(0, std::memory_order_relaxed);
-        for (auto &d : domains_)
-            d.store(0, std::memory_order_relaxed);
-    }
-
-    void resetDomain(int slot)
-    {
-        if (slot >= 0 && slot < kPimMetricMaxDomains)
-            domains_[slot].store(0, std::memory_order_relaxed);
-    }
+    void reset() { bits_.store(0, std::memory_order_relaxed); }
 
     const std::string &name() const { return name_; }
 
@@ -171,7 +119,6 @@ class MetricGauge
 
     const std::string name_;
     std::atomic<uint64_t> bits_{0};
-    std::atomic<uint64_t> domains_[kPimMetricMaxDomains]{};
 };
 
 /**
@@ -184,10 +131,6 @@ class MetricGauge
  * (1 / (2 * kSubBuckets) ~= 3%). Values <= 0 (and sub-2^kMinExp
  * dust) land in a dedicated underflow bin counted as 0.0; values
  * >= 2^kMaxExp land in the overflow bin counted as the observed max.
- *
- * Per-domain bins are allocated lazily the first time a thread with
- * that domain records, so histograms untouched by a context cost it
- * nothing.
  */
 class MetricHistogram
 {
@@ -202,13 +145,12 @@ class MetricHistogram
     explicit MetricHistogram(std::string name) : name_(std::move(name))
     {
     }
-    ~MetricHistogram();
 
     void record(double v);
 
     uint64_t count() const
     {
-        return agg_.count.load(std::memory_order_relaxed);
+        return count_.load(std::memory_order_relaxed);
     }
     double sum() const;
     double min() const; ///< 0 when no samples
@@ -227,16 +169,7 @@ class MetricHistogram
      */
     double percentile(double q) const;
 
-    /** Per-domain views (0/empty when the domain never recorded). */
-    uint64_t countInDomain(int slot) const;
-    double sumInDomain(int slot) const;
-    double minInDomain(int slot) const;
-    double maxInDomain(int slot) const;
-    double meanInDomain(int slot) const;
-    double percentileInDomain(int slot, double q) const;
-
     void reset();
-    void resetDomain(int slot);
 
     const std::string &name() const { return name_; }
 
@@ -251,27 +184,12 @@ class MetricHistogram
     static constexpr uint64_t kPosInfBits = 0x7FF0000000000000ull;
     static constexpr uint64_t kNegInfBits = 0xFFF0000000000000ull;
 
-    /** One complete set of accumulators (aggregate or one domain). */
-    struct Bins
-    {
-        std::atomic<uint64_t> count{0};
-        std::atomic<uint64_t> sum_bits{0}; ///< double, CAS-accumulated
-        std::atomic<uint64_t> min_bits{kPosInfBits};
-        std::atomic<uint64_t> max_bits{kNegInfBits};
-        std::atomic<uint64_t> buckets[kNumBuckets]{};
-
-        void record(double v);
-        void reset();
-        double percentile(double q) const;
-    };
-
-    /** Lazily create (or fetch) one domain's bins. */
-    Bins *domainBins(int slot);
-    const Bins *domainBinsIfAny(int slot) const;
-
     const std::string name_;
-    Bins agg_;
-    std::atomic<Bins *> domains_[kPimMetricMaxDomains]{};
+    std::atomic<uint64_t> count_{0};
+    std::atomic<uint64_t> sum_bits_{0}; ///< double, CAS-accumulated
+    std::atomic<uint64_t> min_bits_{kPosInfBits};
+    std::atomic<uint64_t> max_bits_{kNegInfBits};
+    std::atomic<uint64_t> buckets_[kNumBuckets]{};
 };
 
 /** One metric's exported state (see PimMetrics::snapshotAll). */
@@ -316,10 +234,10 @@ class PimMetrics
     /** Full snapshot of every registered metric, sorted by name. */
     std::map<std::string, PimMetricValue> snapshotAll() const;
 
-    /** Zero all values, aggregate and every domain (handles stay
-     *  valid). Serializes with snapshotAll on the registry mutex, so
-     *  concurrent samplers see either the before or the after state,
-     *  never a mix of metrics from both. */
+    /** Zero all values (handles stay valid). Serializes with
+     *  snapshotAll on the registry mutex, so concurrent samplers see
+     *  either the before or the after state, never a mix of metrics
+     *  from both. */
     void reset();
 
     /** Human-readable table of all non-zero metrics. */
@@ -328,56 +246,27 @@ class PimMetrics
     /** JSON object {"name": value-or-histogram-object, ...}. */
     void dumpJson(std::ostream &os) const;
 
-    // --- Per-context metric domains ---
-
-    /**
-     * Assign a domain slot to context @p ctx_id (called at context
-     * creation). Returns the slot, or -1 when all
-     * kPimMetricMaxDomains slots are taken (the context then updates
-     * the aggregate only).
-     */
-    int acquireDomain(uint64_t ctx_id);
-
-    /**
-     * Release the context's slot (called at context destruction):
-     * zeroes the slot across every registered metric so a future
-     * context reusing it starts clean.
-     */
-    void releaseDomain(uint64_t ctx_id);
-
-    /** Slot of a live context (-1 when none). */
-    int domainSlot(uint64_t ctx_id) const;
-
-    /** Snapshot of every metric restricted to @p ctx_id's domain
-     *  (empty map when the context has no slot). */
-    std::map<std::string, PimMetricValue>
-    snapshotDomain(uint64_t ctx_id) const;
-
-    /** Set / read the calling thread's current domain slot. Setting
-     *  it first publishes the thread's pending inline-run tally into
-     *  the domain those runs belong to. */
-    static void setThreadDomain(int slot);
-    static int threadDomain() { return detail::tls_metric_domain; }
-
     /**
      * Count one threadpool.inline_runs event. Every small command
      * runs one, so even one atomic add per event shows in the
      * per-command cost: the calling thread tallies locally and adds
      * its tally to the counter in one add(n). The tally is published
-     * every kInlineRunBatch events, before setThreadDomain rebinds the
-     * thread, before a registry read or reset on the thread, and when
-     * a thread that ever bound a domain exits. A read on another
-     * thread can trail the count by less than one batch per thread
-     * still issuing.
+     * every kInlineRunBatch events, before a registry read or reset on
+     * the thread, and when the thread exits (its first run arms that
+     * publish). A read on another thread can trail the count by less
+     * than one batch per thread still issuing.
      */
     static void countInlineRun()
     {
-        if (++detail::tls_inline_runs == kInlineRunBatch)
+        const uint32_t n = ++detail::tls_inline_runs;
+        if (n == 1) [[unlikely]]
+            armThreadExitPublish();
+        else if (n == kInlineRunBatch) [[unlikely]]
             publishThreadTally();
     }
 
     /** Add the calling thread's pending inline-run tally to the
-     *  registry (in the thread's current domain). */
+     *  registry. */
     static void publishThreadTally();
 
   private:
@@ -385,17 +274,14 @@ class PimMetrics
 
     PimMetrics() = default;
 
-    /** reset() body for callers already holding the mutex. */
-    void resetLocked();
+    /** Make the calling thread publish its tally when it exits (a
+     *  no-op after the thread's first call). */
+    static void armThreadExitPublish();
 
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<MetricCounter>> counters_;
     std::map<std::string, std::unique_ptr<MetricGauge>> gauges_;
     std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_;
-
-    /** Live domain assignments: context id -> slot. */
-    std::map<uint64_t, int> domain_of_ctx_;
-    uint64_t domain_slots_used_ = 0; ///< bitmask over 64 slots
 };
 
 } // namespace pimeval

@@ -126,14 +126,6 @@ struct PimDeviceConfig
     /** SWAR popcount cycles on the Fulcrum ALU (paper: 12). */
     unsigned fulcrum_popcount_cycles = 12;
 
-    /**
-     * Cycle-level transfer timing ("DRAMsim3-lite"): when true,
-     * host<->device copies are timed on the command-level channel
-     * model with ranks sharing num_channels channels, instead of the
-     * paper's rank-independent flat-bandwidth model (its stated
-     * DRAMsim3-integration future work).
-     */
-    bool use_dram_timing = false;
     /** Independent channels for the cycle/LUT timing backends (0 =
      *  one channel per rank, i.e., the paper's simplification). */
     uint64_t num_channels = 0;
@@ -141,8 +133,10 @@ struct PimDeviceConfig
     /**
      * Memory-timing backend for host<->device transfer costing
      * (src/dram/mem_timing_backend.h). DEFAULT resolves at device
-     * creation: explicit value > PIMEVAL_MEM_BACKEND env >
-     * use_dram_timing (legacy alias for CYCLE) > LUT. The LUT fast
+     * creation: explicit value > PIMEVAL_MEM_BACKEND env > LUT. CYCLE
+     * ("DRAMsim3-lite") times copies on the command-level channel
+     * model with ranks sharing num_channels channels, the paper's
+     * stated DRAMsim3-integration future work. The LUT fast
      * path — calibrated from the cycle backend, O(1) per costCopy —
      * is the simulator-wide default; ANALYTICAL restores the paper's
      * flat bytes/bandwidth model exactly.

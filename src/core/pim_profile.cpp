@@ -119,25 +119,24 @@ writeMetricValueJson(std::ostream &os, const PimMetricValue &v)
 
 void
 writeMetricMapJson(std::ostream &os,
-                   const std::map<std::string, PimMetricValue> &all,
-                   const char *indent)
+                   const std::map<std::string, PimMetricValue> &all)
 {
     os << "{";
     bool first = true;
     for (const auto &[name, v] : all) {
-        // Keep per-context blocks small: skip never-touched entries.
+        // Leave out never-touched (zero) entries.
         if (v.kind == PimMetricValue::Kind::kCounter && v.count == 0)
             continue;
         if (v.kind == PimMetricValue::Kind::kGauge && v.value == 0.0)
             continue;
         if (v.kind == PimMetricValue::Kind::kHistogram && v.count == 0)
             continue;
-        os << (first ? "" : ",") << "\n" << indent << "  \""
-           << jsonEscape(name) << "\": ";
+        os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
+           << "\": ";
         first = false;
         writeMetricValueJson(os, v);
     }
-    os << (first ? "}" : std::string("\n") + indent + "}");
+    os << (first ? "}" : "\n  }");
 }
 
 void
@@ -309,12 +308,7 @@ PimProfiler::endPhase()
     Node *n = nodes_[op.node].get();
     n->count += 1;
     n->host_ns_total += host_ns;
-    // The node histogram is profiler-internal: record it outside any
-    // metric domain so per-context bins are not allocated for it.
-    const int saved_domain = PimMetrics::threadDomain();
-    PimMetrics::setThreadDomain(-1);
     n->host_ns.record(static_cast<double>(host_ns));
-    PimMetrics::setThreadDomain(saved_domain);
     n->kernel_sec += d.kernel_sec;
     n->copy_sec += d.copy_sec;
     n->host_sec += d.host_sec;
@@ -576,30 +570,6 @@ if (hists.length) {
   html += '</table>';
 }
 
-// --- Per-context domains ---
-if (data.contexts && data.contexts.length) {
-  html += '<h2>Per-context metric domains</h2>';
-  for (const c of data.contexts) {
-    const entries = Object.entries(c.metrics);
-    html += '<h3 style="font-size:14px">context ' + c.id +
-        (c.label ? ' — ' + c.label : '') + '</h3>';
-    if (!entries.length) {
-      html += '<p class="muted">no activity</p>';
-      continue;
-    }
-    html += '<table><tr><th>metric</th><th>value</th></tr>';
-    for (const [name, v] of entries) {
-      const text = (v && typeof v === 'object')
-          ? 'n ' + v.count + ' mean ' + fmt(v.mean) + ' p99 ' +
-              fmt(v.p99)
-          : fmt(v);
-      html += '<tr><td class="name">' + name + '</td><td>' + text +
-          '</td></tr>';
-    }
-    html += '</table>';
-  }
-}
-
 // --- Time series ---
 if (data.timeseries && data.timeseries.length > 1) {
   const names = Object.keys(data.timeseries[0].values);
@@ -657,8 +627,7 @@ PimProfiler::dump(const std::string &path) const
     json << (snap.phases.empty() ? "]" : "\n  ]") << ",\n";
 
     json << "  \"metrics\": ";
-    writeMetricMapJson(json, PimMetrics::instance().snapshotAll(),
-                       "  ");
+    writeMetricMapJson(json, PimMetrics::instance().snapshotAll());
     json << ",\n";
 
     json << "  \"contexts\": [";
@@ -666,12 +635,7 @@ PimProfiler::dump(const std::string &path) const
     for (size_t i = 0; i < contexts.size(); ++i) {
         json << (i ? ",\n    " : "\n    ");
         json << "{\"id\": " << contexts[i].first << ", \"label\": \""
-             << jsonEscape(contexts[i].second) << "\", \"metrics\": ";
-        writeMetricMapJson(
-            json,
-            PimMetrics::instance().snapshotDomain(contexts[i].first),
-            "    ");
-        json << "}";
+             << jsonEscape(contexts[i].second) << "\"}";
     }
     json << (contexts.empty() ? "]" : "\n  ]") << ",\n";
 

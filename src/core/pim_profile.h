@@ -17,8 +17,8 @@
  * in-memory time series. pimDumpProfile(path) exports everything —
  * the phase tree with per-phase bottleneck attribution
  * (compute / DRAM-transfer / host-overhead split of modeled time),
- * the final metric snapshot with percentiles, per-context metric
- * domains, and the time series — as PROFILE.json plus a
+ * the final metric snapshot with percentiles, the live contexts' ids
+ * and labels, and the time series — as PROFILE.json plus a
  * self-contained single-file HTML report next to it.
  *
  * Enabling: programmatic (pimProfileStart) or the PIMEVAL_PROFILE

@@ -92,7 +92,7 @@ struct PimResolvedRuntimeConfig
     PimResolvedKnob<double> profile_sample_ms;
     PimResolvedKnob<bool> fusion;
     /** DEFAULT when neither config nor env selects one (the caller
-     *  then applies its own fallback, e.g. use_dram_timing > LUT). */
+     *  then applies its own fallback, LUT). */
     PimResolvedKnob<PimMemBackend> mem_backend;
 };
 

@@ -60,7 +60,7 @@ PimSim::registerContext(const PimDeviceConfig &config,
     if (is_default)
         default_ctx_.store(raw, std::memory_order_release);
     PIM_METRIC_COUNT("context.created", 1);
-    PIM_METRIC_RECORD("context.live", contexts_.size());
+    PIM_METRIC_GAUGE("context.live", contexts_.size());
     return raw;
 }
 
@@ -147,7 +147,7 @@ PimSim::destroyContext(PimContextRec *ctx)
         if (tls_current == ctx)
             tls_current = nullptr;
         PIM_METRIC_COUNT("context.destroyed", 1);
-        PIM_METRIC_RECORD("context.live", contexts_.size());
+        PIM_METRIC_GAUGE("context.live", contexts_.size());
     }
     // Device teardown (fusion flush, pool join) happens outside
     // the registry lock so other contexts keep creating/destroying.
@@ -191,26 +191,10 @@ PimSim::device()
     // default second. A pinned context destroyed by another thread is
     // the caller's race to avoid (documented in pimDestroyContext);
     // destroyContext clears the destroying thread's own pin.
-    PimDevice *dev;
-    if (tls_current) {
-        dev = tls_current->device.get();
-    } else {
-        PimContextRec *def =
-            default_ctx_.load(std::memory_order_acquire);
-        dev = def ? def->device.get() : nullptr;
-    }
-    // Bind the calling thread to the resolved context's metric
-    // domain, re-binding only when the context changes (context ids
-    // are never reused, so equal pointer + equal id ⇒ same device).
-    static thread_local PimDevice *bound_dev = nullptr;
-    static thread_local uint32_t bound_ctx = 0;
-    const uint32_t ctx = dev ? dev->contextId() : 0;
-    if (dev != bound_dev || ctx != bound_ctx) {
-        PimMetrics::setThreadDomain(dev ? dev->metricDomain() : -1);
-        bound_dev = dev;
-        bound_ctx = ctx;
-    }
-    return dev;
+    if (tls_current)
+        return tls_current->device.get();
+    PimContextRec *def = default_ctx_.load(std::memory_order_acquire);
+    return def ? def->device.get() : nullptr;
 }
 
 size_t

@@ -116,8 +116,8 @@ class PimSim
     /** Live context count (for tests and reports). */
     size_t numContexts();
 
-    /** (id, label) of every live context, for reports (the profiler
-     *  exports each context's metric domain under these). */
+    /** (id, label) of every live context, for reports (the
+     *  profiler's PROFILE.json lists them). */
     std::vector<std::pair<uint32_t, std::string>> listContexts();
 
   private:

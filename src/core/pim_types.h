@@ -78,9 +78,8 @@ enum class PimCopyEnum {
  *
  * DEFAULT resolves at device creation: an explicit config value wins,
  * then the PIMEVAL_MEM_BACKEND environment variable
- * (cycle|analytical|lut), then the legacy use_dram_timing flag (a
- * compatibility alias for CYCLE), and finally LUT — the calibrated
- * fast path is the simulator-wide default.
+ * (cycle|analytical|lut), and finally LUT — the calibrated fast path
+ * is the simulator-wide default.
  */
 enum class PimMemBackend {
     PIM_MEM_BACKEND_DEFAULT = 0,

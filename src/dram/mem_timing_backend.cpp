@@ -113,8 +113,7 @@ MemTimingBackend::parseKind(const char *name, PimMemBackend *out)
 }
 
 PimMemBackend
-MemTimingBackend::resolve(PimMemBackend configured,
-                          bool use_dram_timing)
+MemTimingBackend::resolve(PimMemBackend configured)
 {
     if (configured != PimMemBackend::PIM_MEM_BACKEND_DEFAULT)
         return configured;
@@ -124,8 +123,6 @@ MemTimingBackend::resolve(PimMemBackend configured,
         pimResolveRuntimeConfig().mem_backend.value;
     if (from_runtime != PimMemBackend::PIM_MEM_BACKEND_DEFAULT)
         return from_runtime;
-    if (use_dram_timing)
-        return PimMemBackend::PIM_MEM_BACKEND_CYCLE;
     return PimMemBackend::PIM_MEM_BACKEND_LUT;
 }
 

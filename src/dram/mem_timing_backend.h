@@ -74,12 +74,10 @@ class MemTimingBackend
 
     /**
      * Resolve the backend selection for one device: an explicit
-     * @p configured value wins, then PIMEVAL_MEM_BACKEND, then the
-     * legacy @p use_dram_timing flag (alias for CYCLE), then LUT.
+     * @p configured value wins, then PIMEVAL_MEM_BACKEND, then LUT.
      * Never returns DEFAULT.
      */
-    static PimMemBackend resolve(PimMemBackend configured,
-                                 bool use_dram_timing);
+    static PimMemBackend resolve(PimMemBackend configured);
 
     /** Parse "cycle" / "analytical" / "lut"; false on mismatch. */
     static bool parseKind(const char *name, PimMemBackend *out);

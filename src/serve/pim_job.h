@@ -85,7 +85,7 @@ struct PimJobSpec
 
     // --- Serving attributes ---
     /** Tenant this job bills to; tenants get isolated queues,
-     *  contexts, and metric domains. */
+     *  contexts, and PimServeStats counts. */
     std::string tenant = "default";
     /** Higher dispatches first within the tenant's queue. */
     int priority = 0;

@@ -138,24 +138,6 @@ PimJobHandle::completionSeq() const
 
 namespace {
 
-/** Pin serve.* metric updates to a context's domain for one scope. */
-class MetricDomainScope
-{
-  public:
-    explicit MetricDomainScope(int slot)
-        : prev_(PimMetrics::threadDomain())
-    {
-        PimMetrics::setThreadDomain(slot);
-    }
-    ~MetricDomainScope() { PimMetrics::setThreadDomain(prev_); }
-
-    MetricDomainScope(const MetricDomainScope &) = delete;
-    MetricDomainScope &operator=(const MetricDomainScope &) = delete;
-
-  private:
-    int prev_;
-};
-
 /** Two jobs coalesce iff the device-side command stream they need is
  *  shape-identical (per-job scalars are handled by the coefficient
  *  decomposition, so the scalar is *not* part of the key). */
@@ -201,7 +183,6 @@ struct PimServer::Impl
         std::vector<TenantRec *> tenants; ///< assigned here
         double vclock = 0.0; ///< vtime of the last dispatched tenant
         PimContext ctx = nullptr;
-        int metric_slot = -1;
         std::thread thread;
     };
 
@@ -211,6 +192,10 @@ struct PimServer::Impl
     std::atomic<bool> accepting{true};
     std::atomic<uint64_t> in_flight{0};
     std::atomic<uint64_t> next_seq{1};
+    /** This server's dispatches with > 1 job, and its queue delays
+     *  (the registry's serve.* metrics sum over every server). */
+    std::atomic<uint64_t> batches{0};
+    MetricHistogram queue_ns{"serve.queue_ns"};
     std::mutex drain_mutex;
     std::condition_variable drain_cv;
     mutable std::mutex tenants_mutex;
@@ -264,13 +249,10 @@ struct PimServer::Impl
     /** Account a job whose cancel won before dispatch. Caller holds
      *  w.mutex; the handle already resolved the job's state. */
     void
-    reapCancelled(Worker &w, TenantRec &t,
-                  const std::shared_ptr<PimJob> &job)
+    reapCancelled(TenantRec &t)
     {
-        (void)job;
         t.queued.fetch_sub(1, std::memory_order_relaxed);
         t.cancelled.fetch_add(1, std::memory_order_relaxed);
-        MetricDomainScope domain(w.metric_slot);
         PIM_METRIC_COUNT("serve.cancelled", 1);
         jobDone();
     }
@@ -294,7 +276,7 @@ struct PimServer::Impl
                     std::memory_order_acq_rel))
                 batch.push_back(std::move(job));
             else
-                reapCancelled(w, t, job);
+                reapCancelled(t);
         }
         if (batch.empty())
             return batch;
@@ -308,9 +290,8 @@ struct PimServer::Impl
                 const PimJobState s =
                     cand->state.load(std::memory_order_acquire);
                 if (s != PimJobState::kQueued) {
-                    std::shared_ptr<PimJob> dead = std::move(cand);
                     it = t.queue.erase(it);
-                    reapCancelled(w, t, dead);
+                    reapCancelled(t);
                     continue;
                 }
                 if (cand->spec.deadline !=
@@ -326,9 +307,8 @@ struct PimServer::Impl
                     batch.push_back(std::move(cand));
                     it = t.queue.erase(it);
                 } else {
-                    std::shared_ptr<PimJob> dead = std::move(cand);
                     it = t.queue.erase(it);
-                    reapCancelled(w, t, dead);
+                    reapCancelled(t);
                 }
             }
         }
@@ -342,14 +322,14 @@ struct PimServer::Impl
         return batch;
     }
 
-    /** Execute one claimed dispatch. Runs without w.mutex. */
+    /** Execute one claimed dispatch. Runs without the worker's
+     *  mutex. */
     void
-    executeBatch(Worker &w, TenantRec &t,
+    executeBatch(TenantRec &t,
                  const std::vector<std::shared_ptr<PimJob>> &batch)
     {
         const uint64_t start = nowNs();
         const uint64_t bsz = batch.size();
-        MetricDomainScope domain(w.metric_slot);
         std::vector<const PimJobSpec *> specs;
         std::vector<PimJobOutput *> outs;
         for (const auto &j : batch) {
@@ -357,11 +337,13 @@ struct PimServer::Impl
             outs.push_back(&j->out);
             j->dispatch_ns.store(start, std::memory_order_relaxed);
             j->batch_size.store(bsz, std::memory_order_relaxed);
-            PIM_METRIC_RECORD("serve.queue_ns",
-                              start - j->submit_ns);
+            const uint64_t waited = start - j->submit_ns;
+            queue_ns.record(static_cast<double>(waited));
+            PIM_METRIC_RECORD("serve.queue_ns", waited);
         }
         PIM_METRIC_RECORD("serve.batch_size", bsz);
         if (bsz > 1) {
+            batches.fetch_add(1, std::memory_order_relaxed);
             PIM_METRIC_COUNT("serve.batches", 1);
             PIM_METRIC_COUNT("serve.batched_jobs", bsz);
             t.batched_jobs.fetch_add(bsz, std::memory_order_relaxed);
@@ -373,13 +355,6 @@ struct PimServer::Impl
         PimMetrics::publishThreadTally();
 
         PIM_METRIC_RECORD("serve.exec_ns", nowNs() - start);
-        MetricHistogram &qh =
-            PimMetrics::instance().histogram("serve.queue_ns");
-        PIM_METRIC_GAUGE("serve.p99_queue_ns",
-                         w.metric_slot >= 0
-                             ? qh.percentileInDomain(w.metric_slot,
-                                                     0.99)
-                             : qh.percentile(0.99));
 
         std::string why;
         if (status != PimStatus::PIM_OK) {
@@ -408,7 +383,6 @@ struct PimServer::Impl
     workerMain(Worker &w)
     {
         pimSetCurrentContext(w.ctx);
-        PimMetrics::setThreadDomain(w.metric_slot);
         std::unique_lock<std::mutex> lock(w.mutex);
         for (;;) {
             w.cv.wait(lock, [&] {
@@ -425,7 +399,7 @@ struct PimServer::Impl
             if (batch.empty())
                 continue;
             lock.unlock();
-            executeBatch(w, *t, batch);
+            executeBatch(*t, batch);
             lock.lock();
         }
         pimSetCurrentContext(nullptr);
@@ -454,8 +428,6 @@ PimServer::create(const PimServeConfig &config)
             pimCreateContextFromConfig(impl.cfg.device, label.c_str());
         if (!w->ctx)
             return nullptr; // last error already set
-        w->metric_slot =
-            PimMetrics::instance().domainSlot(pimContextId(w->ctx));
         if (impl.cfg.fusion >= 0) {
             PimContextScope scope(w->ctx);
             pimSetFusionEnabled(impl.cfg.fusion != 0);
@@ -503,7 +475,6 @@ PimServer::submit(const PimJobSpec &spec)
                                             ? std::string("default")
                                             : spec.tenant);
     Impl::Worker &w = *impl.workers[t->worker];
-    MetricDomainScope domain(w.metric_slot);
     PIM_METRIC_COUNT("serve.submitted", 1);
     t->submitted.fetch_add(1, std::memory_order_relaxed);
 
@@ -622,13 +593,9 @@ PimServer::stats() const
         s.batched_jobs += ts.batched_jobs;
         s.tenants.emplace(entry.first, ts);
     }
-    MetricHistogram &qh =
-        PimMetrics::instance().histogram("serve.queue_ns");
-    s.p50_queue_ns = qh.percentile(0.50);
-    s.p99_queue_ns = qh.percentile(0.99);
-    s.batches = PimMetrics::instance()
-                    .counter("serve.batches")
-                    .value();
+    s.batches = impl.batches.load(std::memory_order_relaxed);
+    s.p50_queue_ns = impl.queue_ns.percentile(0.50);
+    s.p99_queue_ns = impl.queue_ns.percentile(0.99);
     return s;
 }
 

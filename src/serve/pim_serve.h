@@ -7,8 +7,8 @@
  * PimContext, and a per-tenant job queue per worker. Tenants are
  * assigned to workers round-robin at first submission, so with
  * tenants <= workers every tenant gets a private context — private
- * statistics, trace track, and metric domain (pimContextMetrics on
- * tenantContext()).
+ * statistics (pimGetStats under a PimContextScope on
+ * tenantContext()) and trace track.
  *
  * Scheduling, per worker:
  *  - Admission control: each tenant's queue is bounded
@@ -29,11 +29,11 @@
  *    bit-identical to running every job alone (see pim_job.h).
  *    kInteractive jobs are never held for batching.
  *
- * Everything observable lands in serve.* metrics (recorded in the
- * owning tenant's context domain): counters submitted / admitted /
- * rejected / completed / failed / cancelled / batches / batched_jobs,
- * histograms queue_ns / exec_ns / batch_size, and the
- * serve.p99_queue_ns gauge.
+ * Serving counts are kept per tenant and per server (PimServeStats,
+ * from stats()) and also land in the process-wide serve.* metrics:
+ * counters submitted / admitted / rejected / completed / failed /
+ * cancelled / batches / batched_jobs and histograms queue_ns /
+ * exec_ns / batch_size, summed over every server.
  */
 
 #ifndef PIMEVAL_SERVE_PIM_SERVE_H_
@@ -70,7 +70,7 @@ struct PimServeConfig
     std::string label_prefix = "serve";
 };
 
-/** Per-tenant serving statistics (also in serve.* metric domains). */
+/** Per-tenant serving statistics. */
 struct PimServeTenantStats
 {
     uint64_t submitted = 0;
@@ -85,7 +85,7 @@ struct PimServeTenantStats
     size_t worker = 0; ///< pool worker (= context) serving it
 };
 
-/** Whole-server statistics snapshot. */
+/** Whole-server statistics snapshot: this server's jobs only. */
 struct PimServeStats
 {
     uint64_t submitted = 0;
@@ -141,13 +141,14 @@ class PimServer
     /** Block until every admitted job has reached a final state. */
     void drain();
 
-    /** Aggregate + per-tenant counters and queue-delay percentiles. */
+    /** This server's counters (whole-server and per tenant) and
+     *  queue-delay percentiles. */
     PimServeStats stats() const;
 
     /**
      * The pool context serving @p tenant (nullptr for unknown
-     * tenants). Feed it to pimContextMetrics / pimContextLabel for the
-     * tenant's isolated view.
+     * tenants). Pin it with PimContextScope to read the pool's modeled
+     * stats (pimGetStats, pimGetOpMix); pimContextLabel names it.
      */
     PimContext tenantContext(const std::string &tenant) const;
 

@@ -18,9 +18,7 @@ thread_local const ThreadPool *tls_worker_pool = nullptr;
 
 } // namespace
 
-ThreadPool::ThreadPool(size_t num_threads,
-                       std::function<void()> thread_init)
-    : thread_init_(std::move(thread_init))
+ThreadPool::ThreadPool(size_t num_threads)
 {
     size_t n = num_threads;
     if (n == 0) {
@@ -64,8 +62,6 @@ void
 ThreadPool::workerLoop()
 {
     tls_worker_pool = this;
-    if (thread_init_)
-        thread_init_();
     for (;;) {
         std::function<void()> task;
         {
@@ -78,16 +74,6 @@ ThreadPool::workerLoop()
         }
         task();
     }
-}
-
-void
-ThreadPool::parallelFor(size_t begin, size_t end,
-                        const std::function<void(size_t)> &body)
-{
-    parallelForChunks(begin, end, [&body](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i)
-            body(i);
-    });
 }
 
 } // namespace pimeval

@@ -1,6 +1,6 @@
 /**
  * @file
- * A small fixed-size thread pool with chunked parallel-for helpers.
+ * A small fixed-size thread pool with a chunked parallel-for.
  *
  * PIMeval creates a host thread pool to parallelize functional
  * simulation across PIM cores (paper Listing 3: "Created thread pool
@@ -33,13 +33,13 @@
 namespace pimeval {
 
 /**
- * Fixed-size worker pool with parallel-for helpers.
+ * Fixed-size worker pool with a chunked parallel-for.
  *
  * Tasks are void() callables. The pool joins all workers on
- * destruction. Both parallel-for variants block until every chunk
- * completes, and both are safe to call from inside a worker thread of
- * this pool: nested invocations run the whole range inline instead of
- * enqueueing (which would deadlock a fully busy pool).
+ * destruction. parallelForChunks blocks until every chunk completes,
+ * and is safe to call from inside a worker thread of this pool:
+ * nested invocations run the whole range inline instead of enqueueing
+ * (which would deadlock a fully busy pool).
  */
 class ThreadPool
 {
@@ -48,13 +48,8 @@ class ThreadPool
      * Create a pool.
      * @param num_threads Worker count; 0 means hardware_concurrency - 1
      *                    (minimum 1).
-     * @param thread_init Optional hook each worker runs once at
-     *                    startup, before taking tasks — used to bind
-     *                    thread-local state such as the per-context
-     *                    metric domain.
      */
-    explicit ThreadPool(size_t num_threads = 0,
-                        std::function<void()> thread_init = nullptr);
+    explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -154,15 +149,6 @@ class ThreadPool
                          caller_chunks + helper_chunks);
     }
 
-    /**
-     * Run body(i) for each i in [begin, end), distributing contiguous
-     * chunks across workers; blocks until done. Prefer
-     * parallelForChunks for hot loops: this adapter pays one indirect
-     * call per element.
-     */
-    void parallelFor(size_t begin, size_t end,
-                     const std::function<void(size_t)> &body);
-
   private:
     /** Below this range size dispatch costs more than it saves. */
     static constexpr size_t kMinParallelTotal = 2048;
@@ -177,7 +163,6 @@ class ThreadPool
     size_t max_chunks_ = 4;
 
     std::vector<std::thread> workers_;
-    std::function<void()> thread_init_;
     std::queue<std::function<void()>> tasks_;
     std::mutex mutex_;
     std::condition_variable cv_;

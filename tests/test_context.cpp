@@ -2,8 +2,9 @@
  * @file
  * Tests of the multi-context registry (API v2): context isolation,
  * the global-API shim over per-thread current contexts, concurrent
- * multi-context execution bit-identical to sequential, and
- * thread-local last-error reporting.
+ * multi-context execution bit-identical to sequential, exact
+ * inline-run counts across contexts and threads, and thread-local
+ * last-error reporting.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,41 @@ runWorkload(const std::vector<int> &a, const std::vector<int> &b)
     return r;
 }
 
+/** Issue @p runs unfused scalar adds on a 64-element object in
+ *  @p ctx: each runs its kernel inline once (PIMEVAL_FUSION=1 too). */
+void
+issueInlineRuns(PimContext ctx, int runs)
+{
+    ASSERT_EQ(pimSetCurrentContext(ctx), PimStatus::PIM_OK);
+    ASSERT_EQ(pimSetFusionEnabled(false), PimStatus::PIM_OK);
+    const PimObjId obj = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, 64, 32,
+                                  PimDataType::PIM_INT32);
+    ASSERT_GE(obj, 0);
+    for (int i = 0; i < runs; ++i)
+        ASSERT_EQ(pimAddScalar(obj, obj, 1), PimStatus::PIM_OK);
+    ASSERT_EQ(pimFree(obj), PimStatus::PIM_OK);
+}
+
+/** threadpool.inline_runs as read on the calling thread. */
+double
+inlineRunsTotal()
+{
+    double total = -1.0;
+    EXPECT_TRUE(pimGetMetric("threadpool.inline_runs", &total));
+    return total;
+}
+
+/** context.live must be a gauge reading the live context count. */
+void
+expectLiveGauge(size_t live)
+{
+    const auto all = pimGetAllMetrics();
+    const auto it = all.find("context.live");
+    ASSERT_NE(it, all.end());
+    EXPECT_EQ(it->second.kind, PimMetricValue::Kind::kGauge);
+    EXPECT_EQ(it->second.value, static_cast<double>(live));
+}
+
 class ContextTest : public ::testing::Test
 {
   protected:
@@ -128,9 +164,11 @@ TEST_F(ContextTest, CreateDestroyAndIds)
     PimContext c1 = pimCreateContext(
         PimDeviceEnum::PIM_DEVICE_FULCRUM, "alpha");
     ASSERT_NE(c1, nullptr);
+    expectLiveGauge(1);
     PimContext c2 = pimCreateContextFromConfig(
         smallConfig(PimDeviceEnum::PIM_DEVICE_BANK_LEVEL), "beta");
     ASSERT_NE(c2, nullptr);
+    expectLiveGauge(2);
 
     EXPECT_NE(pimContextId(c1), 0u);
     EXPECT_LT(pimContextId(c1), pimContextId(c2));
@@ -143,7 +181,9 @@ TEST_F(ContextTest, CreateDestroyAndIds)
     EXPECT_EQ(PimSim::instance().numContexts(), 2u);
 
     EXPECT_EQ(pimDestroyContext(c1), PimStatus::PIM_OK);
+    expectLiveGauge(1);
     EXPECT_EQ(pimDestroyContext(c2), PimStatus::PIM_OK);
+    expectLiveGauge(0);
     // Double destroy fails and reports through the last-error state.
     pimClearLastError();
     EXPECT_EQ(pimDestroyContext(c1), PimStatus::PIM_ERROR);
@@ -260,8 +300,8 @@ TEST_F(ContextTest, InlineRunCountsExactPerContext)
 {
     // Each small command runs its kernel inline once. The issuing
     // thread tallies those runs and publishes them in bulk; reads
-    // must still see exact counts, per context and in the aggregate.
-    // Neither count is a multiple of the publish batch.
+    // must still see exact counts after each context's runs. Neither
+    // count is a multiple of the publish batch.
     constexpr int kRunsA = 1000, kRunsB = 700;
     PimContext ca = pimCreateContextFromConfig(
         smallConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM), "runs-a");
@@ -269,31 +309,19 @@ TEST_F(ContextTest, InlineRunCountsExactPerContext)
         smallConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM), "runs-b");
     ASSERT_NE(ca, nullptr);
     ASSERT_NE(cb, nullptr);
-    const auto issue = [](PimContext ctx, int runs) {
-        ASSERT_EQ(pimSetCurrentContext(ctx), PimStatus::PIM_OK);
-        // Unfused, so every command runs alone (PIMEVAL_FUSION=1 too).
-        ASSERT_EQ(pimSetFusionEnabled(false), PimStatus::PIM_OK);
-        const PimObjId obj = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, 64,
-                                      32, PimDataType::PIM_INT32);
-        ASSERT_GE(obj, 0);
-        for (int i = 0; i < runs; ++i)
-            ASSERT_EQ(pimAddScalar(obj, obj, 1), PimStatus::PIM_OK);
-        ASSERT_EQ(pimFree(obj), PimStatus::PIM_OK);
-    };
-    const auto runsIn = [](PimContext ctx) {
-        const auto metrics = pimContextMetrics(ctx);
-        const auto it = metrics.find("threadpool.inline_runs");
-        return it == metrics.end() ? -1.0 : it->second.value;
-    };
 
     ASSERT_EQ(pimResetMetrics(), PimStatus::PIM_OK);
-    issue(ca, kRunsA);
-    issue(cb, kRunsB);
-    EXPECT_EQ(runsIn(ca), kRunsA);
-    EXPECT_EQ(runsIn(cb), kRunsB);
-    double total = 0.0;
-    EXPECT_TRUE(pimGetMetric("threadpool.inline_runs", &total));
-    EXPECT_EQ(total, kRunsA + kRunsB);
+    issueInlineRuns(ca, kRunsA);
+    EXPECT_EQ(inlineRunsTotal(), kRunsA);
+    issueInlineRuns(cb, kRunsB);
+    EXPECT_EQ(inlineRunsTotal(), kRunsA + kRunsB);
+
+    // A thread that exits with a partial batch still tallied publishes
+    // it on exit, so a read after join() is exact too.
+    ASSERT_EQ(pimResetMetrics(), PimStatus::PIM_OK);
+    std::thread issuer([cb] { issueInlineRuns(cb, kRunsB); });
+    issuer.join();
+    EXPECT_EQ(inlineRunsTotal(), kRunsB);
 
     pimSetCurrentContext(nullptr);
     EXPECT_EQ(pimDestroyContext(ca), PimStatus::PIM_OK);

@@ -258,25 +258,21 @@ TEST(MemBackend, ResolutionPrecedence)
     // Explicit config wins over everything.
     ::setenv("PIMEVAL_MEM_BACKEND", "analytical", 1);
     EXPECT_EQ(MemTimingBackend::resolve(
-                  PimMemBackend::PIM_MEM_BACKEND_CYCLE, false),
+                  PimMemBackend::PIM_MEM_BACKEND_CYCLE),
               PimMemBackend::PIM_MEM_BACKEND_CYCLE);
-    // Env wins over the legacy flag.
+    // Env wins over the default.
     EXPECT_EQ(MemTimingBackend::resolve(
-                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT, true),
+                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT),
               PimMemBackend::PIM_MEM_BACKEND_ANALYTICAL);
     ::unsetenv("PIMEVAL_MEM_BACKEND");
-    // Legacy use_dram_timing aliases to CYCLE.
-    EXPECT_EQ(MemTimingBackend::resolve(
-                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT, true),
-              PimMemBackend::PIM_MEM_BACKEND_CYCLE);
     // Nothing configured: the LUT fast path.
     EXPECT_EQ(MemTimingBackend::resolve(
-                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT, false),
+                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT),
               PimMemBackend::PIM_MEM_BACKEND_LUT);
     // Unknown env values are ignored.
     ::setenv("PIMEVAL_MEM_BACKEND", "bogus", 1);
     EXPECT_EQ(MemTimingBackend::resolve(
-                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT, false),
+                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT),
               PimMemBackend::PIM_MEM_BACKEND_LUT);
 
     if (saved_env)
@@ -306,7 +302,7 @@ TEST(MemBackend, ApiReportsResolvedBackend)
     ASSERT_EQ(pimCreateDeviceFromConfig(config), PimStatus::PIM_OK);
     EXPECT_EQ(pimGetMemBackend(),
               MemTimingBackend::resolve(
-                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT, false));
+                  PimMemBackend::PIM_MEM_BACKEND_DEFAULT));
     pimDeleteDevice();
 }
 

@@ -382,7 +382,7 @@ TEST_F(ProfileDeviceTest, ResetVsSamplerRace)
 }
 
 // ---------------------------------------------------------------------------
-// Per-context metric domains
+// Two live contexts: per-context stats, one process-wide registry
 // ---------------------------------------------------------------------------
 
 TEST(ProfileContextTest, TwoLiveContextIsolation)
@@ -417,23 +417,22 @@ TEST(ProfileContextTest, TwoLiveContextIsolation)
         pimFree(a);
     }
 
-    const auto m1 = pimContextMetrics(c1);
-    const auto m2 = pimContextMetrics(c2);
-    ASSERT_NE(m1.find("copy.bytes_h2d"), m1.end());
-    ASSERT_NE(m2.find("copy.bytes_h2d"), m2.end());
-    EXPECT_EQ(m1.at("copy.bytes_h2d").value,
-              static_cast<double>(kN1 * sizeof(int)));
-    EXPECT_EQ(m2.at("copy.bytes_h2d").value,
-              static_cast<double>(kN2 * sizeof(int)));
-    // The aggregate sees both.
+    // Each context's own stats hold only its own copy.
+    {
+        PimContextScope scope(c1);
+        EXPECT_EQ(pimGetStats().bytes_h2d, kN1 * sizeof(int));
+    }
+    {
+        PimContextScope scope(c2);
+        EXPECT_EQ(pimGetStats().bytes_h2d, kN2 * sizeof(int));
+    }
+    // The process-wide registry sees both.
     double total = 0.0;
     EXPECT_TRUE(pimGetMetric("copy.bytes_h2d", &total));
     EXPECT_EQ(total, static_cast<double>((kN1 + kN2) * sizeof(int)));
 
     EXPECT_EQ(pimDestroyContext(c1), PimStatus::PIM_OK);
     EXPECT_EQ(pimDestroyContext(c2), PimStatus::PIM_OK);
-    // Dead handles yield empty views.
-    EXPECT_TRUE(pimContextMetrics(c1).empty());
 }
 
 // ---------------------------------------------------------------------------

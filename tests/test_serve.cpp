@@ -4,13 +4,14 @@
  * (single and coalesced) execution against the direct path and a host
  * reference, the direct command stream of a job dispatched alone,
  * splitting of batches too big for the device, admission control,
- * weighted fair queuing, per-tenant metric isolation, cancellation,
- * and registry churn under concurrent submission.
+ * weighted fair queuing, per-tenant isolation, per-server stats,
+ * cancellation, and registry churn under concurrent submission.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -484,8 +485,8 @@ TEST(PimServe, WeightedFairQueuing)
 
 /**
  * Per-tenant isolation: with tenants on separate pool contexts,
- * tenant B's load leaves tenant A's serve.* context metrics (and its
- * modeled device stats) untouched.
+ * tenant B's load leaves tenant A's serving counts and its context's
+ * modeled stats untouched.
  */
 TEST(PimServe, TenantMetricIsolation)
 {
@@ -503,13 +504,21 @@ TEST(PimServe, TenantMetricIsolation)
             EXPECT_EQ(h.wait(), PimJobState::kDone) << h.error();
     };
 
+    const auto statsOf = [](PimContext ctx) {
+        PimContextScope scope(ctx);
+        return pimGetStats();
+    };
+
     submitN("alice", 6);
     server->drain();
     PimContext ctx_a = server->tenantContext("alice");
     ASSERT_NE(ctx_a, nullptr);
-    auto before = pimContextMetrics(ctx_a);
-    ASSERT_EQ(before.count("serve.completed"), 1u);
-    EXPECT_EQ(before["serve.completed"].value, 6.0);
+    const PimServeTenantStats alice_before =
+        server->stats().tenants.at("alice");
+    EXPECT_EQ(alice_before.completed, 6u);
+    EXPECT_EQ(alice_before.submitted, 6u);
+    const PimRunStats modeled_before = statsOf(ctx_a);
+    EXPECT_GT(modeled_before.kernel_sec, 0.0);
 
     submitN("bob", 9);
     server->drain();
@@ -517,20 +526,80 @@ TEST(PimServe, TenantMetricIsolation)
     ASSERT_NE(ctx_b, nullptr);
     ASSERT_NE(ctx_a, ctx_b); // 2 tenants, 2 workers: private contexts
 
-    // Alice's whole domain snapshot is unchanged by Bob's load.
-    auto after = pimContextMetrics(ctx_a);
-    EXPECT_EQ(after["serve.completed"].value,
-              before["serve.completed"].value);
-    EXPECT_EQ(after["serve.submitted"].value,
-              before["serve.submitted"].value);
-    EXPECT_EQ(after["serve.queue_ns"].count,
-              before["serve.queue_ns"].count);
-    auto bob = pimContextMetrics(ctx_b);
-    EXPECT_EQ(bob["serve.completed"].value, 9.0);
-
+    // Alice's counts and her context's modeled stats are unchanged by
+    // Bob's load.
     const PimServeStats stats = server->stats();
-    EXPECT_EQ(stats.tenants.at("alice").completed, 6u);
+    const PimServeTenantStats &alice = stats.tenants.at("alice");
+    EXPECT_EQ(alice.completed, alice_before.completed);
+    EXPECT_EQ(alice.submitted, alice_before.submitted);
+    const PimRunStats modeled_after = statsOf(ctx_a);
+    EXPECT_EQ(modeled_after.kernel_sec, modeled_before.kernel_sec);
+    EXPECT_EQ(modeled_after.kernel_j, modeled_before.kernel_j);
+    EXPECT_EQ(modeled_after.copy_sec, modeled_before.copy_sec);
+    EXPECT_EQ(modeled_after.copy_j, modeled_before.copy_j);
+    EXPECT_EQ(modeled_after.host_sec, modeled_before.host_sec);
+    EXPECT_EQ(modeled_after.bytes_h2d, modeled_before.bytes_h2d);
+    EXPECT_EQ(modeled_after.bytes_d2h, modeled_before.bytes_d2h);
+    EXPECT_EQ(modeled_after.bytes_d2d, modeled_before.bytes_d2d);
     EXPECT_EQ(stats.tenants.at("bob").completed, 9u);
+    EXPECT_GT(statsOf(ctx_b).kernel_sec, 0.0);
+}
+
+/**
+ * PimServer::stats() describes this server only: a server created
+ * after another one has coalesced batches reports none of them, its
+ * queue-delay percentiles come from its own jobs, and
+ * pimResetMetrics does not zero them.
+ */
+TEST(PimServe, StatsArePerServer)
+{
+    Prng rng(43);
+    Operands ops;
+    {
+        auto config = serveConfig(1);
+        config.max_batch = 16;
+        auto first = PimServer::create(config);
+        ASSERT_NE(first, nullptr);
+        first->pause(); // queue everything, force full batches
+        std::vector<PimJobHandle> handles;
+        for (int i = 0; i < 64; ++i)
+            handles.push_back(first->submit(
+                makeSpec(PimJobKind::kVecAdd, 64, 0, ops, rng)));
+        // Let the queue delays grow well past the second server's.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        first->resume();
+        first->drain();
+        for (auto &h : handles)
+            EXPECT_EQ(h.wait(), PimJobState::kDone) << h.error();
+        const PimServeStats s = first->stats();
+        EXPECT_EQ(s.batches, 4u);
+        EXPECT_EQ(s.batched_jobs, 64u);
+        EXPECT_GE(s.p50_queue_ns, 40e6);
+    }
+
+    auto second = PimServer::create(serveConfig(1));
+    ASSERT_NE(second, nullptr);
+    auto spec = makeSpec(PimJobKind::kVecAdd, 64, 0, ops, rng);
+    spec.deadline = PimJobDeadline::kInteractive;
+    auto h = second->submit(spec);
+    ASSERT_EQ(h.wait(), PimJobState::kDone) << h.error();
+    second->drain();
+
+    const PimServeStats s = second->stats();
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.batches, 0u);
+    EXPECT_EQ(s.batched_jobs, 0u);
+    // One sample: percentiles clamp to the observed min = max, so both
+    // are exactly that job's queue delay.
+    const double queued = static_cast<double>(h.queueNs());
+    EXPECT_EQ(s.p99_queue_ns, queued);
+    EXPECT_EQ(s.p50_queue_ns, queued);
+
+    // Zeroing the registry leaves the server's own stats alone.
+    ASSERT_EQ(pimResetMetrics(), PimStatus::PIM_OK);
+    const PimServeStats after_reset = second->stats();
+    EXPECT_EQ(after_reset.completed, 1u);
+    EXPECT_EQ(after_reset.p99_queue_ns, queued);
 }
 
 /** Cancellation: a queued job cancels exactly once, never executes,

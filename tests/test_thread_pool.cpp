@@ -25,7 +25,7 @@ TEST(ThreadPool, EmptyRangeNeverCallsBody)
     std::atomic<int> calls{0};
     pool.parallelForChunks(5, 5, [&](size_t, size_t) { ++calls; });
     pool.parallelForChunks(7, 3, [&](size_t, size_t) { ++calls; });
-    pool.parallelFor(5, 5, [&](size_t) { ++calls; });
+    pool.parallelForChunks(0, 0, [&](size_t, size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
 }
 
@@ -48,7 +48,10 @@ TEST(ThreadPool, RangeSmallerThanWorkerCount)
 {
     ThreadPool pool(8);
     std::vector<std::atomic<int>> hits(3);
-    pool.parallelFor(0, 3, [&](size_t i) { ++hits[i]; });
+    pool.parallelForChunks(0, 3, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i)
+            ++hits[i];
+    });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }

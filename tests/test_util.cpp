@@ -1,12 +1,12 @@
 /**
  * @file
  * Unit tests for the utility layer: PRNG, string formatting, table
- * writer, thread pool, and the shared JSON string escaper.
+ * writer, and the shared JSON string escaper (the thread pool has its
+ * own suite, test_thread_pool).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <sstream>
 
@@ -14,7 +14,6 @@
 #include "util/prng.h"
 #include "util/string_utils.h"
 #include "util/table_writer.h"
-#include "util/thread_pool.h"
 
 using namespace pimeval;
 
@@ -97,38 +96,6 @@ TEST(TableWriter, AlignedOutputAndCsv)
     table.writeCsv(csv);
     EXPECT_NE(csv.str().find("name,value"), std::string::npos);
     EXPECT_NE(csv.str().find("beta,2.5"), std::string::npos);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(0, hits.size(), [&](size_t i) { ++hits[i]; });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, EmptyAndTinyRanges)
-{
-    ThreadPool pool(2);
-    int count = 0;
-    pool.parallelFor(5, 5, [&](size_t) { ++count; });
-    EXPECT_EQ(count, 0);
-    pool.parallelFor(0, 3, [&](size_t) { ++count; });
-    EXPECT_EQ(count, 3);
-}
-
-TEST(ThreadPool, ManyRoundsStress)
-{
-    ThreadPool pool(4);
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<long> sum{0};
-        pool.parallelFor(0, 200, [&](size_t i) {
-            sum += static_cast<long>(i);
-        });
-        EXPECT_EQ(sum.load(), 199L * 200 / 2);
-    }
 }
 
 TEST(Json, EscapeRoundTripsThroughParser)
