@@ -303,10 +303,9 @@ double pimGetModelingScale();
 
 /**
  * Start (or restart) event tracing; the trace is exported to @p path
- * by pimTraceEnd (".csv" selects CSV, anything else Chrome trace-event
- * JSON for Perfetto / chrome://tracing). Flushes the fusion window of
- * the active device, if any, so the trace starts at a command
- * boundary.
+ * by pimTraceEnd as Chrome trace-event JSON (for Perfetto /
+ * chrome://tracing). Flushes the fusion window of the active device,
+ * if any, so the trace starts at a command boundary.
  */
 PimStatus pimTraceBegin(const char *path);
 

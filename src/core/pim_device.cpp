@@ -16,7 +16,6 @@
 
 #include "core/pim_host_io.h"
 #include "core/pim_metrics.h"
-#include "core/pim_runtime_config.h"
 #include "core/pim_trace.h"
 #include "fulcrum/alpu_kernels.h"
 #include "fulcrum/fulcrum_core.h"
@@ -187,10 +186,10 @@ PimDevice::PimDevice(const PimDeviceConfig &config, uint32_t ctx_id,
                    config_.colsPerCore(), " columns."));
     logInfo(strCat("Created thread pool with ", pool_.size(),
                    " threads."));
-    // Fusion defaults off; the runtime config (pimSetRuntimeConfig >
-    // PIMEVAL_FUSION) can turn it on device-wide, mirroring
-    // pimSetFusionEnabled.
-    fusion_on_ = pimResolveRuntimeConfig().fusion.value;
+    // Fusion defaults off; PIMEVAL_FUSION (any non-empty value but
+    // "0") turns it on device-wide, mirroring pimSetFusionEnabled.
+    const char *fusion = std::getenv("PIMEVAL_FUSION");
+    fusion_on_ = fusion && *fusion && std::strcmp(fusion, "0") != 0;
 }
 
 PimDevice::~PimDevice()
@@ -790,8 +789,9 @@ PimDevice::executeBroadcast(PimObjId dest, uint64_t value)
 namespace {
 
 /** Interned execution-span name for a fused chain of @p len ops
- *  (loads ride along uncapped, so a chain can span the window). */
-const char *
+ *  (loads ride along uncapped, so a chain can span the window).
+ *  Unused when -DPIMEVAL_TRACING=OFF compiles the span away. */
+[[maybe_unused]] const char *
 fusedTraceName(size_t len)
 {
     static const char *cache[kMaxFusionWindowOps + 1] = {};

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -21,7 +20,6 @@
 #include "core/pim_device.h"
 #include "core/pim_json.h"
 #include "core/pim_metrics.h"
-#include "core/pim_runtime_config.h"
 #include "core/pim_sim.h"
 #include "core/pim_stats.h"
 #include "util/logging.h"
@@ -54,7 +52,6 @@ struct PimProfiler::Node
     uint64_t bytes_h2d = 0;
     uint64_t bytes_d2h = 0;
     uint64_t bytes_d2d = 0;
-    std::map<std::string, double> metric_deltas;
 };
 
 namespace {
@@ -68,7 +65,6 @@ struct OpenPhaseRec
     uint32_t ctx = 0;
     bool has_stats = false;
     PimRunStats stats0;
-    std::map<std::string, double> counters0;
 };
 
 thread_local std::vector<OpenPhaseRec> tls_phase_stack;
@@ -77,16 +73,6 @@ thread_local std::vector<OpenPhaseRec> tls_phase_stack;
  *  start()/reset() are dropped at end instead of folding into the
  *  fresh tree. */
 std::atomic<uint64_t> g_profile_gen{0};
-
-std::map<std::string, double>
-collectCounters()
-{
-    std::map<std::string, double> out;
-    for (const auto &[name, v] : PimMetrics::instance().snapshotAll())
-        if (v.kind == PimMetricValue::Kind::kCounter)
-            out.emplace(name, static_cast<double>(v.count));
-    return out;
-}
 
 /** Finite-safe double for JSON (NaN/inf are not valid JSON). */
 double
@@ -168,15 +154,7 @@ writePhaseJson(std::ostream &os, const PimProfilePhase &p)
        << finite(fc) << ", \"dram_transfer\": " << finite(fd)
        << ", \"host\": " << finite(fh) << "},\n     \"bytes\": "
        << "{\"h2d\": " << p.bytes_h2d << ", \"d2h\": " << p.bytes_d2h
-       << ", \"d2d\": " << p.bytes_d2d << "},\n     "
-       << "\"metric_deltas\": {";
-    bool first = true;
-    for (const auto &[name, d] : p.metric_deltas) {
-        os << (first ? "" : ", ") << "\"" << jsonEscape(name)
-           << "\": " << finite(d);
-        first = false;
-    }
-    os << "}}";
+       << ", \"d2d\": " << p.bytes_d2d << "}}";
 }
 
 std::string
@@ -240,14 +218,13 @@ PimProfiler::beginPhase(const char *name)
         return;
     OpenPhaseRec op;
     op.gen = g_profile_gen.load(std::memory_order_acquire);
-    // Snapshot the modeled-stats and counter baselines outside the
-    // profiler mutex (both take their own locks).
+    // Snapshot the modeled-stats baseline outside the profiler mutex
+    // (the stats record takes its own lock).
     if (PimDevice *dev = PimSim::instance().device()) {
         op.ctx = dev->contextId();
         op.stats0 = dev->stats().snapshot();
         op.has_stats = true;
     }
-    op.counters0 = collectCounters();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const int parent =
@@ -257,7 +234,7 @@ PimProfiler::beginPhase(const char *name)
         if (n->ctx == 0)
             n->ctx = op.ctx;
     }
-    // Taken last so the phase measures user code, not the snapshots.
+    // Taken last so the phase measures user code, not the snapshot.
     op.start_ns = nowNs();
     tls_phase_stack.push_back(std::move(op));
 }
@@ -277,7 +254,7 @@ PimProfiler::endPhase()
         end_ns > op.start_ns ? end_ns - op.start_ns : 0;
 
     // Deltas, computed outside the profiler mutex. Negative deltas
-    // (a stats/metrics reset inside the phase) clamp to zero.
+    // (a stats reset inside the phase) clamp to zero.
     PimRunStats d{};
     if (op.has_stats) {
         if (PimDevice *dev = PimSim::instance().device();
@@ -300,7 +277,6 @@ PimProfiler::endPhase()
                 : 0;
         }
     }
-    const auto counters_now = collectCounters();
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (op.node < 0 || op.node >= static_cast<int>(nodes_.size()))
@@ -315,13 +291,6 @@ PimProfiler::endPhase()
     n->bytes_h2d += d.bytes_h2d;
     n->bytes_d2h += d.bytes_d2h;
     n->bytes_d2d += d.bytes_d2d;
-    for (const auto &[name, now_v] : counters_now) {
-        const auto it = op.counters0.find(name);
-        const double before = it == op.counters0.end() ? 0.0 : it->second;
-        const double delta = now_v - before;
-        if (delta > 0.0)
-            n->metric_deltas[name] += delta;
-    }
 }
 
 int
@@ -336,7 +305,7 @@ PimProfiler::snapshot() const
     PimProfileSnapshot out;
     out.active = enabled();
     out.elapsed_ns = nowNs();
-    out.sample_period_ms = sample_period_ms_;
+    out.sample_period_ms = kSamplePeriodMs;
     std::lock_guard<std::mutex> lock(mutex_);
     out.phases.reserve(nodes_.size());
     for (const auto &node : nodes_) {
@@ -359,7 +328,6 @@ PimProfiler::snapshot() const
         p.bytes_h2d = node->bytes_h2d;
         p.bytes_d2h = node->bytes_d2h;
         p.bytes_d2d = node->bytes_d2d;
-        p.metric_deltas = node->metric_deltas;
         out.phases.push_back(std::move(p));
     }
     out.samples = samples_;
@@ -392,11 +360,8 @@ PimProfiler::start(const std::string &path)
             path_ = path;
         epoch_ = std::chrono::steady_clock::now();
     }
-    sample_period_ms_ =
-        pimResolveRuntimeConfig().profile_sample_ms.value;
     enabled_flag_.store(true, std::memory_order_release);
-    if (sample_period_ms_ > 0.0)
-        startSampler();
+    startSampler();
 }
 
 bool
@@ -436,8 +401,8 @@ void
 PimProfiler::samplerLoop()
 {
     PimTracer::instance().setThreadName("profile-sampler");
-    const auto period = std::chrono::duration<double, std::milli>(
-        sample_period_ms_ > 0.0 ? sample_period_ms_ : 25.0);
+    const auto period =
+        std::chrono::duration<double, std::milli>(kSamplePeriodMs);
     std::unique_lock<std::mutex> lk(sampler_mutex_);
     while (!sampler_stop_) {
         if (sampler_cv_.wait_for(lk, period,
@@ -470,7 +435,7 @@ PimProfiler::samplerLoop()
                         kept.push_back(std::move(samples_[i]));
                     samples_.swap(kept);
                     const uint64_t period_ns = static_cast<uint64_t>(
-                        sample_period_ms_ * 1e6);
+                        kSamplePeriodMs * 1e6);
                     sample_stride_ns_ = sample_stride_ns_
                         ? sample_stride_ns_ * 2
                         : period_ns * 2;

@@ -7,14 +7,14 @@
  * pimProfileBegin("compute") / pimProfileEnd() or the RAII
  * PimProfileScope. Phases nest per thread into a process-wide phase
  * tree; each completed phase folds in
- *   - host wall time (log-bucketed histogram -> p50/p90/p99/p99.9),
+ *   - host wall time (log-bucketed histogram -> p50/p90/p99/p99.9) and
  *   - the modeled-time delta from the device's PimStatsMgr
- *     (kernel / copy / host seconds and transfer byte counts), and
- *   - the metric-registry counter deltas that occurred inside it.
+ *     (kernel / copy / host seconds and transfer byte counts).
+ * Phase boundaries do not read the metrics registry.
  *
- * A background sampler thread (period PIMEVAL_PROFILE_SAMPLE_MS,
- * default 25 ms, 0 disables) snapshots the metrics registry into an
- * in-memory time series. pimDumpProfile(path) exports everything —
+ * A background sampler thread snapshots the metrics registry every
+ * kSamplePeriodMs (25 ms) into an in-memory time series.
+ * pimDumpProfile(path) exports everything —
  * the phase tree with per-phase bottleneck attribution
  * (compute / DRAM-transfer / host-overhead split of modeled time),
  * the final metric snapshot with percentiles, the live contexts' ids
@@ -81,9 +81,6 @@ struct PimProfilePhase
     uint64_t bytes_d2h = 0;
     uint64_t bytes_d2d = 0;
 
-    /** Non-zero metric-registry counter deltas inside the phase. */
-    std::map<std::string, double> metric_deltas;
-
     double modeledSec() const
     {
         return kernel_sec + copy_sec + host_sec;
@@ -131,8 +128,7 @@ class PimProfiler
     /**
      * Start (or restart) profiling: clears the phase tree and time
      * series, re-arms the epoch, remembers @p path as the default
-     * export target, and launches the sampler thread (period
-     * PIMEVAL_PROFILE_SAMPLE_MS ms, default 25, 0 disables).
+     * export target, and launches the sampler thread.
      */
     void start(const std::string &path);
 
@@ -165,6 +161,9 @@ class PimProfiler
     /** Drop all phases and samples (profiling state stays on). */
     void reset();
 
+    /** Background-sampler period. */
+    static constexpr double kSamplePeriodMs = 25.0;
+
   private:
     PimProfiler() = default;
 
@@ -191,7 +190,6 @@ class PimProfiler
     std::string path_;
     std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();
-    double sample_period_ms_ = 0.0;
 
     std::thread sampler_;
     std::mutex sampler_mutex_;

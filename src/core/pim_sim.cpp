@@ -13,11 +13,11 @@
 #include "core/pim_sim.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "core/pim_error.h"
 #include "core/pim_metrics.h"
 #include "core/pim_profile.h"
-#include "core/pim_runtime_config.h"
 #include "core/pim_trace.h"
 #include "util/logging.h"
 
@@ -76,17 +76,17 @@ PimSim::createDevice(const PimDeviceConfig &config)
     if (!rec)
         return fail("pimCreateDevice: device creation failed");
 #if PIMEVAL_TRACING_ENABLED
-    // A trace/profile path (PIMEVAL_TRACE / PIMEVAL_PROFILE, or the
-    // runtime-config overrides) arms tracing/profiling for the
-    // device's lifetime; the export happens at device deletion.
-    const PimResolvedRuntimeConfig rt = pimResolveRuntimeConfig();
-    if (!rt.trace_path.value.empty() && !PimTracer::enabled()) {
-        env_trace_path_ = rt.trace_path.value;
+    // PIMEVAL_TRACE / PIMEVAL_PROFILE name a file: tracing/profiling
+    // runs for the device's lifetime and exports at device deletion.
+    const char *trace_path = std::getenv("PIMEVAL_TRACE");
+    if (trace_path && *trace_path && !PimTracer::enabled()) {
+        env_trace_path_ = trace_path;
         PimTracer::instance().begin(env_trace_path_);
         logInfo("tracing to " + env_trace_path_ + " (PIMEVAL_TRACE)");
     }
-    if (!rt.profile_path.value.empty() && !PimProfiler::enabled()) {
-        env_profile_path_ = rt.profile_path.value;
+    const char *profile_path = std::getenv("PIMEVAL_PROFILE");
+    if (profile_path && *profile_path && !PimProfiler::enabled()) {
+        env_profile_path_ = profile_path;
         PimProfiler::instance().start(env_profile_path_);
         logInfo("profiling to " + env_profile_path_ +
                 " (PIMEVAL_PROFILE)");
@@ -101,18 +101,20 @@ PimSim::deleteDevice()
     PimContextRec *rec = defaultContext();
     if (!rec)
         return fail("pimDeleteDevice: no active device");
-    const PimStatus status = destroyContext(rec);
 #if PIMEVAL_TRACING_ENABLED
-    if (status == PimStatus::PIM_OK && !env_trace_path_.empty()) {
+    // Export while the context is still live, so the profile lists it;
+    // the sync lands buffered fusion work in both files first.
+    rec->device->sync();
+    if (!env_trace_path_.empty()) {
         PimTracer::instance().end(env_trace_path_);
         env_trace_path_.clear();
     }
-    if (status == PimStatus::PIM_OK && !env_profile_path_.empty()) {
+    if (!env_profile_path_.empty()) {
         PimProfiler::instance().stop(env_profile_path_);
         env_profile_path_.clear();
     }
 #endif
-    return status;
+    return destroyContext(rec);
 }
 
 PimContextRec *

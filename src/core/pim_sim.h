@@ -59,8 +59,8 @@ class PimSim
     // --- Legacy global-API path (process-default context) ---
 
     /** Create the process-default device; fails if one already
-     *  exists. Honors PIMEVAL_TRACE (trace armed for the device's
-     *  lifetime, exported at deleteDevice). */
+     *  exists. Honors PIMEVAL_TRACE and PIMEVAL_PROFILE (armed for
+     *  the device's lifetime, exported at deleteDevice). */
     PimStatus createDevice(const PimDeviceConfig &config);
 
     /** Destroy the process-default device. */

@@ -1,19 +1,16 @@
 /**
  * @file
- * Tracer implementation: per-thread ring buffers, Chrome trace-event
- * JSON / CSV exporters, and a minimal JSON reader used to validate
- * exported traces (tests and the trace_smoke ctest).
+ * Tracer implementation: per-thread ring buffers, the Chrome
+ * trace-event JSON exporter, and a validator that parses exported
+ * traces back (tests and the trace_smoke ctest).
  */
 
 #include "core/pim_trace.h"
 
 #include "core/pim_json.h"
-#include "core/pim_runtime_config.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -49,7 +46,7 @@ PimTracer::localBuffer()
         auto owned = std::make_shared<ThreadBuffer>();
         std::lock_guard<std::mutex> lock(registry_mutex_);
         owned->tid = static_cast<uint32_t>(buffers_.size());
-        owned->ring.resize(capacity_);
+        owned->ring.resize(kRingCapacity);
         buffers_.push_back(owned);
         buffer = owned.get();
     }
@@ -79,10 +76,8 @@ PimTracer::begin(const std::string &path)
     std::unique_lock<std::shared_mutex> lock(gate_);
     {
         std::lock_guard<std::mutex> reg(registry_mutex_);
-        capacity_ = static_cast<size_t>(
-            pimResolveRuntimeConfig().trace_capacity.value);
         for (auto &buf : buffers_) {
-            buf->ring.assign(capacity_, TraceEvent{});
+            buf->ring.assign(kRingCapacity, TraceEvent{});
             buf->count.store(0, std::memory_order_relaxed);
         }
     }
@@ -100,9 +95,6 @@ PimTracer::end(const std::string &path)
     const std::string &target = path.empty() ? path_ : path;
     if (target.empty())
         return true;
-    if (target.size() > 4 &&
-        target.compare(target.size() - 4, 4, ".csv") == 0)
-        return exportCsv(target);
     return exportJson(target);
 }
 
@@ -110,9 +102,6 @@ bool
 PimTracer::dump(const std::string &path) const
 {
     std::unique_lock<std::shared_mutex> lock(gate_);
-    if (path.size() > 4 &&
-        path.compare(path.size() - 4, 4, ".csv") == 0)
-        return exportCsv(path);
     return exportJson(path);
 }
 
@@ -140,18 +129,6 @@ PimTracer::recordInstant(const char *name, const char *category,
     e.category = category;
     e.ts_ns = nowNs();
     e.arg = arg;
-    record(e);
-}
-
-void
-PimTracer::recordCounter(const char *name, double value)
-{
-    TraceEvent e;
-    e.type = TraceEventType::kCounter;
-    e.name = name;
-    e.category = "counter";
-    e.ts_ns = nowNs();
-    e.modeled_dur_sec = value;
     record(e);
 }
 
@@ -344,12 +321,6 @@ PimTracer::exportJson(const std::string &path) const
                        ",\"args\":{\"arg\":" + std::to_string(e.arg) +
                        "}}";
                 break;
-              case TraceEventType::kCounter:
-                line = "{\"ph\":\"C\",\"pid\":1,\"tid\":" + tid +
-                       ",\"name\":\"" + name + "\",\"ts\":" + ts +
-                       ",\"args\":{\"value\":" +
-                       formatUs(e.modeled_dur_sec) + "}}";
-                break;
               case TraceEventType::kModeledSpan:
                 // Modeled PIM clock: ts is the modeled start (µs of
                 // modeled time), host_ts_us ties it back to the host
@@ -371,37 +342,6 @@ PimTracer::exportJson(const std::string &path) const
         }
     }
     os << "\n]}\n";
-    return static_cast<bool>(os);
-}
-
-bool
-PimTracer::exportCsv(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os) {
-        traceError("trace: cannot open '" + path + "' for writing");
-        return false;
-    }
-    os << "type,tid,name,category,ts_ns,dur_ns,modeled_sec,"
-          "modeled_dur_sec,arg\n";
-    static const char *kTypeNames[] = {"span", "instant", "counter",
-                                       "modeled_span"};
-    std::lock_guard<std::mutex> reg(registry_mutex_);
-    for (const auto &buf : buffers_) {
-        const uint64_t n = buf->count.load(std::memory_order_acquire);
-        const uint64_t size = buf->ring.size();
-        if (size == 0 || n == 0)
-            continue;
-        const uint64_t kept = n < size ? n : size;
-        for (uint64_t i = n - kept; i < n; ++i) {
-            const TraceEvent &e = buf->ring[i % size];
-            os << kTypeNames[static_cast<int>(e.type)] << ','
-               << buf->tid << ',' << (e.name ? e.name : "") << ','
-               << (e.category ? e.category : "") << ',' << e.ts_ns
-               << ',' << e.dur_ns << ',' << e.modeled_sec << ','
-               << e.modeled_dur_sec << ',' << e.arg << '\n';
-        }
-    }
     return static_cast<bool>(os);
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Low-overhead event tracer for the simulator itself (host-side
  * observability, not PIM modeling): scoped spans and instant events
- * recorded into per-thread ring buffers and exported as Chrome
- * trace-event JSON (loadable in Perfetto / chrome://tracing) or
- * compact CSV.
+ * recorded into per-thread ring buffers of kRingCapacity events and
+ * exported as Chrome trace-event JSON (loadable in Perfetto /
+ * chrome://tracing).
  *
  * Dual clocks: every event carries the host wall clock (nanoseconds
  * since trace begin). Events emitted at statistics-commit time
@@ -47,7 +47,6 @@ namespace pimeval {
 enum class TraceEventType : uint8_t {
     kSpan = 0,    ///< complete event with a duration (Chrome "X")
     kInstant,     ///< point event (Chrome "i")
-    kCounter,     ///< sampled value (Chrome "C")
     kModeledSpan, ///< span on the modeled-PIM-time track
 };
 
@@ -65,7 +64,7 @@ struct TraceEvent
     /** Modeled PIM clock at the event (seconds); < 0 when the event
      *  has no modeled-time meaning. */
     double modeled_sec = -1.0;
-    /** Modeled duration (modeled spans) or counter value. */
+    /** Modeled duration (modeled spans only). */
     double modeled_dur_sec = 0.0;
     uint64_t arg = 0; ///< generic payload (bytes, seq, elements, ...)
     /** Owning PIM context of a modeled span (context ids start at 1;
@@ -95,8 +94,6 @@ class PimTracer
     /**
      * Start (or restart) tracing: clears all buffers, re-arms the
      * epoch, and remembers @p path as the default export target.
-     * Ring capacity is kDefaultCapacity events per thread, or
-     * PIMEVAL_TRACE_CAPACITY when that env var holds a number.
      */
     void begin(const std::string &path);
 
@@ -107,9 +104,7 @@ class PimTracer
      */
     bool end(const std::string &path = "");
 
-    /** Export a snapshot without stopping. Path extension selects the
-     *  format: ".csv" writes compact CSV, everything else Chrome
-     *  trace-event JSON. */
+    /** Export a snapshot without stopping. */
     bool dump(const std::string &path) const;
 
     bool active() const { return enabled(); }
@@ -132,9 +127,6 @@ class PimTracer
     /** Record an instant event on this thread. */
     void recordInstant(const char *name, const char *category,
                        uint64_t arg = 0);
-
-    /** Record a counter sample (Chrome "C" track). */
-    void recordCounter(const char *name, double value);
 
     /**
      * Record a span on the modeled-PIM-time track: the command named
@@ -178,8 +170,9 @@ class PimTracer
     /** Events lost to ring overwrite since begin(). */
     uint64_t droppedEvents() const;
 
-    /** Default per-thread ring capacity (events). */
-    static constexpr size_t kDefaultCapacity = size_t{1} << 15;
+    /** Per-thread ring capacity (events); on overflow the oldest
+     *  events are dropped and counted (droppedEvents). */
+    static constexpr size_t kRingCapacity = size_t{1} << 15;
 
   private:
     PimTracer() = default;
@@ -198,7 +191,6 @@ class PimTracer
     ThreadBuffer &localBuffer();
     void record(const TraceEvent &event);
     bool exportJson(const std::string &path) const;
-    bool exportCsv(const std::string &path) const;
 
     static std::atomic<bool> enabled_flag_;
 
@@ -212,7 +204,6 @@ class PimTracer
     std::string path_;
     std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();
-    size_t capacity_ = kDefaultCapacity;
 
     std::mutex intern_mutex_;
     std::unordered_set<std::string> interned_;
@@ -350,14 +341,6 @@ bool pimValidateChromeTraceFile(const std::string &path,
                 (name), (category), static_cast<uint64_t>(arg));       \
     } while (0)
 
-/** Counter sample (renders as a counter track in Perfetto). */
-#define PIM_TRACE_COUNTER(name, value)                                 \
-    do {                                                               \
-        if (::pimeval::PimTracer::enabled())                           \
-            ::pimeval::PimTracer::instance().recordCounter(            \
-                (name), static_cast<double>(value));                   \
-    } while (0)
-
 #else // !PIMEVAL_TRACING_ENABLED
 
 #define PIM_TRACE_SCOPE(name, category)                                \
@@ -367,9 +350,6 @@ bool pimValidateChromeTraceFile(const std::string &path,
     do {                                                               \
     } while (0)
 #define PIM_TRACE_INSTANT(name, category, arg)                         \
-    do {                                                               \
-    } while (0)
-#define PIM_TRACE_COUNTER(name, value)                                 \
     do {                                                               \
     } while (0)
 

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "core/pim_metrics.h"
-#include "core/pim_runtime_config.h"
 #include "dram/mem_backend_lut.h"
 
 namespace pimeval {
@@ -117,13 +116,11 @@ MemTimingBackend::resolve(PimMemBackend configured)
 {
     if (configured != PimMemBackend::PIM_MEM_BACKEND_DEFAULT)
         return configured;
-    // Process-wide selection (pimSetRuntimeConfig override, then
-    // PIMEVAL_MEM_BACKEND) sits below the explicit per-device field.
-    const PimMemBackend from_runtime =
-        pimResolveRuntimeConfig().mem_backend.value;
-    if (from_runtime != PimMemBackend::PIM_MEM_BACKEND_DEFAULT)
-        return from_runtime;
-    return PimMemBackend::PIM_MEM_BACKEND_LUT;
+    // The process-wide PIMEVAL_MEM_BACKEND sits below the explicit
+    // per-device field; an unset or unknown value leaves LUT.
+    PimMemBackend kind = PimMemBackend::PIM_MEM_BACKEND_LUT;
+    parseKind(std::getenv("PIMEVAL_MEM_BACKEND"), &kind);
+    return kind;
 }
 
 std::unique_ptr<MemTimingBackend>

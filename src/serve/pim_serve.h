@@ -63,8 +63,8 @@ struct PimServeConfig
     size_t max_batch = 16;
     /** Master switch for same-shape coalescing. */
     bool batching = true;
-    /** -1 = inherit PIMEVAL_FUSION / runtime config; 0/1 force the
-     *  pool contexts' fusion toggle. */
+    /** -1 = inherit PIMEVAL_FUSION (read at context creation); 0/1
+     *  force the pool contexts' fusion toggle. */
     int fusion = -1;
     /** Context labels: "<label_prefix>.w<worker>". */
     std::string label_prefix = "serve";

@@ -5,7 +5,8 @@
  * graphs, fused-vs-unfused bit-identity of functional outputs AND
  * modeled statistics on all three digital targets, dead-temporary
  * elision accounting (fusion.temps_elided, freelist.pristine), window
- * flush boundaries, and the scalar-folding guard in tape lowering.
+ * flush boundaries, the flush-and-retry of an allocation that finds
+ * the device full, and the scalar-folding guard in tape lowering.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "apps/linear_regression.h"
 #include "core/pim_api.h"
+#include "core/pim_error.h"
 #include "core/pim_fusion.h"
 #include "util/logging.h"
 #include "util/prng.h"
@@ -1235,6 +1237,66 @@ TEST_P(FusionTest, CopyFusionMetrics)
     pimFree(x);
     pimFree(col);
     pimFree(acc);
+}
+
+TEST_P(FusionTest, AllocRetriesAfterFlushingDeferredFrees)
+{
+    // Four objects of n int32 fill the device. Inside the region the
+    // fourth allocation fits only because alloc flushes the window,
+    // which runs the deferred free of the temporary t.
+    const uint64_t n = 8192;
+    Prng rng(41);
+    const std::vector<int> xs = rng.intVector(n, -1000, 1000);
+    const std::vector<int> ys = rng.intVector(n, -1000, 1000);
+    const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    const PimObjId b = pimAllocAssociated(32, a, PimDataType::PIM_INT32);
+    ASSERT_GE(a, 0);
+    ASSERT_GE(b, 0);
+    pimCopyHostToDevice(xs.data(), a);
+    pimCopyHostToDevice(ys.data(), b);
+
+    ASSERT_EQ(pimBeginFusion(), PimStatus::PIM_OK);
+    const PimObjId t = pimAllocAssociated(32, a, PimDataType::PIM_INT32);
+    ASSERT_GE(t, 0);
+    pimAdd(a, b, t);
+    const PimObjId d = pimAllocAssociated(32, a, PimDataType::PIM_INT32);
+    ASSERT_GE(d, 0);
+    pimAdd(t, a, d);
+    pimFree(t); // t has a pending write: deferred to the flush
+
+    pimClearLastError();
+    const PimObjId e = pimAllocAssociated(32, a, PimDataType::PIM_INT32);
+    ASSERT_GE(e, 0);
+    EXPECT_EQ(pimGetLastError(), PimStatus::PIM_OK)
+        << pimGetLastErrorMessage();
+    std::vector<int> zs(n, -1);
+    pimCopyDeviceToHost(e, zs.data());
+    for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(zs[i], 0) << "element " << i;
+    }
+
+    // Nothing is deferred now, so a fifth object cannot fit.
+    EXPECT_EQ(pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                       PimDataType::PIM_INT32),
+              -1);
+    EXPECT_STREQ(pimGetLastErrorMessage(),
+                 "pimAlloc: device capacity exhausted");
+    ASSERT_EQ(pimEndFusion(), PimStatus::PIM_OK);
+
+    std::vector<int> out(n, 0);
+    pimCopyDeviceToHost(d, out.data());
+    for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], 2 * xs[i] + ys[i]) << "element " << i;
+    }
+    pimFree(a);
+    pimFree(b);
+    pimFree(d);
+    pimFree(e);
+    const PimObjId whole = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, 4 * n,
+                                    32, PimDataType::PIM_INT32);
+    EXPECT_GE(whole, 0);
+    pimFree(whole);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,20 +1,27 @@
 /**
  * @file
- * Tests of the consolidated runtime-configuration resolver: the
- * config > env > default precedence per knob, end-to-end effect on
- * device creation, and the JSON dump.
+ * Tests of the PIMEVAL_* environment knobs, each read where it is
+ * used: PIMEVAL_FUSION at device creation, PIMEVAL_MEM_BACKEND in
+ * backend resolution (below the explicit config field), and
+ * PIMEVAL_TRACE / PIMEVAL_PROFILE from pimCreateDevice through the
+ * export at pimDeleteDevice.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/pim_api.h"
 #include "core/pim_context.h"
 #include "core/pim_json.h"
-#include "core/pim_runtime_config.h"
+#include "core/pim_profile.h"
+#include "core/pim_sim.h"
+#include "core/pim_trace.h"
 
 using namespace pimeval;
 
@@ -49,12 +56,6 @@ class EnvVarScope
     bool had_old_ = false;
 };
 
-/** Clears programmatic overrides for one test, restoring defaults. */
-struct ConfigReset
-{
-    ~ConfigReset() { pimSetRuntimeConfig(PimRuntimeConfig{}); }
-};
-
 PimDeviceConfig
 smallConfig()
 {
@@ -68,120 +69,55 @@ smallConfig()
     return config;
 }
 
+/** Fusion toggle of a context created while PIMEVAL_FUSION is
+ *  @p value (nullptr = unset). */
+bool
+fusionAtCreation(const char *value)
+{
+    EnvVarScope env("PIMEVAL_FUSION", value);
+    PimContext ctx = pimCreateContextFromConfig(smallConfig(), "rc");
+    EXPECT_NE(ctx, nullptr);
+    bool on = false;
+    {
+        PimContextScope scope(ctx);
+        on = pimGetFusionEnabled();
+    }
+    pimDestroyContext(ctx);
+    return on;
+}
+
+/** Backend of a context created from @p config while
+ *  PIMEVAL_MEM_BACKEND is @p value (nullptr = unset). */
+PimMemBackend
+backendAtCreation(const PimDeviceConfig &config, const char *value)
+{
+    EnvVarScope env("PIMEVAL_MEM_BACKEND", value);
+    PimContext ctx = pimCreateContextFromConfig(config, "rc");
+    EXPECT_NE(ctx, nullptr);
+    const PimMemBackend kind = pimContextMemBackend(ctx);
+    pimDestroyContext(ctx);
+    return kind;
+}
+
 } // namespace
 
-TEST(RuntimeConfig, DefaultsWhenNothingSet)
-{
-    ConfigReset reset;
-    EnvVarScope e1("PIMEVAL_FUSION", nullptr);
-    EnvVarScope e2("PIMEVAL_MEM_BACKEND", nullptr);
-    EnvVarScope e3("PIMEVAL_TRACE_CAPACITY", nullptr);
-    EnvVarScope e4("PIMEVAL_PROFILE_SAMPLE_MS", nullptr);
-    EnvVarScope e5("PIMEVAL_TRACE", nullptr);
-    EnvVarScope e6("PIMEVAL_PROFILE", nullptr);
-
-    const PimResolvedRuntimeConfig rt = pimResolveRuntimeConfig();
-    EXPECT_EQ(rt.fusion.source, PimKnobSource::kDefault);
-    EXPECT_FALSE(rt.fusion.value);
-    EXPECT_EQ(rt.mem_backend.source, PimKnobSource::kDefault);
-    EXPECT_EQ(rt.mem_backend.value,
-              PimMemBackend::PIM_MEM_BACKEND_DEFAULT);
-    EXPECT_EQ(rt.trace_path.source, PimKnobSource::kDefault);
-    EXPECT_TRUE(rt.trace_path.value.empty());
-    EXPECT_EQ(rt.trace_capacity.source, PimKnobSource::kDefault);
-    EXPECT_GT(rt.trace_capacity.value, 0u);
-    EXPECT_EQ(rt.profile_sample_ms.source, PimKnobSource::kDefault);
-}
-
-TEST(RuntimeConfig, EnvBeatsDefault)
-{
-    ConfigReset reset;
-    EnvVarScope e1("PIMEVAL_FUSION", "1");
-    EnvVarScope e2("PIMEVAL_MEM_BACKEND", "analytical");
-    EnvVarScope e3("PIMEVAL_TRACE_CAPACITY", "4096");
-    EnvVarScope e4("PIMEVAL_PROFILE_SAMPLE_MS", "7.5");
-    EnvVarScope e5("PIMEVAL_TRACE", "t.json");
-
-    const PimResolvedRuntimeConfig rt = pimResolveRuntimeConfig();
-    EXPECT_EQ(rt.fusion.source, PimKnobSource::kEnv);
-    EXPECT_TRUE(rt.fusion.value);
-    EXPECT_EQ(rt.mem_backend.source, PimKnobSource::kEnv);
-    EXPECT_EQ(rt.mem_backend.value,
-              PimMemBackend::PIM_MEM_BACKEND_ANALYTICAL);
-    EXPECT_EQ(rt.trace_capacity.source, PimKnobSource::kEnv);
-    EXPECT_EQ(rt.trace_capacity.value, 4096u);
-    EXPECT_EQ(rt.profile_sample_ms.source, PimKnobSource::kEnv);
-    EXPECT_DOUBLE_EQ(rt.profile_sample_ms.value, 7.5);
-    EXPECT_EQ(rt.trace_path.source, PimKnobSource::kEnv);
-    EXPECT_EQ(rt.trace_path.value, "t.json");
-}
-
-TEST(RuntimeConfig, ConfigBeatsEnv)
-{
-    ConfigReset reset;
-    EnvVarScope e1("PIMEVAL_FUSION", "1");
-    EnvVarScope e2("PIMEVAL_MEM_BACKEND", "analytical");
-    EnvVarScope e3("PIMEVAL_TRACE_CAPACITY", "4096");
-
-    PimRuntimeConfig overrides;
-    overrides.fusion = false;
-    overrides.mem_backend = PimMemBackend::PIM_MEM_BACKEND_CYCLE;
-    overrides.trace_capacity = 128;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-
-    const PimResolvedRuntimeConfig rt = pimResolveRuntimeConfig();
-    EXPECT_EQ(rt.fusion.source, PimKnobSource::kConfig);
-    EXPECT_FALSE(rt.fusion.value);
-    EXPECT_EQ(rt.mem_backend.source, PimKnobSource::kConfig);
-    EXPECT_EQ(rt.mem_backend.value,
-              PimMemBackend::PIM_MEM_BACKEND_CYCLE);
-    EXPECT_EQ(rt.trace_capacity.source, PimKnobSource::kConfig);
-    EXPECT_EQ(rt.trace_capacity.value, 128u);
-
-    // Clearing the overrides restores env resolution.
-    ASSERT_EQ(pimSetRuntimeConfig(PimRuntimeConfig{}),
-              PimStatus::PIM_OK);
-    const PimResolvedRuntimeConfig rt2 = pimResolveRuntimeConfig();
-    EXPECT_EQ(rt2.fusion.source, PimKnobSource::kEnv);
-    EXPECT_TRUE(rt2.fusion.value);
-    EXPECT_EQ(rt2.trace_capacity.value, 4096u);
-}
-
-TEST(RuntimeConfig, RoundTripThroughGet)
-{
-    ConfigReset reset;
-    PimRuntimeConfig overrides;
-    overrides.fusion = true;
-    overrides.profile_sample_ms = 3.0;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-    const PimRuntimeConfig got = pimGetRuntimeConfig();
-    ASSERT_TRUE(got.fusion.has_value());
-    EXPECT_TRUE(*got.fusion);
-    ASSERT_TRUE(got.profile_sample_ms.has_value());
-    EXPECT_DOUBLE_EQ(*got.profile_sample_ms, 3.0);
-    EXPECT_FALSE(got.mem_backend.has_value());
-}
-
-/** The fusion knob must actually govern devices created after it. */
+/** PIMEVAL_FUSION sets the fusion default of each device created
+ *  while it is set: unset, "" and "0" are off, anything else on. */
 TEST(RuntimeConfig, FusionKnobAppliesAtDeviceCreation)
 {
-    ConfigReset reset;
-    EnvVarScope env("PIMEVAL_FUSION", nullptr);
+    EXPECT_FALSE(fusionAtCreation(nullptr));
+    EXPECT_FALSE(fusionAtCreation(""));
+    EXPECT_FALSE(fusionAtCreation("0"));
+    EXPECT_TRUE(fusionAtCreation("1"));
 
-    PimRuntimeConfig overrides;
-    overrides.fusion = true;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-    PimContext on = pimCreateContextFromConfig(smallConfig(), "rc.on");
-    ASSERT_NE(on, nullptr);
+    PimContext on = nullptr;
     {
-        PimContextScope scope(on);
-        EXPECT_TRUE(pimGetFusionEnabled());
+        EnvVarScope env("PIMEVAL_FUSION", "1");
+        on = pimCreateContextFromConfig(smallConfig(), "rc.on");
     }
-
-    overrides.fusion = false;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-    PimContext off =
-        pimCreateContextFromConfig(smallConfig(), "rc.off");
+    ASSERT_NE(on, nullptr);
+    EnvVarScope env("PIMEVAL_FUSION", "0");
+    PimContext off = pimCreateContextFromConfig(smallConfig(), "rc.off");
     ASSERT_NE(off, nullptr);
     {
         PimContextScope scope(off);
@@ -196,99 +132,88 @@ TEST(RuntimeConfig, FusionKnobAppliesAtDeviceCreation)
     pimDestroyContext(off);
 }
 
-/** The mem-backend knob must govern backend resolution end to end,
- *  with the explicit per-device field still winning. */
+/** PIMEVAL_MEM_BACKEND selects the backend when the config leaves it
+ *  at DEFAULT; the explicit per-device field beats it. */
 TEST(RuntimeConfig, MemBackendPrecedenceEndToEnd)
 {
-    ConfigReset reset;
-    EnvVarScope env("PIMEVAL_MEM_BACKEND", "analytical");
-
-    // Env selects ANALYTICAL.
-    PimContext a = pimCreateContextFromConfig(smallConfig(), "rc.a");
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(pimContextMemBackend(a),
+    EXPECT_EQ(backendAtCreation(smallConfig(), nullptr),
+              PimMemBackend::PIM_MEM_BACKEND_LUT);
+    EXPECT_EQ(backendAtCreation(smallConfig(), "analytical"),
               PimMemBackend::PIM_MEM_BACKEND_ANALYTICAL);
 
-    // Programmatic override beats env.
-    PimRuntimeConfig overrides;
-    overrides.mem_backend = PimMemBackend::PIM_MEM_BACKEND_LUT;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-    PimContext b = pimCreateContextFromConfig(smallConfig(), "rc.b");
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(pimContextMemBackend(b),
-              PimMemBackend::PIM_MEM_BACKEND_LUT);
-
-    // The per-device struct field beats everything.
     PimDeviceConfig explicit_cfg = smallConfig();
     explicit_cfg.mem_backend = PimMemBackend::PIM_MEM_BACKEND_CYCLE;
-    PimContext c =
-        pimCreateContextFromConfig(explicit_cfg, "rc.c");
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(pimContextMemBackend(c),
+    EXPECT_EQ(backendAtCreation(explicit_cfg, "analytical"),
               PimMemBackend::PIM_MEM_BACKEND_CYCLE);
-
-    pimDestroyContext(a);
-    pimDestroyContext(b);
-    pimDestroyContext(c);
 }
 
-TEST(RuntimeConfig, DumpReportsValueAndProvenance)
+#if PIMEVAL_TRACING_ENABLED
+/**
+ * PIMEVAL_TRACE and PIMEVAL_PROFILE arm tracing and profiling at
+ * pimCreateDevice and export both at pimDeleteDevice, while the
+ * default context is still live: the profile lists it.
+ */
+TEST(RuntimeConfig, EnvArmsTraceAndProfile)
 {
-    ConfigReset reset;
-    EnvVarScope e1("PIMEVAL_FUSION", "1");
-    EnvVarScope e2("PIMEVAL_MEM_BACKEND", nullptr);
-    PimRuntimeConfig overrides;
-    overrides.trace_capacity = 2048;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-
-    std::ostringstream os;
-    ASSERT_EQ(pimDumpRuntimeConfig(os), PimStatus::PIM_OK);
-    const std::string json = os.str();
-    // Every knob is present with its env-var name.
-    for (const char *needle :
-         {"\"trace_path\"", "\"trace_capacity\"", "\"profile_path\"",
-          "\"profile_sample_ms\"", "\"fusion\"", "\"mem_backend\"",
-          "PIMEVAL_TRACE_CAPACITY",
-          "PIMEVAL_MEM_BACKEND"}) {
-        EXPECT_NE(json.find(needle), std::string::npos)
-            << "missing " << needle << " in:\n"
-            << json;
+    const std::string trace_path = ::testing::TempDir() + "rc_trace.json";
+    const std::string profile_path =
+        ::testing::TempDir() + "rc_profile.json";
+    const std::string html_path = ::testing::TempDir() + "rc_profile.html";
+    std::remove(trace_path.c_str());
+    std::remove(profile_path.c_str());
+    uint32_t ctx_id = 0;
+    {
+        EnvVarScope trace("PIMEVAL_TRACE", trace_path.c_str());
+        EnvVarScope profile("PIMEVAL_PROFILE", profile_path.c_str());
+        ASSERT_EQ(pimCreateDeviceFromConfig(smallConfig()),
+                  PimStatus::PIM_OK);
+        EXPECT_TRUE(pimTraceActive());
+        EXPECT_TRUE(pimProfileActive());
+        ctx_id = pimContextId(PimSim::instance().defaultContext());
+        {
+            PIM_PROFILE_SCOPE("rc.phase");
+            const uint64_t n = 256;
+            std::vector<int> xs(n, 1);
+            const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n,
+                                        32, PimDataType::PIM_INT32);
+            ASSERT_GE(a, 0);
+            pimCopyHostToDevice(xs.data(), a);
+            pimAddScalar(a, a, 7);
+            pimFree(a);
+        }
+        ASSERT_EQ(pimDeleteDevice(), PimStatus::PIM_OK);
     }
-    // Provenance markers for the three sources in play.
-    EXPECT_NE(json.find("\"source\": \"config\""), std::string::npos);
-    EXPECT_NE(json.find("\"source\": \"env\""), std::string::npos);
-    EXPECT_NE(json.find("\"source\": \"default\""),
-              std::string::npos);
-    // The overridden capacity value is visible.
-    EXPECT_NE(json.find("2048"), std::string::npos);
-}
-
-TEST(RuntimeConfig, DumpIsValidJsonForControlCharacterPaths)
-{
-    ConfigReset reset;
-    const std::string path = "out dir\\tab\there\nline \"q\".json";
-    PimRuntimeConfig overrides;
-    overrides.profile_path = path;
-    ASSERT_EQ(pimSetRuntimeConfig(overrides), PimStatus::PIM_OK);
-
-    std::ostringstream os;
-    ASSERT_EQ(pimDumpRuntimeConfig(os), PimStatus::PIM_OK);
-    const std::string dump = os.str();
-    // Raw control characters are invalid inside JSON strings: the tab
-    // must be escaped, and the newline must not split the knob's line.
-    EXPECT_EQ(dump.find('\t'), std::string::npos) << dump;
-    const size_t at = dump.find("\"profile_path\"");
-    ASSERT_NE(at, std::string::npos);
-    const std::string line = dump.substr(at, dump.find('\n', at) - at);
-    EXPECT_NE(line.find("\"source\""), std::string::npos) << line;
+    EXPECT_FALSE(pimTraceActive());
+    EXPECT_FALSE(pimProfileActive());
 
     std::string error;
-    JsonValue doc;
-    ASSERT_TRUE(JsonParser(dump, &error).parse(&doc))
-        << error << " in:\n" << dump;
-    const JsonValue *knob = doc.find("profile_path");
-    ASSERT_NE(knob, nullptr);
-    const JsonValue *value = knob->find("value");
-    ASSERT_NE(value, nullptr);
-    EXPECT_EQ(value->str, path);
+    EXPECT_TRUE(pimValidateChromeTraceFile(trace_path, nullptr, &error))
+        << error;
+    EXPECT_TRUE(pimValidateProfileFile(profile_path, &error)) << error;
+
+    std::ifstream is(profile_path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    JsonValue root;
+    ASSERT_TRUE(JsonParser(ss.str(), &error).parse(&root)) << error;
+    const JsonValue *contexts = root.find("contexts");
+    ASSERT_NE(contexts, nullptr);
+    ASSERT_EQ(contexts->kind, JsonValue::Kind::kArray);
+    const JsonValue *entry = nullptr;
+    for (const JsonValue &c : contexts->array) {
+        const JsonValue *id = c.find("id");
+        if (id && id->number == static_cast<double>(ctx_id))
+            entry = &c;
+    }
+    ASSERT_NE(entry, nullptr) << "context " << ctx_id
+                              << " missing from:\n" << ss.str();
+    const JsonValue *label = entry->find("label");
+    ASSERT_NE(label, nullptr);
+    EXPECT_EQ(label->kind, JsonValue::Kind::kString);
+    EXPECT_EQ(label->str, "");
+
+    std::remove(trace_path.c_str());
+    std::remove(profile_path.c_str());
+    std::remove(html_path.c_str());
 }
+#endif // PIMEVAL_TRACING_ENABLED
