@@ -112,42 +112,6 @@ quietLogs()
 }
 
 /**
- * Emit the profiler's phase tree as a JSON array (key included), for
- * the benches' per-phase breakdowns. The tree is whatever the last
- * profiling session recorded — typically armed via PIMEVAL_PROFILE —
- * and is empty when the profiler never ran (or under
- * -DPIMEVAL_TRACING=OFF, where the snapshot stub returns nothing).
- * @p indent prefixes every line (the benches use two spaces).
- */
-inline void
-emitProfilePhasesJson(std::ostream &os,
-                      const pimeval::PimProfileSnapshot &snap,
-                      const std::string &indent)
-{
-    os << indent << "\"profile_phases\": [";
-    for (size_t i = 0; i < snap.phases.size(); ++i) {
-        const pimeval::PimProfilePhase &p = snap.phases[i];
-        os << (i ? "," : "") << "\n"
-           << indent << "  {\"name\": \"" << pimeval::jsonEscape(p.name)
-           << "\", \"parent\": " << p.parent
-           << ", \"depth\": " << p.depth << ", \"count\": " << p.count
-           << ",\n"
-           << indent << "   \"host_ns\": {\"total\": "
-           << p.host_ns_total << ", \"p50\": " << p.host_ns_p50
-           << ", \"p90\": " << p.host_ns_p90
-           << ", \"p99\": " << p.host_ns_p99 << "},\n"
-           << indent << "   \"modeled_sec\": {\"compute\": "
-           << p.kernel_sec << ", \"dram_transfer\": " << p.copy_sec
-           << ", \"host\": " << p.host_sec
-           << ", \"total\": " << p.modeledSec() << "},\n"
-           << indent << "   \"bytes\": {\"h2d\": " << p.bytes_h2d
-           << ", \"d2h\": " << p.bytes_d2h
-           << ", \"d2d\": " << p.bytes_d2d << "}}";
-    }
-    os << (snap.phases.empty() ? "" : "\n" + indent) << "]";
-}
-
-/**
  * Print a table to stdout and, when PIMBENCH_CSV_DIR is set, also
  * write it as CSV into that directory (file name derived from the
  * table title) for plotting.

@@ -402,8 +402,11 @@ class CaptureReporter : public benchmark::ConsoleReporter
 
 /**
  * Write the captured runs as a JSON array of
- * {name, command, target, elements_per_second, real_time_ns,
- *  iterations} records. Schema documented in docs/PERFORMANCE.md.
+ * {name, command, target, repetition_index, elements_per_second,
+ *  real_time_ns, iterations} records, one per repetition
+ * (--benchmark_repetitions); google-benchmark's aggregate rows (mean,
+ * median, stddev) are left out, so readers compute their own
+ * statistics. Schema documented in docs/PERFORMANCE.md.
  */
 void
 writeJson(std::ostream &os,
@@ -414,7 +417,8 @@ writeJson(std::ostream &os,
        << "  \"results\": [\n";
     bool first = true;
     for (const auto &run : runs) {
-        if (run.error_occurred)
+        if (run.error_occurred ||
+            run.run_type == benchmark::BenchmarkReporter::Run::RT_Aggregate)
             continue;
         // name = "sim_throughput/<command>/<target>"; the full
         // benchmark_name() also carries a "/real_time" suffix.
@@ -438,7 +442,8 @@ writeJson(std::ostream &os,
         os << "    {\"name\": \"" << jsonEscape(name)
            << "\", \"command\": \"" << jsonEscape(command)
            << "\", \"target\": \"" << jsonEscape(target)
-           << "\", \"elements_per_second\": " << eps
+           << "\", \"repetition_index\": " << run.repetition_index
+           << ", \"elements_per_second\": " << eps
            << ", \"real_time_ns\": " << run.GetAdjustedRealTime()
            << ", \"iterations\": " << run.iterations << "}";
     }

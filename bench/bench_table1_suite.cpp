@@ -25,18 +25,6 @@ struct SuiteRow
     const char *name;
 };
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 const SuiteRow kRows[] = {
     {"Linear Algebra", "Vector Addition"},
     {"Linear Algebra", "AXPY"},
@@ -133,8 +121,8 @@ main()
         for (size_t i = 0; i < results.size(); ++i) {
             const AppResult &r = results[i].result;
             out << "    {\"domain\": \""
-                << escapeJson(results[i].row->domain)
-                << "\", \"app\": \"" << escapeJson(r.name)
+                << pimeval::jsonEscape(results[i].row->domain)
+                << "\", \"app\": \"" << pimeval::jsonEscape(r.name)
                 << "\", \"sequential\": "
                 << (r.features.sequential_access ? "true" : "false")
                 << ", \"random\": "
@@ -148,8 +136,8 @@ main()
                 << (r.verified ? "true" : "false") << "}"
                 << (i + 1 < results.size() ? "," : "") << "\n";
         }
-        out << "  ],\n";
-        emitProfilePhasesJson(out, snap, "  ");
+        out << "  ],\n  \"profile_phases\": ";
+        pimeval::writeProfilePhasesJson(out, snap.phases);
         out << "\n}\n";
         std::cout << "[json written: " << json_path << "]\n";
     }

@@ -27,7 +27,6 @@ namespace pimeval {
 struct PimOpProfile
 {
     PimCmdEnum cmd = PimCmdEnum::kNone;
-    PimDataType data_type = PimDataType::PIM_INT32;
     unsigned bits = 32;
     uint64_t num_elements = 0;
     /** Largest per-core element count — sets the critical path. */
@@ -107,8 +106,7 @@ class PerfEnergyModel
  * Fixed-capacity memo in front of one model's costOp, one per device.
  * costOp is a pure function of the profile, the model's immutable
  * configuration and its immutable memory backend, so a hit returns
- * exactly what the model computes. The key is every profile field a
- * model reads: all of them except data_type.
+ * exactly what the model computes. The key is the whole profile.
  *
  * Sized for the Table I apps (485 distinct profiles per device in the
  * table1_cmd benchmark workload), it never grows or rehashes. A profile probes kProbeWindow slots from

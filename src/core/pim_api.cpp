@@ -684,6 +684,7 @@ PimStatus
 pimDumpMetrics(std::ostream &os)
 {
     pimeval::PimMetrics::instance().dumpJson(os);
+    os << '\n';
     if (!os)
         return pimeval::fail("pimDumpMetrics: write failed");
     return PimStatus::PIM_OK;

@@ -563,7 +563,6 @@ PimDevice::makeOp(PimCmdEnum cmd, const PimDataObject &shape,
 
     PimOpProfile &profile = op.profile;
     profile.cmd = cmd;
-    profile.data_type = shape.dataType();
     profile.bits = op.bits;
     profile.num_elements = op.n;
     profile.max_elems_per_core = shape.maxElementsPerRegion();

@@ -2,7 +2,8 @@
  * @file
  * Minimal header-only JSON support shared by every writer and reader
  * in the codebase: jsonEscape is the one string escaper the exporters
- * and benches write with, and the reader serves the exporters'
+ * and benches write with, jsonFinite the one guard against NaN and
+ * infinity in written numbers, and the reader serves the exporters'
  * validation paths (pimValidateChromeTraceFile in pim_trace.cpp,
  * pimValidateProfileFile in pim_profile.cpp) and the tests that parse
  * the files the simulator writes. Not a general-purpose library: it
@@ -14,6 +15,7 @@
 #define PIMEVAL_CORE_PIM_JSON_H_
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -50,6 +52,13 @@ jsonEscape(std::string_view s)
         }
     }
     return out;
+}
+
+/** @p v, or 0 when it is NaN or infinite, which JSON cannot hold. */
+inline double
+jsonFinite(double v)
+{
+    return std::isfinite(v) ? v : 0.0;
 }
 
 /** Tiny JSON DOM (objects keep insertion order). */

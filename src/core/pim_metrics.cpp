@@ -11,6 +11,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "core/pim_json.h"
+
 namespace pimeval {
 
 namespace detail {
@@ -385,38 +387,35 @@ PimMetrics::printReport(std::ostream &os) const
 void
 PimMetrics::dumpJson(std::ostream &os) const
 {
-    const auto all = snapshotAll();
+    const std::streamsize precision = os.precision(17);
     os << "{";
     bool first = true;
-    auto sep = [&]() {
-        if (!first)
-            os << ",";
+    for (const auto &[name, v] : snapshotAll()) {
+        os << (first ? "\n  \"" : ",\n  \"") << jsonEscape(name)
+           << "\": ";
         first = false;
-        os << "\n  ";
-    };
-    const auto flags = os.flags();
-    os << std::setprecision(17);
-    for (const auto &[name, v] : all) {
-        sep();
-        os << "\"" << name << "\": ";
         switch (v.kind) {
           case PimMetricValue::Kind::kCounter:
             os << v.count;
             break;
           case PimMetricValue::Kind::kGauge:
-            os << v.value;
+            os << jsonFinite(v.value);
             break;
           case PimMetricValue::Kind::kHistogram:
-            os << "{\"count\": " << v.count << ", \"sum\": " << v.sum
-               << ", \"mean\": " << v.value << ", \"min\": " << v.min
-               << ", \"max\": " << v.max << ", \"p50\": " << v.p50
-               << ", \"p90\": " << v.p90 << ", \"p99\": " << v.p99
-               << ", \"p999\": " << v.p999 << "}";
+            os << "{\"count\": " << v.count
+               << ", \"sum\": " << jsonFinite(v.sum)
+               << ", \"mean\": " << jsonFinite(v.value)
+               << ", \"min\": " << jsonFinite(v.min)
+               << ", \"max\": " << jsonFinite(v.max)
+               << ", \"p50\": " << jsonFinite(v.p50)
+               << ", \"p90\": " << jsonFinite(v.p90)
+               << ", \"p99\": " << jsonFinite(v.p99)
+               << ", \"p999\": " << jsonFinite(v.p999) << "}";
             break;
         }
     }
-    os << "\n}\n";
-    os.flags(flags);
+    os << "\n}";
+    os.precision(precision);
 }
 
 } // namespace pimeval

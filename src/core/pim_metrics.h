@@ -243,7 +243,13 @@ class PimMetrics
     /** Human-readable table of all non-zero metrics. */
     void printReport(std::ostream &os) const;
 
-    /** JSON object {"name": value-or-histogram-object, ...}. */
+    /**
+     * Every registered metric as one JSON object, {"name":
+     * value-or-histogram-object, ...}, sorted by name, untouched ones
+     * at 0. Names are escaped and non-finite values written as 0, so
+     * the output always parses. The registry's one JSON writer:
+     * pimDumpMetrics and PROFILE.json's "metrics" block use it.
+     */
     void dumpJson(std::ostream &os) const;
 
     /**

@@ -123,8 +123,6 @@ struct PimDeviceConfig
     unsigned bank_alu_bits = 128;
     /** GDL width in bits (paper assumes 128 to be generous). */
     unsigned gdl_bits = 128;
-    /** SWAR popcount cycles on the Fulcrum ALU (paper: 12). */
-    unsigned fulcrum_popcount_cycles = 12;
 
     /** Independent channels for the cycle/LUT timing backends (0 =
      *  one channel per rank, i.e., the paper's simplification). */

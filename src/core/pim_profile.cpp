@@ -12,7 +12,6 @@
 #include "core/pim_profile.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -73,89 +72,6 @@ thread_local std::vector<OpenPhaseRec> tls_phase_stack;
  *  start()/reset() are dropped at end instead of folding into the
  *  fresh tree. */
 std::atomic<uint64_t> g_profile_gen{0};
-
-/** Finite-safe double for JSON (NaN/inf are not valid JSON). */
-double
-finite(double v)
-{
-    return std::isfinite(v) ? v : 0.0;
-}
-
-void
-writeMetricValueJson(std::ostream &os, const PimMetricValue &v)
-{
-    switch (v.kind) {
-      case PimMetricValue::Kind::kCounter:
-        os << v.count;
-        break;
-      case PimMetricValue::Kind::kGauge:
-        os << finite(v.value);
-        break;
-      case PimMetricValue::Kind::kHistogram:
-        os << "{\"count\": " << v.count << ", \"sum\": "
-           << finite(v.sum) << ", \"mean\": " << finite(v.value)
-           << ", \"min\": " << finite(v.min) << ", \"max\": "
-           << finite(v.max) << ", \"p50\": " << finite(v.p50)
-           << ", \"p90\": " << finite(v.p90) << ", \"p99\": "
-           << finite(v.p99) << ", \"p999\": " << finite(v.p999)
-           << "}";
-        break;
-    }
-}
-
-void
-writeMetricMapJson(std::ostream &os,
-                   const std::map<std::string, PimMetricValue> &all)
-{
-    os << "{";
-    bool first = true;
-    for (const auto &[name, v] : all) {
-        // Leave out never-touched (zero) entries.
-        if (v.kind == PimMetricValue::Kind::kCounter && v.count == 0)
-            continue;
-        if (v.kind == PimMetricValue::Kind::kGauge && v.value == 0.0)
-            continue;
-        if (v.kind == PimMetricValue::Kind::kHistogram && v.count == 0)
-            continue;
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-           << "\": ";
-        first = false;
-        writeMetricValueJson(os, v);
-    }
-    os << (first ? "}" : "\n  }");
-}
-
-void
-writePhaseJson(std::ostream &os, const PimProfilePhase &p)
-{
-    const double total = p.modeledSec();
-    const double fc = total > 0.0 ? p.kernel_sec / total : 0.0;
-    const double fd = total > 0.0 ? p.copy_sec / total : 0.0;
-    const double fh = total > 0.0 ? p.host_sec / total : 0.0;
-    const double mean =
-        p.count ? static_cast<double>(p.host_ns_total) /
-                static_cast<double>(p.count)
-                : 0.0;
-    os << "{\"name\": \"" << jsonEscape(p.name)
-       << "\", \"parent\": " << p.parent << ", \"depth\": " << p.depth
-       << ", \"ctx\": " << p.ctx << ", \"count\": " << p.count
-       << ",\n     \"host_ns\": {\"total\": " << p.host_ns_total
-       << ", \"mean\": " << finite(mean) << ", \"min\": "
-       << finite(p.host_ns_min) << ", \"max\": "
-       << finite(p.host_ns_max) << ", \"p50\": "
-       << finite(p.host_ns_p50) << ", \"p90\": "
-       << finite(p.host_ns_p90) << ", \"p99\": "
-       << finite(p.host_ns_p99) << ", \"p999\": "
-       << finite(p.host_ns_p999) << "},\n     \"modeled_sec\": "
-       << "{\"compute\": " << finite(p.kernel_sec)
-       << ", \"dram_transfer\": " << finite(p.copy_sec)
-       << ", \"host\": " << finite(p.host_sec) << ", \"total\": "
-       << finite(total) << "},\n     \"attribution\": {\"compute\": "
-       << finite(fc) << ", \"dram_transfer\": " << finite(fd)
-       << ", \"host\": " << finite(fh) << "},\n     \"bytes\": "
-       << "{\"h2d\": " << p.bytes_h2d << ", \"d2h\": " << p.bytes_d2h
-       << ", \"d2d\": " << p.bytes_d2d << "}}";
-}
 
 std::string
 htmlPathFor(const std::string &json_path)
@@ -581,18 +497,13 @@ PimProfiler::dump(const std::string &path) const
     json << "  \"active\": " << (snap.active ? "true" : "false")
          << ",\n";
     json << "  \"elapsed_ns\": " << snap.elapsed_ns << ",\n";
-    json << "  \"sample_period_ms\": " << finite(snap.sample_period_ms)
+    json << "  \"sample_period_ms\": " << jsonFinite(snap.sample_period_ms)
          << ",\n";
 
-    json << "  \"phases\": [";
-    for (size_t i = 0; i < snap.phases.size(); ++i) {
-        json << (i ? ",\n    " : "\n    ");
-        writePhaseJson(json, snap.phases[i]);
-    }
-    json << (snap.phases.empty() ? "]" : "\n  ]") << ",\n";
-
-    json << "  \"metrics\": ";
-    writeMetricMapJson(json, PimMetrics::instance().snapshotAll());
+    json << "  \"phases\": ";
+    writeProfilePhasesJson(json, snap.phases);
+    json << ",\n  \"metrics\": ";
+    PimMetrics::instance().dumpJson(json);
     json << ",\n";
 
     json << "  \"contexts\": [";
@@ -614,7 +525,7 @@ PimProfiler::dump(const std::string &path) const
             if (v == 0.0)
                 continue;
             json << (first ? "" : ", ") << "\"" << jsonEscape(name)
-                 << "\": " << finite(v);
+                 << "\": " << jsonFinite(v);
             first = false;
         }
         json << "}}";

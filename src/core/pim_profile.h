@@ -46,10 +46,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/pim_json.h"
 #include "core/pim_trace.h" // PIMEVAL_TRACING_ENABLED
 #include "core/pim_types.h"
 
@@ -86,6 +88,61 @@ struct PimProfilePhase
         return kernel_sec + copy_sec + host_sec;
     }
 };
+
+/**
+ * Write @p phases as a JSON array of phase records: name, parent,
+ * depth, ctx, count, host_ns (total, mean, min, max, p50, p90, p99,
+ * p999), modeled_sec (compute, dram_transfer, host, total), the
+ * attribution fractions of that split, and bytes (h2d, d2h, d2d).
+ * Non-finite values are written as 0. PROFILE.json's "phases" and the
+ * benches' "profile_phases" both come from this one writer; it is
+ * inline so it also builds under -DPIMEVAL_TRACING=OFF, where
+ * pim_profile.cpp is not compiled.
+ */
+inline void
+writeProfilePhasesJson(std::ostream &os,
+                       const std::vector<PimProfilePhase> &phases)
+{
+    const std::streamsize precision = os.precision(17);
+    os << "[";
+    for (size_t i = 0; i < phases.size(); ++i) {
+        const PimProfilePhase &p = phases[i];
+        const double total = p.modeledSec();
+        const auto share = [&](double part) {
+            return total > 0.0 ? jsonFinite(part / total) : 0.0;
+        };
+        const double mean = p.count
+            ? static_cast<double>(p.host_ns_total) /
+                static_cast<double>(p.count)
+            : 0.0;
+        os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
+           << jsonEscape(p.name) << "\", \"parent\": " << p.parent
+           << ", \"depth\": " << p.depth << ", \"ctx\": " << p.ctx
+           << ", \"count\": " << p.count
+           << ",\n     \"host_ns\": {\"total\": " << p.host_ns_total
+           << ", \"mean\": " << jsonFinite(mean)
+           << ", \"min\": " << jsonFinite(p.host_ns_min)
+           << ", \"max\": " << jsonFinite(p.host_ns_max)
+           << ", \"p50\": " << jsonFinite(p.host_ns_p50)
+           << ", \"p90\": " << jsonFinite(p.host_ns_p90)
+           << ", \"p99\": " << jsonFinite(p.host_ns_p99)
+           << ", \"p999\": " << jsonFinite(p.host_ns_p999)
+           << "},\n     \"modeled_sec\": {\"compute\": "
+           << jsonFinite(p.kernel_sec)
+           << ", \"dram_transfer\": " << jsonFinite(p.copy_sec)
+           << ", \"host\": " << jsonFinite(p.host_sec)
+           << ", \"total\": " << jsonFinite(total)
+           << "},\n     \"attribution\": {\"compute\": "
+           << share(p.kernel_sec)
+           << ", \"dram_transfer\": " << share(p.copy_sec)
+           << ", \"host\": " << share(p.host_sec)
+           << "},\n     \"bytes\": {\"h2d\": " << p.bytes_h2d
+           << ", \"d2h\": " << p.bytes_d2h << ", \"d2d\": " << p.bytes_d2d
+           << "}}";
+    }
+    os << (phases.empty() ? "]" : "\n  ]");
+    os.precision(precision);
+}
 
 /** One background-sampler snapshot of the metrics registry. */
 struct PimProfileSample

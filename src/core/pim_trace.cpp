@@ -46,7 +46,6 @@ PimTracer::localBuffer()
         auto owned = std::make_shared<ThreadBuffer>();
         std::lock_guard<std::mutex> lock(registry_mutex_);
         owned->tid = static_cast<uint32_t>(buffers_.size());
-        owned->ring.resize(kRingCapacity);
         buffers_.push_back(owned);
         buffer = owned.get();
     }
@@ -63,8 +62,12 @@ PimTracer::record(const TraceEvent &event)
     if (!enabled())
         return;
     ThreadBuffer &buf = localBuffer();
+    // A thread's ring is sized at its first event, so a thread that
+    // only names itself, or runs while tracing is off, holds none.
+    // Exporters read rings under the exclusive gate, so the owner may
+    // grow its own under the shared one.
     if (buf.ring.empty())
-        return;
+        buf.ring.resize(kRingCapacity);
     const uint64_t n = buf.count.load(std::memory_order_relaxed);
     buf.ring[n % buf.ring.size()] = event;
     buf.count.store(n + 1, std::memory_order_release);
@@ -76,10 +79,8 @@ PimTracer::begin(const std::string &path)
     std::unique_lock<std::shared_mutex> lock(gate_);
     {
         std::lock_guard<std::mutex> reg(registry_mutex_);
-        for (auto &buf : buffers_) {
-            buf->ring.assign(kRingCapacity, TraceEvent{});
+        for (auto &buf : buffers_)
             buf->count.store(0, std::memory_order_relaxed);
-        }
     }
     path_ = path;
     epoch_ = std::chrono::steady_clock::now();

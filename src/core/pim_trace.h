@@ -92,8 +92,8 @@ class PimTracer
     }
 
     /**
-     * Start (or restart) tracing: clears all buffers, re-arms the
-     * epoch, and remembers @p path as the default export target.
+     * Start (or restart) tracing: drops every buffered event, re-arms
+     * the epoch, and remembers @p path as the default export target.
      */
     void begin(const std::string &path);
 
@@ -177,8 +177,9 @@ class PimTracer
   private:
     PimTracer() = default;
 
-    /** One thread's ring. Written lock-free by its owner under the
-     *  shared gate; read only under the exclusive gate. */
+    /** One thread's ring, empty until the thread records its first
+     *  event. Written lock-free by its owner under the shared gate;
+     *  read only under the exclusive gate. */
     struct ThreadBuffer
     {
         std::vector<TraceEvent> ring;

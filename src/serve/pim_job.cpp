@@ -41,8 +41,6 @@ pimJobValidate(const PimJobSpec &spec, std::string *why)
     };
     if (spec.kind < PimJobKind::kVecAdd || spec.kind > PimJobKind::kGemv)
         return reject("unknown job kind");
-    if (spec.dtype != PimDataType::PIM_INT32)
-        return reject("only PIM_INT32 jobs are servable");
     if (spec.n == 0)
         return reject("zero-element job");
     if (!spec.a || !spec.b)

@@ -4,8 +4,8 @@
  * of issuing raw PIM commands.
  *
  * A PimJobSpec names an application kind (vector add/mul, scaled-add,
- * dot product, GEMV), its shape, its data type, and its serving
- * attributes (tenant, priority, deadline class). Submitting a spec to
+ * dot product, GEMV), its shape, and its serving attributes (tenant,
+ * deadline class). Submitting a spec to
  * a PimServer (core of pim_serve.h) yields a PimJobHandle — a future
  * with wait()/poll()/cancel() — while the scheduler decides which
  * context executes it and whether it coalesces with other same-shape
@@ -71,7 +71,6 @@ enum class PimJobState {
 struct PimJobSpec
 {
     PimJobKind kind = PimJobKind::kVecAdd;
-    PimDataType dtype = PimDataType::PIM_INT32;
     /** Vector length; for kGemv the output length (matrix rows). */
     uint64_t n = 0;
     /** kGemv only: matrix columns (= length of b). */
@@ -80,15 +79,13 @@ struct PimJobSpec
     const int32_t *a = nullptr;
     /** Second operand: vector, or the kGemv input vector. */
     const int32_t *b = nullptr;
-    /** kVecScaledAdd multiplier (sign-extended per the data type). */
+    /** kVecScaledAdd multiplier (the low 32 bits, as an int32). */
     uint64_t scalar = 0;
 
     // --- Serving attributes ---
     /** Tenant this job bills to; tenants get isolated queues,
      *  contexts, and PimServeStats counts. */
     std::string tenant = "default";
-    /** Higher dispatches first within the tenant's queue. */
-    int priority = 0;
     PimJobDeadline deadline = PimJobDeadline::kBatchable;
 };
 
@@ -166,7 +163,8 @@ uint64_t pimJobCostElems(const PimJobSpec &spec);
 
 /**
  * Validate a spec. @return false with @p why filled (when non-null)
- * for unsupported dtype, zero/missing shape, or null operands.
+ * for an unknown kind, zero/missing shape, null operands or an empty
+ * tenant.
  */
 bool pimJobValidate(const PimJobSpec &spec, std::string *why);
 

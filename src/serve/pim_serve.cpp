@@ -144,8 +144,7 @@ namespace {
 bool
 sameBatchShape(const PimJobSpec &a, const PimJobSpec &b)
 {
-    return a.kind == b.kind && a.dtype == b.dtype && a.n == b.n &&
-           a.cols == b.cols;
+    return a.kind == b.kind && a.n == b.n && a.cols == b.cols;
 }
 
 } // namespace
@@ -499,11 +498,7 @@ PimServer::submit(const PimJobSpec &spec)
             // the worker clock: idling banks no scheduling credit.
             if (t->queue.empty())
                 t->vtime = std::max(t->vtime, w.vclock);
-            auto pos = t->queue.end();
-            while (pos != t->queue.begin() &&
-                   (*(pos - 1))->spec.priority < spec.priority)
-                --pos;
-            t->queue.insert(pos, job);
+            t->queue.push_back(job);
             t->queued.fetch_add(1, std::memory_order_relaxed);
             t->admitted.fetch_add(1, std::memory_order_relaxed);
             PIM_METRIC_COUNT("serve.admitted", 1);

@@ -22,7 +22,7 @@
  *    to their weights. An idle tenant's virtual time is clamped
  *    forward on reactivation — idling banks no credit.
  *  - Coalescing: consecutive-in-queue compatible jobs of one tenant
- *    (same kind/shape/dtype, deadline kBatchable) dispatch as one
+ *    (same kind/shape, deadline kBatchable) dispatch as one
  *    batched execution of up to max_batch jobs, amortizing
  *    per-command simulation overhead. A dispatch of one job and a
  *    coalesced batch run through the same executor, and results are

@@ -41,6 +41,20 @@ smallConfig(PimDeviceEnum device)
     return config;
 }
 
+/** Resident set size of the process in kB, or -1 where
+ *  /proc/self/status has no VmRSS line. */
+long
+residentKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    return -1;
+}
+
 /** Temp file path that cleans itself up. */
 class TempFile
 {
@@ -171,6 +185,23 @@ TEST(TraceTest, ApiErrorsAndState)
     EXPECT_TRUE(pimTraceActive());
     EXPECT_EQ(pimTraceEnd(nullptr), PimStatus::PIM_OK);
     EXPECT_FALSE(pimTraceActive());
+}
+
+/** Naming a thread while tracing is off allocates no event ring: a
+ *  thread's ring (kRingCapacity events, 2 MiB) is sized at its first
+ *  recorded event. */
+TEST(TraceTest, NamingAThreadAllocatesNoRing)
+{
+    ASSERT_FALSE(pimTraceActive());
+    long before = -1, after = -1;
+    std::thread([&] {
+        before = residentKb();
+        PimTracer::instance().setThreadName("tracetest-named");
+        after = residentKb();
+    }).join();
+    if (before < 0 || after < 0)
+        GTEST_SKIP() << "no VmRSS in /proc/self/status";
+    EXPECT_LT(after - before, 1024) << "VmRSS grew by this many kB";
 }
 
 /** Ring overwrite is counted, never fatal. */

@@ -1,15 +1,18 @@
 /**
  * @file
  * Unit tests for the utility layer: PRNG, string formatting, table
- * writer, and the shared JSON string escaper (the thread pool has its
- * own suite, test_thread_pool).
+ * writer, the shared JSON string escaper, and the metrics registry's
+ * JSON writer (the thread pool has its own suite, test_thread_pool).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
+#include "core/pim_api.h"
 #include "core/pim_json.h"
 #include "util/prng.h"
 #include "util/string_utils.h"
@@ -116,4 +119,32 @@ TEST(Json, EscapeRoundTripsThroughParser)
     const JsonValue *k = value.find("k");
     ASSERT_NE(k, nullptr);
     EXPECT_EQ(k->str, raw);
+}
+
+/** pimDumpMetrics always writes valid JSON: metric names are escaped
+ *  and non-finite gauges are written as 0. */
+TEST(Json, MetricsDumpIsValidJson)
+{
+    const std::string name = "test.quote\"back\\slash";
+    PimMetrics &metrics = PimMetrics::instance();
+    metrics.counter(name).add(3);
+    metrics.gauge("test.gauge_nan").set(std::nan(""));
+    metrics.gauge("test.gauge_inf")
+        .set(std::numeric_limits<double>::infinity());
+
+    std::ostringstream dump;
+    ASSERT_EQ(pimDumpMetrics(dump), PimStatus::PIM_OK);
+    std::string error;
+    JsonValue root;
+    ASSERT_TRUE(JsonParser(dump.str(), &error).parse(&root))
+        << error << "\n" << dump.str();
+    const JsonValue *counter = root.find(name);
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(counter->number, 3.0);
+    for (const char *gauge : {"test.gauge_nan", "test.gauge_inf"}) {
+        const JsonValue *value = root.find(gauge);
+        ASSERT_NE(value, nullptr) << gauge;
+        EXPECT_EQ(value->kind, JsonValue::Kind::kNumber) << gauge;
+        EXPECT_EQ(value->number, 0.0) << gauge;
+    }
 }
