@@ -147,7 +147,7 @@ homeSlot(const PimOpProfile &p)
 } // namespace
 
 PimOpCost
-PimCostMemo::costOp(const PimOpProfile &profile)
+PimCostMemo::cost(const PimOpProfile &profile)
 {
     const size_t home = homeSlot(profile);
     for (size_t k = 0; k < kProbeWindow; ++k) {
@@ -166,7 +166,9 @@ PimCostMemo::fill(Entry &entry, const PimOpProfile &profile)
 {
     PIM_METRIC_COUNT("cache.cost_memo.miss", 1);
     entry.key = profile;
-    entry.cost = model_.costOp(profile);
+    const std::optional<PimCopyEnum> dir = pimCopyDirection(profile.cmd);
+    entry.cost = dir ? model_.costCopy(*dir, profile.num_elements)
+                     : model_.costOp(profile);
     return entry.cost;
 }
 

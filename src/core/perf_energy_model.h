@@ -22,10 +22,23 @@
 namespace pimeval {
 
 /**
- * Everything a model needs to cost one PIM command.
+ * Everything a model needs to cost one PIM command. A copy command
+ * (kCopyH2D, kCopyD2H, kCopyD2D) is costed from its direction and
+ * byte count alone: its profile carries the modeled bytes in
+ * num_elements and leaves every other field at its default.
  */
 struct PimOpProfile
 {
+    /** The profile of a copy of @p bytes modeled bytes. */
+    static PimOpProfile
+    copy(PimCmdEnum cmd, uint64_t bytes)
+    {
+        PimOpProfile profile;
+        profile.cmd = cmd;
+        profile.num_elements = bytes;
+        return profile;
+    }
+
     PimCmdEnum cmd = PimCmdEnum::kNone;
     unsigned bits = 32;
     uint64_t num_elements = 0;
@@ -103,16 +116,20 @@ class PerfEnergyModel
 };
 
 /**
- * Fixed-capacity memo in front of one model's costOp, one per device.
- * costOp is a pure function of the profile, the model's immutable
- * configuration and its immutable memory backend, so a hit returns
- * exactly what the model computes. The key is the whole profile.
+ * Fixed-capacity memo in front of one model's costOp and costCopy, one
+ * per device. costOp is a pure function of the profile, and costCopy
+ * of the direction and byte count, given the model's immutable
+ * configuration and its immutable memory backend (the LUT table is
+ * fixed after calibration, the analytical and row-copy costs are
+ * closed forms, the cycle model memoizes per stream shape). A hit
+ * therefore returns exactly what the model computes. The key is the
+ * whole profile; a copy's is PimOpProfile::copy.
  *
- * Sized for the Table I apps (485 distinct profiles per device in the
- * table1_cmd benchmark workload), it never grows or rehashes. A profile probes kProbeWindow slots from
+ * It never grows or rehashes. A profile probes kProbeWindow slots from
  * its hash slot; when they are all taken it overwrites one of them in
- * round-robin order, so a stream of fresh scalars cannot grow it. Only
- * misses are counted (cache.cost_memo.miss). Issuing thread only.
+ * round-robin order, so a stream of fresh scalars or copy lengths
+ * cannot grow it. Only misses are counted (cache.cost_memo.miss).
+ * Issuing thread only.
  */
 class PimCostMemo
 {
@@ -121,8 +138,10 @@ class PimCostMemo
 
     explicit PimCostMemo(const PerfEnergyModel &model) : model_(model) {}
 
-    /** model.costOp(profile), computed once per distinct key. */
-    PimOpCost costOp(const PimOpProfile &profile);
+    /** model.costOp(profile), or for a copy's profile
+     *  model.costCopy(direction, bytes), computed once per distinct
+     *  key. */
+    PimOpCost cost(const PimOpProfile &profile);
 
   private:
     static constexpr size_t kProbeWindow = 8;

@@ -120,22 +120,6 @@ cmdToAlpuOp(PimCmdEnum cmd, AlpuOp &op)
 // record identical stats. See docs/PERFORMANCE.md.
 // ---------------------------------------------------------------------------
 
-/** The transfer direction of a copy command; empty for any other. */
-std::optional<PimCopyEnum>
-copyDirection(PimCmdEnum cmd)
-{
-    switch (cmd) {
-      case PimCmdEnum::kCopyH2D:
-        return PimCopyEnum::PIM_COPY_H2D;
-      case PimCmdEnum::kCopyD2H:
-        return PimCopyEnum::PIM_COPY_D2H;
-      case PimCmdEnum::kCopyD2D:
-        return PimCopyEnum::PIM_COPY_D2D;
-      default:
-        return std::nullopt;
-    }
-}
-
 /**
  * Chunked reduction of pa[lo, hi): per-chunk partial sums folded into
  * one atomic accumulator (wrapping int64 addition is associative, so
@@ -334,7 +318,7 @@ PimDevice::copyHostToDevice(const void *src, PimObjId dest,
     op.host = static_cast<const uint8_t *>(src);
     op.load_kern = pimHostToDeviceChunkForBits(op.bits);
     op.host_stride = pimHostStrideForBits(op.bits);
-    op.copy_payload = modeledBytes(op.n * op.host_stride);
+    setCopyPayload(op, op.n * op.host_stride);
     // A full-object copy captures as an is_load window member, so the
     // planner can link copy->consumer chains and elide a staging dest
     // consumed only in-window. A ranged copy writes part of dest,
@@ -368,7 +352,7 @@ PimDevice::copyDeviceToHost(PimObjId src, void *dest, uint64_t idx_begin,
         makeOp(PimCmdEnum::kCopyD2H, *obj, obj, nullptr, nullptr);
     op.pa += idx_begin;
     op.n = idx_end - idx_begin;
-    op.copy_payload = modeledBytes(op.n * pimHostStrideForBits(op.bits));
+    setCopyPayload(op, op.n * pimHostStrideForBits(op.bits));
     const PimDeviceToHostChunkFn kernel =
         pimDeviceToHostChunkForBits(op.bits);
     auto *bytes = static_cast<uint8_t *>(dest);
@@ -397,7 +381,7 @@ PimDevice::copyDeviceToDevice(PimObjId src, PimObjId dest)
     }
 
     PimFusedOp op = makeOp(PimCmdEnum::kCopyD2D, *s, s, nullptr, d);
-    op.copy_payload = modeledBytes(s->payloadBytes());
+    setCopyPayload(op, s->payloadBytes());
 
     PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.copy_payload);
     std::copy(op.pa, op.pa + op.n, op.pd);
@@ -459,9 +443,12 @@ PimDevice::executeElementShift(PimCmdEnum cmd, PimObjId obj_id)
     // Cost: inter-element movement rewrites the whole object once in
     // place (read + write of every row) and fixes one boundary element
     // per region through the host interface.
-    PimOpCost cost = model_->costCopy(PimCopyEnum::PIM_COPY_D2D, payload);
-    cost += model_->costCopy(PimCopyEnum::PIM_COPY_D2H, boundary_bytes);
-    cost += model_->costCopy(PimCopyEnum::PIM_COPY_H2D, boundary_bytes);
+    PimOpCost cost = cost_memo_.cost(
+        PimOpProfile::copy(PimCmdEnum::kCopyD2D, payload));
+    cost += cost_memo_.cost(
+        PimOpProfile::copy(PimCmdEnum::kCopyD2H, boundary_bytes));
+    cost += cost_memo_.cost(
+        PimOpProfile::copy(PimCmdEnum::kCopyH2D, boundary_bytes));
     commit(op, cost);
     return PimStatus::PIM_OK;
 }
@@ -521,6 +508,13 @@ PimDevice::modeledBytes(uint64_t bytes) const
 }
 
 void
+PimDevice::setCopyPayload(PimFusedOp &op, uint64_t bytes) const
+{
+    op.copy_payload = modeledBytes(bytes);
+    op.profile = PimOpProfile::copy(op.cmd, op.copy_payload);
+}
+
+void
 PimDevice::setModelingScale(double scale)
 {
     // Captured window commands hold profiles built at the old scale.
@@ -552,9 +546,9 @@ PimDevice::makeOp(PimCmdEnum cmd, const PimDataObject &shape,
     op.sgn = shape.isSigned();
     op.bits = shape.bitsPerElement();
     op.n = shape.numElements();
-    if (const std::optional<PimCopyEnum> dir = copyDirection(cmd)) {
-        // A copy is costed from its payload at commit, not from an op
-        // profile, and records under no command key.
+    if (const std::optional<PimCopyEnum> dir = pimCopyDirection(cmd)) {
+        // A copy is costed from its payload (setCopyPayload), not
+        // from its operands' shape, and records under no command key.
         static const char *const kTraceNames[] = {"copyH2D", "copyD2H",
                                                   "copyD2D"};
         op.trace_name = kTraceNames[static_cast<size_t>(*dir)];
@@ -754,7 +748,7 @@ PimDevice::executeRedSum(PimObjId a, uint64_t idx_begin, uint64_t idx_end,
 
     // Cost the full-object reduction (a ranged sum still touches all
     // rows that hold the range; approximate with the range fraction).
-    PimOpCost cost = cost_memo_.costOp(op.profile);
+    PimOpCost cost = cost_memo_.cost(op.profile);
     cost.runtime_sec *= fraction;
     cost.energy_j *= fraction;
     commit(op, cost);
@@ -969,9 +963,10 @@ PimDevice::runFusedOp(const PimFusedOp &op)
 void
 PimDevice::commit(const PimFusedOp &op)
 {
-    const std::optional<PimCopyEnum> dir = copyDirection(op.cmd);
+    const PimOpCost cost = cost_memo_.cost(op.profile);
+    const std::optional<PimCopyEnum> dir = pimCopyDirection(op.cmd);
     if (!dir) {
-        commit(op, cost_memo_.costOp(op.profile));
+        commit(op, cost);
         return;
     }
     switch (*dir) {
@@ -985,14 +980,13 @@ PimDevice::commit(const PimFusedOp &op)
         PIM_METRIC_COUNT("copy.bytes_d2d", op.copy_payload);
         break;
     }
-    stats_.recordCopy(*dir, op.copy_payload,
-                      model_->costCopy(*dir, op.copy_payload));
+    stats_.recordCopy(*dir, op.copy_payload, cost);
 }
 
 void
 PimDevice::commit(const PimFusedOp &op, const PimOpCost &cost)
 {
-    assert(!copyDirection(op.cmd));
+    assert(!pimCopyDirection(op.cmd));
     stats_.recordCmd(op.key_id, cost);
 }
 

@@ -158,6 +158,11 @@ class PimDevice
     /** Transfer size under the modeling scale. */
     uint64_t modeledBytes(uint64_t bytes) const;
 
+    /** Set copy @p op's payload to @p bytes under the modeling scale:
+     *  the bytes its stats record and, with op.cmd, its cost profile
+     *  (PimOpProfile::copy). */
+    void setCopyPayload(PimFusedOp &op, uint64_t bytes) const;
+
     /** Interned stats key id plus the tracer-stable name for the same
      *  "cmd.dtype.layout" string (execution-span labels). */
     struct CmdKeyInfo
@@ -179,9 +184,9 @@ class PimDevice
      * Build one command over @p shape's elements (its width, sign and
      * count): operand ids and pointers (null objects leave them
      * unset), dest's element mask, the issue-time cost profile and
-     * the interned stats key (a copy gets neither: commit() costs it
-     * from its payload). The caller adds the kernel, the immediate
-     * and the command's flags.
+     * the interned stats key (a copy gets neither: it records under
+     * no key, and setCopyPayload gives it its profile). The caller
+     * adds the kernel, the immediate and the command's flags.
      */
     PimFusedOp makeOp(PimCmdEnum cmd, const PimDataObject &shape,
                       const PimDataObject *a, const PimDataObject *b,
@@ -223,10 +228,10 @@ class PimDevice
 
     /**
      * The only per-command stats record, and the only place the
-     * copy.bytes_* metrics count. A copy (op.cmd kCopyH2D, kCopyD2H
-     * or kCopyD2D) records its transfer of op.copy_payload bytes,
-     * costed by the transfer model; any other op records under its
-     * key, costed from its issue-time profile.
+     * copy.bytes_* metrics count. Every op is costed from its profile
+     * through the cost memo. A copy (op.cmd kCopyH2D, kCopyD2H or
+     * kCopyD2D) records its transfer of op.copy_payload bytes; any
+     * other op records under its key.
      */
     void commit(const PimFusedOp &op);
 
@@ -248,7 +253,7 @@ class PimDevice
     std::string label_;
     PimResourceMgr resources_;
     std::unique_ptr<PerfEnergyModel> model_;
-    /** Memoized model_->costOp for commit and ranged reductions. */
+    /** Memoized model_->costOp and costCopy for every stats record. */
     PimCostMemo cost_memo_;
     PimStatsMgr stats_;
     ThreadPool pool_;

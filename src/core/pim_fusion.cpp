@@ -9,10 +9,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace pimeval {
 
 namespace {
@@ -25,7 +21,7 @@ constexpr size_t kFusionTileWords = 1024;
 /**
  * Inline host-source scaledAdd: out[i] = (lane(i) * s + b[i]) with
  * the step's width/mask semantics. Composes the conversion kernel's
- * lane load (memcpy of Bytes, then & load_mask — see
+ * lane load (zero-extended lane, then & load_mask — see
  * pimHostToDeviceChunk) with scaledAddChunk's arithmetic in a single
  * loop, so the dominant GEMV/GEMM tape shape skips the scratch-tile
  * round trip. Bit-identical to the two-stage path by construction.
@@ -37,9 +33,8 @@ hostScaledAddChunk(const uint8_t *ha, const uint64_t *b, uint64_t s,
                    uint64_t mask, uint64_t load_mask)
 {
     for (size_t i = 0; i < cnt; ++i) {
-        uint64_t a = 0;
-        std::memcpy(&a, ha + i * Bytes, Bytes);
-        a &= load_mask;
+        const uint64_t a =
+            pimLoadHostLane<Bytes>(ha + i * Bytes) & load_mask;
         const uint64_t prod =
             alpuComputeT<AlpuOp::kMul>(a, s, bits, Signed);
         d[i] = alpuComputeT<AlpuOp::kAdd>(prod, b[i], bits, Signed) &
@@ -51,10 +46,10 @@ hostScaledAddChunk(const uint8_t *ha, const uint64_t *b, uint64_t s,
  * Width-specialized variant for the common full-width case: the
  * element width equals the host stride and both masks are the full
  * width-bits mask. With the width a compile-time constant the
- * compiler sees every lane fits the element width (the 4-byte load
- * zero-extends, the scalar is pre-truncated), so the multiply
- * vectorizes (32x32->64 lanes) where the runtime-width loop stays
- * scalar. Bit-identical to hostScaledAddChunk under the dispatch
+ * compiler sees every lane fits the element width (the typed lane
+ * load zero-extends, the scalar is pre-truncated), so the loop
+ * vectorizes where the runtime-width loop stays scalar.
+ * Bit-identical to hostScaledAddChunk under the dispatch
  * preconditions: trunc-to-bits and &mask coincide when mask is the
  * full width mask.
  */
@@ -68,64 +63,11 @@ hostScaledAddChunkW(const uint8_t *ha, const uint64_t *b, uint64_t s,
         Bytes == 8 ? ~0ull : ((1ull << (Bytes * 8)) - 1);
     const uint64_t su = s & kM;
     for (size_t i = 0; i < cnt; ++i) {
-        uint64_t a = 0;
-        std::memcpy(&a, ha + i * Bytes, Bytes);
+        const uint64_t a = pimLoadHostLane<Bytes>(ha + i * Bytes);
         const uint64_t prod = (a * su) & kM;
         d[i] = (prod + (b[i] & kM)) & kM;
     }
 }
-
-#if defined(__AVX2__)
-/**
- * Hand-vectorized 32-bit full-width kernel. The autovectorizer's cost
- * model rejects this shape (32-bit host lanes against 64-bit device
- * lanes needs truncate/widen shuffles), leaving a 4-instruction
- * scalar loop whose throughput swings with code placement from build
- * to build. Eight lanes per iteration: everything is mod 2^32, so
- * truncate b to dwords, vpmulld + vpaddd, zero-extend back to qwords.
- * Bit-identical to hostScaledAddChunkW<4>.
- */
-void
-hostScaledAddChunk4Avx2(const uint8_t *ha, const uint64_t *b,
-                        uint64_t s, uint64_t *d, size_t cnt,
-                        unsigned /*bits*/, uint64_t /*mask*/,
-                        uint64_t /*load_mask*/)
-{
-    const uint32_t su = static_cast<uint32_t>(s);
-    const __m256i vs = _mm256_set1_epi32(static_cast<int>(su));
-    size_t i = 0;
-    for (; i + 8 <= cnt; i += 8) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(ha + i * 4));
-        const __m256i blo = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        const __m256i bhi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i + 4));
-        // Low dwords of 8 qwords: pick even dwords of both halves,
-        // then fix the 128-bit lane interleave shuffle_ps leaves.
-        const __m256 packed = _mm256_shuffle_ps(
-            _mm256_castsi256_ps(blo), _mm256_castsi256_ps(bhi),
-            _MM_SHUFFLE(2, 0, 2, 0));
-        const __m256i b32 = _mm256_permute4x64_epi64(
-            _mm256_castps_si256(packed), _MM_SHUFFLE(3, 1, 2, 0));
-        const __m256i r32 = _mm256_add_epi32(
-            _mm256_mullo_epi32(a, vs), b32);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(d + i),
-            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(r32)));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(d + i + 4),
-            _mm256_cvtepu32_epi64(
-                _mm256_extracti128_si256(r32, 1)));
-    }
-    for (; i < cnt; ++i) {
-        uint32_t a;
-        std::memcpy(&a, ha + i * 4, 4);
-        d[i] = static_cast<uint32_t>(
-            a * su + static_cast<uint32_t>(b[i]));
-    }
-}
-#endif // __AVX2__
 
 using HostScaledAddFn = void (*)(const uint8_t *, const uint64_t *,
                                  uint64_t, uint64_t *, size_t,
@@ -148,11 +90,7 @@ hostScaledAddFor(unsigned stride_bytes, bool sgn, unsigned bits,
           case 2:
             return &hostScaledAddChunkW<2>;
           case 4:
-#if defined(__AVX2__)
-            return &hostScaledAddChunk4Avx2;
-#else
             return &hostScaledAddChunkW<4>;
-#endif
           case 8:
             return &hostScaledAddChunkW<8>;
           default:
@@ -387,9 +325,16 @@ void
 PimFusionWindow::clear()
 {
     ops_.clear();
-    born_.clear();
-    freed_.clear();
     deferred_frees_.clear();
+    // unordered_set::clear zeroes the whole bucket array even when the
+    // set holds nothing, and an idle window is flushed before every
+    // ranged copy, D2H, D2D, element shift and ranged reduction: skip
+    // the sets that are already empty. A non-empty born set still
+    // clears, because even an empty flush is a write barrier.
+    if (!born_.empty())
+        born_.clear();
+    if (!freed_.empty())
+        freed_.clear();
 }
 
 PimFusedTape

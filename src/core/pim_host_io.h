@@ -11,25 +11,46 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 namespace pimeval {
 
+/** The unsigned integer type of a Bytes-wide host lane. */
+template <unsigned Bytes>
+using PimHostLane = std::conditional_t<
+    Bytes == 1, uint8_t,
+    std::conditional_t<Bytes == 2, uint16_t,
+                       std::conditional_t<Bytes == 4, uint32_t,
+                                          uint64_t>>>;
+
+/**
+ * One Bytes-wide host lane, zero-extended to 64 bits. The lane is
+ * read as its own unsigned type: a memcpy of Bytes into a zeroed
+ * uint64_t yields the same value, but GCC then keeps the 1-, 2- and
+ * 4-byte loops scalar.
+ */
+template <unsigned Bytes>
+inline uint64_t
+pimLoadHostLane(const uint8_t *p)
+{
+    PimHostLane<Bytes> v;
+    std::memcpy(&v, p, Bytes);
+    return v;
+}
+
 /**
  * Host->device element conversion with the element width hoisted out
- * of the loop: one memcpy of Bytes per element, no per-element width
- * switch. Bool/int8 share the 1-byte kernel (host side stores one
- * byte per element for both).
+ * of the loop: one zero-extended lane load per element, then the
+ * element mask, no per-element width switch. Bool/int8 share the
+ * 1-byte kernel (host side stores one byte per element for both).
  */
 template <unsigned Bytes>
 void
 pimHostToDeviceChunk(const uint8_t *src, uint64_t *dst, size_t lo,
                      size_t hi, uint64_t mask)
 {
-    for (size_t i = lo; i < hi; ++i) {
-        uint64_t v = 0;
-        std::memcpy(&v, src + i * Bytes, Bytes);
-        dst[i] = v & mask;
-    }
+    for (size_t i = lo; i < hi; ++i)
+        dst[i] = pimLoadHostLane<Bytes>(src + i * Bytes) & mask;
 }
 
 template <unsigned Bytes>

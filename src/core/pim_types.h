@@ -11,6 +11,7 @@
 #define PIMEVAL_CORE_PIM_TYPES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 /** Handle for a PIM data object; -1 indicates failure. */
@@ -205,5 +206,22 @@ bool pimCmdIsTwoOperand(PimCmdEnum cmd);
 
 /** True for commands taking a host scalar operand. */
 bool pimCmdHasScalar(PimCmdEnum cmd);
+
+/** The transfer direction of a copy command (kCopyH2D, kCopyD2H,
+ *  kCopyD2D); empty for any other command. */
+inline std::optional<PimCopyEnum>
+pimCopyDirection(PimCmdEnum cmd)
+{
+    switch (cmd) {
+      case PimCmdEnum::kCopyH2D:
+        return PimCopyEnum::PIM_COPY_H2D;
+      case PimCmdEnum::kCopyD2H:
+        return PimCopyEnum::PIM_COPY_D2H;
+      case PimCmdEnum::kCopyD2D:
+        return PimCopyEnum::PIM_COPY_D2D;
+      default:
+        return std::nullopt;
+    }
+}
 
 #endif // PIMEVAL_CORE_PIM_TYPES_H_

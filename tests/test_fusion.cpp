@@ -946,6 +946,50 @@ TEST_P(FusionTest, MaterializedWriteBlocksElisionAndPristineRecycle)
     pimFree(d);
 }
 
+TEST_P(FusionTest, NonFusedWriteBlocksElisionAndPristineRecycle)
+{
+    // An empty flush is still a write barrier. t is born while fusion
+    // captures, then written by a ranged copy, which never fuses: it
+    // flushes the still-empty window and runs alone. That idle flush
+    // must drop t from the born set, or the chain that overwrites,
+    // reads and frees t in the next window would elide its store and
+    // hand t's storage back pristine with the copied data in it.
+    const uint64_t n = 400;
+    const std::vector<int> xs(n, 7), junk(n, 0x5a5a5a);
+    const PimObjId x = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    const PimObjId d = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
+    pimCopyHostToDevice(xs.data(), x);
+
+    pimResetMetrics();
+    pimSetFusionEnabled(true);
+    const PimObjId t = pimAllocAssociated(32, x, PimDataType::PIM_INT32);
+    pimCopyHostToDevice(junk.data(), t, 0, n - 1); // ranged: runs now
+    pimMulScalar(x, t, 3);
+    pimAdd(t, x, d);
+    pimFree(t);
+    pimSync();
+    pimSetFusionEnabled(false);
+
+    EXPECT_EQ(metric("fusion.temps_elided"), 0.0);
+    EXPECT_EQ(metric("freelist.pristine"), 0.0);
+    std::vector<int> out(n, 0);
+    pimCopyDeviceToHost(d, out.data());
+    for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], 7 * 3 + 7);
+    }
+    const PimObjId fresh =
+        pimAllocAssociated(32, x, PimDataType::PIM_INT32);
+    std::vector<int> zs(n, -1);
+    pimCopyDeviceToHost(fresh, zs.data());
+    for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(zs[i], 0);
+    }
+    pimFree(fresh);
+    pimFree(x);
+    pimFree(d);
+}
+
 TEST_P(FusionTest, FlushOnIntermediateReadAndWindowOverflow)
 {
     const uint64_t n = 512;

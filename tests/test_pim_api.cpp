@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "core/pim_api.h"
 #include "core/pim_error.h"
@@ -384,6 +386,309 @@ TEST_P(PimApiTest, DataTypesUint8Int16Int64)
         pimFree(oa);
         pimFree(oc);
     }
+}
+
+namespace {
+
+constexpr PimDataType kEveryType[] = {
+    PimDataType::PIM_BOOL,   PimDataType::PIM_INT8,
+    PimDataType::PIM_INT16,  PimDataType::PIM_INT32,
+    PimDataType::PIM_INT64,  PimDataType::PIM_UINT8,
+    PimDataType::PIM_UINT16, PimDataType::PIM_UINT32,
+    PimDataType::PIM_UINT64,
+};
+
+/** Host bytes per element of a @p bits-wide type. */
+unsigned
+laneBytes(unsigned bits)
+{
+    return (bits + 7) / 8;
+}
+
+/**
+ * @p n packed host lanes of a @p bits-wide type. Random bytes, with
+ * every lane i % 4 == 0 all ones (-1 signed, the maximum unsigned),
+ * i % 4 == 1 the top bit alone (the most negative signed value) and
+ * i % 4 == 2 random with the top bit set. Bool lanes are the bytes
+ * 0-255 in turn.
+ */
+std::vector<uint8_t>
+hostLanes(uint64_t n, unsigned bits, uint64_t seed)
+{
+    const unsigned stride = laneBytes(bits);
+    Prng rng(seed);
+    std::vector<uint8_t> host = rng.byteVector(n * stride);
+    for (uint64_t i = 0; i < n; ++i) {
+        uint8_t *lane = host.data() + i * stride;
+        if (bits == 1) {
+            lane[0] = static_cast<uint8_t>(i);
+        } else if (i % 4 == 0) {
+            std::fill(lane, lane + stride, 0xff);
+        } else if (i % 4 == 1) {
+            std::fill(lane, lane + stride, 0);
+            lane[stride - 1] = 0x80;
+        } else if (i % 4 == 2) {
+            lane[stride - 1] |= 0x80;
+        }
+    }
+    return host;
+}
+
+/** The reference device value of host lane @p i: its bytes
+ *  zero-extended to 64 bits, then masked to the element width. */
+uint64_t
+laneRef(const std::vector<uint8_t> &host, uint64_t i, unsigned bits)
+{
+    const unsigned stride = laneBytes(bits);
+    uint64_t v = 0;
+    for (unsigned k = 0; k < stride; ++k)
+        v |= uint64_t{host[i * stride + k]} << (8 * k);
+    return bits == 64 ? v : v & ((1ull << bits) - 1);
+}
+
+/** Device lanes of @p obj against @p want, and a D2H of [lo, hi)
+ *  against their low bytes. */
+void
+expectLanes(PimObjId obj, const std::vector<uint64_t> &want,
+            unsigned bits, uint64_t lo, uint64_t hi)
+{
+    const unsigned stride = laneBytes(bits);
+    std::vector<uint8_t> out((hi - lo) * stride, 0xcd);
+    ASSERT_EQ(pimCopyDeviceToHost(obj, out.data(), lo, hi),
+              PimStatus::PIM_OK);
+    // The D2H flushed any captured copy: the lanes are in place.
+    const std::vector<uint64_t> &raw =
+        PimSim::instance().device()->object(obj)->raw();
+    ASSERT_EQ(raw.size(), want.size());
+    for (uint64_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(raw[i], want[i]) << "lane " << i;
+    }
+    for (uint64_t i = lo; i < hi; ++i) {
+        for (unsigned k = 0; k < stride; ++k) {
+            ASSERT_EQ(out[(i - lo) * stride + k],
+                      static_cast<uint8_t>(want[i] >> (8 * k)))
+                << "element " << i << " byte " << k;
+        }
+    }
+}
+
+} // namespace
+
+TEST_P(PimApiTest, HostLanesZeroExtendEveryType)
+{
+    // Every element type through a full and a ranged [3, n - 2) H2D,
+    // each read back by D2H. The sizes cover a vector body, its
+    // remainder and the pool's 2,048-element split. A device lane
+    // holds the host lane zero-extended and masked to the element
+    // width, whatever its top bit; D2H returns the lane's low bytes.
+    for (const PimDataType type : kEveryType) {
+        const unsigned bits = pimBitsOfDataType(type);
+        for (const uint64_t n : {uint64_t{1}, uint64_t{7}, uint64_t{8},
+                                 uint64_t{9}, uint64_t{33},
+                                 uint64_t{1000}, uint64_t{3001}}) {
+            SCOPED_TRACE(pimDataTypeName(type) + " n=" +
+                         std::to_string(n));
+            const PimObjId obj =
+                pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, bits, type);
+            ASSERT_GE(obj, 0);
+            const std::vector<uint8_t> full = hostLanes(n, bits, n);
+            std::vector<uint64_t> want(n);
+            for (uint64_t i = 0; i < n; ++i)
+                want[i] = laneRef(full, i, bits);
+            ASSERT_EQ(pimCopyHostToDevice(full.data(), obj),
+                      PimStatus::PIM_OK);
+            expectLanes(obj, want, bits, 0, n);
+            if (n > 5) {
+                const std::vector<uint8_t> part =
+                    hostLanes(n - 5, bits, n + 1);
+                for (uint64_t i = 3; i < n - 2; ++i)
+                    want[i] = laneRef(part, i - 3, bits);
+                ASSERT_EQ(pimCopyHostToDevice(part.data(), obj, 3, n - 2),
+                          PimStatus::PIM_OK);
+                expectLanes(obj, want, bits, 3, n - 2);
+                expectLanes(obj, want, bits, 0, n);
+            }
+            ASSERT_EQ(pimFree(obj), PimStatus::PIM_OK);
+        }
+    }
+}
+
+namespace {
+
+/** Result lanes and modeled stats of one runHostLaneChain. */
+struct HostLaneChainOutcome
+{
+    std::vector<uint8_t> acc;
+    PimRunStats stats;
+    std::map<std::string, uint64_t> op_mix;
+};
+
+/**
+ * Per column pair j: copy column 2j into staging object sa and
+ * scaled-add it into acc by scalars[j], then copy column 2j + 1 into
+ * sb and add it. With @p fused the sweep is one fusion region: the
+ * copies capture as loads, and each one the next copy shadows elides,
+ * so the tape reads its host lanes directly (the inline host-source
+ * scaled-add, and a host-source operand of the add).
+ */
+HostLaneChainOutcome
+runHostLaneChain(PimDataType type, unsigned bits, uint64_t m,
+                 const std::vector<uint8_t> &cols,
+                 const std::vector<uint64_t> &scalars, bool fused)
+{
+    const unsigned stride = laneBytes(bits);
+    HostLaneChainOutcome o;
+    const PimObjId sa = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, m, bits,
+                                 type);
+    const PimObjId sb = pimAllocAssociated(bits, sa, type);
+    const PimObjId acc = pimAllocAssociated(bits, sa, type);
+    EXPECT_TRUE(sa >= 0 && sb >= 0 && acc >= 0);
+    pimResetStats();
+    if (fused)
+        pimBeginFusion();
+    pimBroadcastInt(acc, 0);
+    for (size_t j = 0; j < scalars.size(); ++j) {
+        pimCopyHostToDevice(cols.data() + 2 * j * m * stride, sa);
+        pimScaledAdd(sa, acc, acc, scalars[j]);
+        pimCopyHostToDevice(cols.data() + (2 * j + 1) * m * stride, sb);
+        pimAdd(sb, acc, acc);
+    }
+    if (fused)
+        pimEndFusion();
+    o.acc.assign(m * stride, 0);
+    pimCopyDeviceToHost(acc, o.acc.data());
+    o.stats = pimGetStats();
+    o.op_mix = pimGetOpMix();
+    for (const PimObjId id : {sa, sb, acc})
+        pimFree(id);
+    return o;
+}
+
+} // namespace
+
+TEST_P(PimApiTest, CapturedCopyChainsEveryWidth)
+{
+    // Captured copies feeding scaled-add and add at every element
+    // width, signed and unsigned, with top-bit host lanes: fused and
+    // unfused runs agree bit for bit on results and modeled stats,
+    // and both match a scalar reference that zero-extends each lane
+    // and masks to the element width. 1,537 lanes leave a tail past
+    // the fusion tile; 20 column pairs cross the fusion window.
+    constexpr uint64_t m = 1537;
+    constexpr size_t kPairs = 20;
+    for (const PimDataType type : kEveryType) {
+        SCOPED_TRACE(pimDataTypeName(type));
+        const unsigned bits = pimBitsOfDataType(type);
+        const unsigned stride = laneBytes(bits);
+        const uint64_t mask = bits == 64 ? ~0ull : (1ull << bits) - 1;
+        const std::vector<uint8_t> cols =
+            hostLanes(2 * kPairs * m, bits, bits);
+        std::vector<uint64_t> scalars(kPairs);
+        Prng rng(bits + 1);
+        for (uint64_t &s : scalars)
+            s = rng.next(); // top bits set half the time: -s signed
+
+        const HostLaneChainOutcome unfused =
+            runHostLaneChain(type, bits, m, cols, scalars, false);
+        const HostLaneChainOutcome fused =
+            runHostLaneChain(type, bits, m, cols, scalars, true);
+        EXPECT_EQ(unfused.acc, fused.acc);
+        EXPECT_EQ(unfused.stats.kernel_sec, fused.stats.kernel_sec);
+        EXPECT_EQ(unfused.stats.kernel_j, fused.stats.kernel_j);
+        EXPECT_EQ(unfused.stats.copy_sec, fused.stats.copy_sec);
+        EXPECT_EQ(unfused.stats.copy_j, fused.stats.copy_j);
+        EXPECT_EQ(unfused.stats.bytes_h2d, fused.stats.bytes_h2d);
+        EXPECT_EQ(unfused.stats.bytes_d2h, fused.stats.bytes_d2h);
+        EXPECT_EQ(unfused.op_mix, fused.op_mix);
+
+        for (uint64_t i = 0; i < m; ++i) {
+            uint64_t want = 0;
+            for (size_t j = 0; j < kPairs; ++j) {
+                want += laneRef(cols, 2 * j * m + i, bits) *
+                        (scalars[j] & mask) +
+                    laneRef(cols, (2 * j + 1) * m + i, bits);
+            }
+            want &= mask;
+            uint64_t got = 0;
+            for (unsigned k = 0; k < stride; ++k)
+                got |= uint64_t{fused.acc[i * stride + k]} << (8 * k);
+            ASSERT_EQ(got, want) << "lane " << i;
+        }
+    }
+}
+
+TEST_P(PimApiTest, CopyCostMemoExactUnderEviction)
+{
+    // The copy twin of CostMemoExactUnderEviction: ranged H2D and D2H
+    // copies of half again as many distinct lengths as the device's
+    // cost memo holds, issued twice, then the four element shifts.
+    // The memo evicts, and every recorded copy and shift must still
+    // cost exactly what the model's costCopy computes, summed in
+    // issue order.
+    constexpr uint64_t n = 3001;
+    constexpr uint64_t kLengths =
+        PimCostMemo::kCapacity + PimCostMemo::kCapacity / 2;
+    const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    ASSERT_GE(a, 0);
+    PimDevice *dev = PimSim::instance().device();
+    const PerfEnergyModel &model = *dev->model();
+    std::vector<int> host(n, -3);
+
+    ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+    double misses0 = 0.0; // unset until the first miss registers it
+    pimGetMetric("cache.cost_memo.miss", &misses0);
+    PimRunStats want;
+    const auto add = [&want](const PimOpCost &cost) {
+        want.copy_sec += cost.runtime_sec;
+        want.copy_j += cost.energy_j;
+    };
+    for (int round = 0; round < 2; ++round) {
+        for (uint64_t len = 1; len <= kLengths; ++len) {
+            const uint64_t bytes = len * sizeof(int);
+            ASSERT_EQ(pimCopyHostToDevice(host.data(), a, 0, len),
+                      PimStatus::PIM_OK);
+            add(model.costCopy(PimCopyEnum::PIM_COPY_H2D, bytes));
+            want.bytes_h2d += bytes;
+            ASSERT_EQ(pimCopyDeviceToHost(a, host.data(), 0, len),
+                      PimStatus::PIM_OK);
+            add(model.costCopy(PimCopyEnum::PIM_COPY_D2H, bytes));
+            want.bytes_d2h += bytes;
+        }
+    }
+    for (auto fn : {pimShiftElementsLeft, pimShiftElementsRight,
+                    pimRotateElementsLeft, pimRotateElementsRight})
+        ASSERT_EQ(fn(a), PimStatus::PIM_OK);
+
+    const PimRunStats got = pimGetStats();
+    EXPECT_EQ(got.copy_sec, want.copy_sec);
+    EXPECT_EQ(got.copy_j, want.copy_j);
+    EXPECT_EQ(got.bytes_h2d, want.bytes_h2d);
+    EXPECT_EQ(got.bytes_d2h, want.bytes_d2h);
+    EXPECT_EQ(got.bytes_d2d, 0u);
+
+    // Each shift rewrites the object in place and fixes one boundary
+    // element per core through the host interface.
+    const PimDataObject *obj = dev->object(a);
+    const uint64_t boundary = obj->numCoresUsed() * sizeof(int);
+    PimOpCost shift =
+        model.costCopy(PimCopyEnum::PIM_COPY_D2D, obj->payloadBytes());
+    shift += model.costCopy(PimCopyEnum::PIM_COPY_D2H, boundary);
+    shift += model.costCopy(PimCopyEnum::PIM_COPY_H2D, boundary);
+    const auto table = dev->stats().cmdStats();
+    ASSERT_EQ(table.size(), 4u);
+    for (const auto &[key, stat] : table) {
+        EXPECT_EQ(stat.count, 1u) << key;
+        EXPECT_EQ(stat.runtime_sec, shift.runtime_sec) << key;
+        EXPECT_EQ(stat.energy_j, shift.energy_j) << key;
+    }
+
+    double misses = 0.0;
+    ASSERT_TRUE(pimGetMetric("cache.cost_memo.miss", &misses));
+    // Round one misses on every (direction, length); round two on
+    // each one evicted.
+    EXPECT_GT(misses - misses0, static_cast<double>(2 * kLengths));
+    pimFree(a);
 }
 
 TEST_P(PimApiTest, ErrorHandling)
