@@ -496,8 +496,19 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    // Repetitions run in random order across the selected benchmarks,
+    // so each fused chain micro and its unfused baseline sample the
+    // same host conditions. Run in sequence, the first benchmark of a
+    // process started after an idle spell ran ~1.7x slow through all
+    // five of its repetitions, enough to trip the 1.3x fused/unfused
+    // floor with no code at fault (docs/PERFORMANCE.md). A later
+    // --benchmark_enable_random_interleaving=false still wins.
+    static char interleave[] = "--benchmark_enable_random_interleaving=true";
+    std::vector<char *> args(argv, argv + argc);
+    args.insert(args.begin() + 1, interleave);
+    int num_args = static_cast<int>(args.size());
+    benchmark::Initialize(&num_args, args.data());
+    if (benchmark::ReportUnrecognizedArguments(num_args, args.data()))
         return 1;
 
     const char *env = std::getenv("PIMEVAL_BENCH_SIM_JSON");

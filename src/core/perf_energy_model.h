@@ -12,8 +12,10 @@
 #define PIMEVAL_CORE_PERF_ENERGY_MODEL_H_
 
 #include <array>
+#include <bit>
 #include <memory>
 
+#include "core/pim_data_object.h"
 #include "core/pim_params.h"
 #include "core/pim_types.h"
 #include "dram/mem_timing_backend.h"
@@ -22,23 +24,10 @@
 namespace pimeval {
 
 /**
- * Everything a model needs to cost one PIM command. A copy command
- * (kCopyH2D, kCopyD2H, kCopyD2D) is costed from its direction and
- * byte count alone: its profile carries the modeled bytes in
- * num_elements and leaves every other field at its default.
+ * Everything a model needs to cost one PIM command.
  */
 struct PimOpProfile
 {
-    /** The profile of a copy of @p bytes modeled bytes. */
-    static PimOpProfile
-    copy(PimCmdEnum cmd, uint64_t bytes)
-    {
-        PimOpProfile profile;
-        profile.cmd = cmd;
-        profile.num_elements = bytes;
-        return profile;
-    }
-
     PimCmdEnum cmd = PimCmdEnum::kNone;
     unsigned bits = 32;
     uint64_t num_elements = 0;
@@ -122,11 +111,17 @@ class PerfEnergyModel
  * configuration and its immutable memory backend (the LUT table is
  * fixed after calibration, the analytical and row-copy costs are
  * closed forms, the cycle model memoizes per stream shape). A hit
- * therefore returns exactly what the model computes. The key is the
- * whole profile; a copy's is PimOpProfile::copy.
+ * therefore returns exactly what the model computes.
  *
- * It never grows or rehashes. A profile probes kProbeWindow slots from
- * its hash slot; when they are all taken it overwrites one of them in
+ * The key is three words, not the profile. A command's is its
+ * command, its cost shape's width and count, and its scalar and aux:
+ * the shape's other two fields follow from the count, because the
+ * device's core count is fixed, so one key stands for one profile. A
+ * copy's is its command and modeled bytes. A miss builds the profile
+ * and calls the model.
+ *
+ * It never grows or rehashes. A key probes kProbeWindow slots from its
+ * hash slot; when they are all taken it overwrites one of them in
  * round-robin order, so a stream of fresh scalars or copy lengths
  * cannot grow it. Only misses are counted (cache.cost_memo.miss).
  * Issuing thread only.
@@ -138,23 +133,87 @@ class PimCostMemo
 
     explicit PimCostMemo(const PerfEnergyModel &model) : model_(model) {}
 
-    /** model.costOp(profile), or for a copy's profile
-     *  model.costCopy(direction, bytes), computed once per distinct
-     *  key. */
-    PimOpCost cost(const PimOpProfile &profile);
+    /** model.costOp of command @p cmd over @p shape with the
+     *  immediates @p scalar and @p aux (PimOpProfile::scalar, ::aux),
+     *  computed once per distinct key. */
+    PimOpCost
+    cost(PimCmdEnum cmd, const PimCostShape &shape, uint64_t scalar,
+         unsigned aux)
+    {
+        const Key key{static_cast<uint64_t>(cmd) |
+                          uint64_t{shape.bits} << 8 |
+                          uint64_t{aux} << 32,
+                      shape.num_elements, scalar};
+        return lookup(key, [&](Entry &entry) {
+            return fillOp(entry, key, cmd, shape, scalar, aux);
+        });
+    }
+
+    /** model.costCopy of copy command @p cmd (kCopyH2D, kCopyD2H or
+     *  kCopyD2D) moving @p bytes modeled bytes, computed once per
+     *  distinct (cmd, bytes). */
+    PimOpCost
+    copyCost(PimCmdEnum cmd, uint64_t bytes)
+    {
+        const Key key{static_cast<uint64_t>(cmd), bytes, 0};
+        return lookup(key, [&](Entry &entry) {
+            return fillCopy(entry, key, cmd, bytes);
+        });
+    }
 
   private:
     static constexpr size_t kProbeWindow = 8;
 
-    /** One memoized cost; key.cmd == kNone marks an empty slot. */
+    /** The command (never kNone, so 0 marks an empty slot) with, for
+     *  a non-copy, the width and aux above it; the count or bytes;
+     *  the scalar. */
+    struct Key
+    {
+        uint64_t head = 0;
+        uint64_t n = 0;
+        uint64_t scalar = 0;
+
+        bool operator==(const Key &) const = default;
+    };
+
     struct Entry
     {
-        PimOpProfile key;
+        Key key;
         PimOpCost cost;
     };
 
-    /** Cost @p profile with the model and remember it in @p entry. */
-    PimOpCost fill(Entry &entry, const PimOpProfile &profile);
+    /** The cost held under @p key, else @p fill of the slot a miss
+     *  takes: the first empty one of its probe window, or the
+     *  round-robin victim. */
+    template <typename Fill>
+    PimOpCost
+    lookup(const Key &key, Fill &&fill)
+    {
+        constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+        constexpr int kBits = std::countr_zero(kCapacity);
+        const uint64_t h = (key.head ^ key.n * 0xff51afd7ed558ccdull ^
+                            key.scalar * 0xc4ceb9fe1a85ec53ull) *
+            kMul;
+        const size_t home = static_cast<size_t>(h >> (64 - kBits));
+        for (size_t k = 0; k < kProbeWindow; ++k) {
+            Entry &entry = entries_[(home + k) & (kCapacity - 1)];
+            if (entry.key == key)
+                return entry.cost;
+            if (entry.key.head == 0)
+                return fill(entry);
+        }
+        const size_t victim = next_victim_++ % kProbeWindow;
+        return fill(entries_[(home + victim) & (kCapacity - 1)]);
+    }
+
+    /** Cost a command with the model and remember it in @p entry. */
+    PimOpCost fillOp(Entry &entry, const Key &key, PimCmdEnum cmd,
+                     const PimCostShape &shape, uint64_t scalar,
+                     unsigned aux);
+
+    /** Cost a copy with the model and remember it in @p entry. */
+    PimOpCost fillCopy(Entry &entry, const Key &key, PimCmdEnum cmd,
+                       uint64_t bytes);
 
     const PerfEnergyModel &model_;
     std::array<Entry, kCapacity> entries_{};

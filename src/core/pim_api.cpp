@@ -18,13 +18,20 @@ using pimeval::PimTracer;
 
 namespace {
 
-/** Active device or nullptr with an error log. */
-PimDevice *
+[[gnu::cold]] [[gnu::noinline]] void
+logNoDevice(const char *what)
+{
+    pimeval::logError(std::string(what) + ": no active PIM device");
+}
+
+/** Active device or nullptr with an error log. Every API call starts
+ *  here, so the log stays out of line and this inlines. */
+inline PimDevice *
 activeDevice(const char *what)
 {
     PimDevice *dev = PimSim::instance().device();
-    if (!dev)
-        pimeval::logError(std::string(what) + ": no active PIM device");
+    if (!dev) [[unlikely]]
+        logNoDevice(what);
     return dev;
 }
 
@@ -72,7 +79,13 @@ pimIsDeviceActive()
 const pimeval::PimDeviceConfig &
 pimGetDeviceConfig()
 {
-    return PimSim::instance().device()->config();
+    static const pimeval::PimDeviceConfig kNoDevice = [] {
+        pimeval::PimDeviceConfig config;
+        config.device = PimDeviceEnum::PIM_DEVICE_NONE;
+        return config;
+    }();
+    PimDevice *dev = activeDevice("pimGetDeviceConfig");
+    return dev ? dev->config() : kNoDevice;
 }
 
 PimMemBackend

@@ -47,7 +47,9 @@ PimStatus pimDeleteDevice();
 /** Whether a device is active. */
 bool pimIsDeviceActive();
 
-/** Configuration of the active device (must be active). */
+/** Configuration of the active device. With none active, sets the
+ *  last error and returns a default configuration whose device is
+ *  PIM_DEVICE_NONE. */
 const pimeval::PimDeviceConfig &pimGetDeviceConfig();
 
 /**

@@ -24,6 +24,7 @@
 #define PIMEVAL_CORE_PIM_DATA_OBJECT_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -56,7 +57,34 @@ struct PimPlacement
 };
 
 /**
+ * What an object fixes of a command's cost profile (PimOpProfile):
+ * the element width and count, and how balanced placement spreads the
+ * count over the device's C cores. C is fixed per device, so the last
+ * two fields follow from the count.
+ */
+struct PimCostShape
+{
+    unsigned bits = 0;
+    uint64_t num_elements = 0;
+    uint64_t max_elems_per_core = 0; ///< ceil(n / C)
+    uint64_t cores_used = 0;         ///< min(n, C)
+
+    /** The shape of @p n elements of @p bits bits on @p cores cores. */
+    static PimCostShape
+    of(unsigned bits, uint64_t n, uint64_t cores)
+    {
+        return {bits, n, n / cores + (n % cores != 0),
+                std::min(n, cores)};
+    }
+};
+
+/**
  * A PIM data object: elements, layout, and placement.
+ *
+ * What a command needs of its object is computed once, when the
+ * object is built: the cost shape, the element mask and whether the
+ * type is signed. A free-list recycle keeps the width, the count and
+ * the placement, so only what follows from the type is refreshed.
  */
 class PimDataObject
 {
@@ -66,11 +94,14 @@ class PimDataObject
                   PimPlacement placement);
 
     PimObjId id() const { return id_; }
-    uint64_t numElements() const { return num_elements_; }
+    uint64_t numElements() const { return shape_.num_elements; }
     PimDataType dataType() const { return data_type_; }
-    unsigned bitsPerElement() const { return bits_per_element_; }
+    unsigned bitsPerElement() const { return shape_.bits; }
     bool isVLayout() const { return v_layout_; }
-    bool isSigned() const { return pimIsSigned(data_type_); }
+    bool isSigned() const { return signed_; }
+
+    /** The unscaled cost shape of a command over this object. */
+    const PimCostShape &costShape() const { return shape_; }
 
     /** The core holding element 0. */
     uint64_t firstCore() const { return placement_.first_core; }
@@ -85,16 +116,12 @@ class PimDataObject
      *  ceil(n / C). */
     uint64_t maxElementsPerRegion() const
     {
-        const uint64_t cores = placement_.device_cores;
-        return num_elements_ / cores + (num_elements_ % cores != 0);
+        return shape_.max_elems_per_core;
     }
 
     /** Number of distinct cores holding part of this object:
      *  min(n, C). */
-    uint64_t numCoresUsed() const
-    {
-        return std::min(num_elements_, placement_.device_cores);
-    }
+    uint64_t numCoresUsed() const { return shape_.cores_used; }
 
     /** Canonical raw storage: low bits_per_element bits valid. */
     std::vector<uint64_t> &raw() { return data_; }
@@ -116,20 +143,23 @@ class PimDataObject
     /** Total bytes of payload (bits x elements, rounded to bytes). */
     uint64_t payloadBytes() const
     {
-        return (num_elements_ * bits_per_element_ + 7) / 8;
+        return (shape_.num_elements * shape_.bits + 7) / 8;
     }
 
     /**
      * Reset identity for allocator free-list reuse: shape, layout, and
      * placement stay; the object gets a fresh id, the (same-width)
-     * element type, and data cleared to the fresh-allocation state.
-     * Pristine objects (fusion-elided dead temporaries whose stores
-     * never happened) are already all-zero, so the fill is skipped.
+     * element type with what follows from it, and data cleared to the
+     * fresh-allocation state. Pristine objects (fusion-elided dead
+     * temporaries whose stores never happened) are already all-zero,
+     * so the fill is skipped.
      */
     void recycle(PimObjId id, PimDataType data_type)
     {
+        assert(pimBitsOfDataType(data_type) == shape_.bits);
         id_ = id;
         data_type_ = data_type;
+        signed_ = pimIsSigned(data_type);
         if (!pristine_)
             std::fill(data_.begin(), data_.end(), 0);
         pristine_ = false;
@@ -141,15 +171,16 @@ class PimDataObject
     void markPristine() { pristine_ = true; }
 
   private:
+    // What every command reads comes first, within one cache line.
     PimObjId id_;
-    uint64_t num_elements_;
     PimDataType data_type_;
-    unsigned bits_per_element_;
+    bool signed_;
     bool v_layout_;
-    uint64_t mask_;
     bool pristine_ = false;
-    PimPlacement placement_;
+    PimCostShape shape_;
+    uint64_t mask_;
     std::vector<uint64_t> data_;
+    PimPlacement placement_;
 };
 
 } // namespace pimeval

@@ -108,8 +108,8 @@ cmdToAlpuOp(PimCmdEnum cmd, AlpuOp &op)
 // commands, a full-object reduction and a host-to-device copy) is
 // built once as a PimFusedOp by makeOp: operand pointers, the
 // op-specialized chunk kernel (fulcrum/alpu_kernels.h, or the
-// host-I/O kernel of core/pim_host_io.h), the issue-time cost profile
-// and the interned stats key. issue() then either buffers it in the
+// host-I/O kernel of core/pim_host_io.h), the object's cost shape and
+// the interned stats key. issue() then either buffers it in the
 // fusion window (core/pim_fusion.h) or runs it at once through
 // runFusedOp, the singleton executor, which hands contiguous [lo, hi)
 // chunks to ThreadPool::parallelForChunks. The commands that never
@@ -318,7 +318,7 @@ PimDevice::copyHostToDevice(const void *src, PimObjId dest,
     op.host = static_cast<const uint8_t *>(src);
     op.load_kern = pimHostToDeviceChunkForBits(op.bits);
     op.host_stride = pimHostStrideForBits(op.bits);
-    setCopyPayload(op, op.n * op.host_stride);
+    op.copy_payload = modeledBytes(op.n * op.host_stride);
     // A full-object copy captures as an is_load window member, so the
     // planner can link copy->consumer chains and elide a staging dest
     // consumed only in-window. A ranged copy writes part of dest,
@@ -352,7 +352,7 @@ PimDevice::copyDeviceToHost(PimObjId src, void *dest, uint64_t idx_begin,
         makeOp(PimCmdEnum::kCopyD2H, *obj, obj, nullptr, nullptr);
     op.pa += idx_begin;
     op.n = idx_end - idx_begin;
-    setCopyPayload(op, op.n * pimHostStrideForBits(op.bits));
+    op.copy_payload = modeledBytes(op.n * pimHostStrideForBits(op.bits));
     const PimDeviceToHostChunkFn kernel =
         pimDeviceToHostChunkForBits(op.bits);
     auto *bytes = static_cast<uint8_t *>(dest);
@@ -381,7 +381,7 @@ PimDevice::copyDeviceToDevice(PimObjId src, PimObjId dest)
     }
 
     PimFusedOp op = makeOp(PimCmdEnum::kCopyD2D, *s, s, nullptr, d);
-    setCopyPayload(op, s->payloadBytes());
+    op.copy_payload = modeledBytes(s->payloadBytes());
 
     PIM_TRACE_SCOPE_ARG(op.trace_name, "exec", op.copy_payload);
     std::copy(op.pa, op.pa + op.n, op.pd);
@@ -443,12 +443,9 @@ PimDevice::executeElementShift(PimCmdEnum cmd, PimObjId obj_id)
     // Cost: inter-element movement rewrites the whole object once in
     // place (read + write of every row) and fixes one boundary element
     // per region through the host interface.
-    PimOpCost cost = cost_memo_.cost(
-        PimOpProfile::copy(PimCmdEnum::kCopyD2D, payload));
-    cost += cost_memo_.cost(
-        PimOpProfile::copy(PimCmdEnum::kCopyD2H, boundary_bytes));
-    cost += cost_memo_.cost(
-        PimOpProfile::copy(PimCmdEnum::kCopyH2D, boundary_bytes));
+    PimOpCost cost = cost_memo_.copyCost(PimCmdEnum::kCopyD2D, payload);
+    cost += cost_memo_.copyCost(PimCmdEnum::kCopyD2H, boundary_bytes);
+    cost += cost_memo_.copyCost(PimCmdEnum::kCopyH2D, boundary_bytes);
     commit(op, cost);
     return PimStatus::PIM_OK;
 }
@@ -508,16 +505,10 @@ PimDevice::modeledBytes(uint64_t bytes) const
 }
 
 void
-PimDevice::setCopyPayload(PimFusedOp &op, uint64_t bytes) const
-{
-    op.copy_payload = modeledBytes(bytes);
-    op.profile = PimOpProfile::copy(op.cmd, op.copy_payload);
-}
-
-void
 PimDevice::setModelingScale(double scale)
 {
-    // Captured window commands hold profiles built at the old scale.
+    // Captured window commands hold cost shapes and copy payloads
+    // built at the old scale.
     flushFusion();
     modeling_scale_ = scale >= 1.0 ? scale : 1.0;
     stats_.setHostScale(modeling_scale_);
@@ -547,29 +538,24 @@ PimDevice::makeOp(PimCmdEnum cmd, const PimDataObject &shape,
     op.bits = shape.bitsPerElement();
     op.n = shape.numElements();
     if (const std::optional<PimCopyEnum> dir = pimCopyDirection(cmd)) {
-        // A copy is costed from its payload (setCopyPayload), not
-        // from its operands' shape, and records under no command key.
+        // A copy is costed from its payload, not from its operands'
+        // shape, and records under no command key.
         static const char *const kTraceNames[] = {"copyH2D", "copyD2H",
                                                   "copyD2D"};
         op.trace_name = kTraceNames[static_cast<size_t>(*dir)];
         return op;
     }
 
-    PimOpProfile &profile = op.profile;
-    profile.cmd = cmd;
-    profile.bits = op.bits;
-    profile.num_elements = op.n;
-    profile.max_elems_per_core = shape.maxElementsPerRegion();
-    profile.cores_used = shape.numCoresUsed();
-    if (modeling_scale_ > 1.0) {
+    if (modeling_scale_ > 1.0) [[unlikely]] {
         // Paper-size what-if: cost the op as if the object held
         // scale-times more elements, balanced across all cores.
-        const auto scaled = static_cast<uint64_t>(
-            static_cast<double>(op.n) * modeling_scale_);
-        const uint64_t cores = config_.numCores();
-        profile.num_elements = scaled;
-        profile.max_elems_per_core = (scaled + cores - 1) / cores;
-        profile.cores_used = std::min<uint64_t>(cores, scaled);
+        op.shape = PimCostShape::of(
+            op.bits,
+            static_cast<uint64_t>(static_cast<double>(op.n) *
+                                  modeling_scale_),
+            config_.numCores());
+    } else {
+        op.shape = shape.costShape();
     }
     const CmdKeyInfo key = keyFor(cmd, shape);
     op.key_id = key.id;
@@ -578,47 +564,35 @@ PimDevice::makeOp(PimCmdEnum cmd, const PimDataObject &shape,
 }
 
 PimDevice::CmdKeyInfo
-PimDevice::keyFor(PimCmdEnum cmd, const PimDataObject &obj)
+PimDevice::internKey(PimCmdEnum cmd, const PimDataObject &obj)
 {
     // The canonical "cmd.dtype.layout" key is built (and interned)
-    // only the first time a combination is seen; afterwards the lookup
-    // is a cache-array read. Called from the issuing thread only, so
-    // key ids are assigned in issue order (fused and unfused runs
-    // produce identical stats reports).
-    const size_t c = static_cast<size_t>(cmd);
-    const size_t t = static_cast<size_t>(obj.dataType());
-    const size_t l = obj.isVLayout() ? 1 : 0;
-    KeyCacheEntry &entry = stats_key_cache_[c][t][l];
-    if (entry.id < 0) {
-        const std::string key = pimCmdName(cmd) + "." +
-            pimDataTypeName(obj.dataType()) +
-            (obj.isVLayout() ? ".v" : ".h");
-        entry.id = static_cast<int32_t>(stats_.internCmdKey(key, cmd));
-        // Interned in the tracer too: execution spans need a name
-        // that outlives this call on any thread.
-        entry.name = PimTracer::instance().intern(key);
-    }
+    // only the first time a combination is seen. Called from the
+    // issuing thread only, so key ids are assigned in issue order
+    // (fused and unfused runs produce identical stats reports).
+    KeyCacheEntry &entry =
+        stats_key_cache_[static_cast<size_t>(cmd)]
+                        [static_cast<size_t>(obj.dataType())]
+                        [obj.isVLayout() ? 1 : 0];
+    const std::string key = pimCmdName(cmd) + "." +
+        pimDataTypeName(obj.dataType()) + (obj.isVLayout() ? ".v" : ".h");
+    entry.id = static_cast<int32_t>(stats_.internCmdKey(key, cmd));
+    // Interned in the tracer too: execution spans need a name that
+    // outlives this call on any thread.
+    entry.name = PimTracer::instance().intern(key);
     return {static_cast<PimStatsMgr::CmdKeyId>(entry.id), entry.name};
 }
 
-bool
-PimDevice::checkCompatible(const PimDataObject *a, const PimDataObject *b,
-                           const PimDataObject *dest,
-                           const char *what) const
+void
+PimDevice::logIncompatible(const PimDataObject *a, const PimDataObject *b,
+                           const PimDataObject *dest, const char *what)
 {
-    if (!a || !dest) {
+    if (!a || !dest)
         logError(strCat(what, ": unknown object id"));
-        return false;
-    }
-    if (b && b->numElements() != a->numElements()) {
+    else if (b && b->numElements() != a->numElements())
         logError(strCat(what, ": operand size mismatch"));
-        return false;
-    }
-    if (dest->numElements() != a->numElements()) {
+    else
         logError(strCat(what, ": destination size mismatch"));
-        return false;
-    }
-    return true;
 }
 
 PimStatus
@@ -674,10 +648,10 @@ PimDevice::executeOneSource(PimCmdEnum cmd, PimObjId a, PimObjId dest,
         // The kernel range-checks the amount itself: masking it to
         // the element width would wrap 2^bits back to 0.
         op.scalar = imm;
-        op.profile.aux = static_cast<unsigned>(imm);
+        op.cost_aux = static_cast<unsigned>(imm);
     } else {
         op.scalar = imm & oa->elementMask();
-        op.profile.scalar = op.scalar;
+        op.cost_scalar = op.scalar;
     }
     return issue(op);
 }
@@ -699,7 +673,7 @@ PimDevice::executeScaledAdd(PimObjId a, PimObjId b, PimObjId dest,
     PimFusedOp op = makeOp(PimCmdEnum::kScaledAdd, *oa, oa, ob, od);
     op.kern_sa = op.sgn ? &scaledAddChunk<true> : &scaledAddChunk<false>;
     op.scalar = scalar & oa->elementMask();
-    op.profile.scalar = op.scalar;
+    op.cost_scalar = op.scalar;
     return issue(op);
 }
 
@@ -748,7 +722,7 @@ PimDevice::executeRedSum(PimObjId a, uint64_t idx_begin, uint64_t idx_end,
 
     // Cost the full-object reduction (a ranged sum still touches all
     // rows that hold the range; approximate with the range fraction).
-    PimOpCost cost = cost_memo_.cost(op.profile);
+    PimOpCost cost = opCost(op);
     cost.runtime_sec *= fraction;
     cost.energy_j *= fraction;
     commit(op, cost);
@@ -771,7 +745,7 @@ PimDevice::executeBroadcast(PimObjId dest, uint64_t value)
         makeOp(PimCmdEnum::kBroadcast, *od, nullptr, nullptr, od);
     op.is_fill = true;
     op.scalar = value & od->elementMask();
-    op.profile.scalar = op.scalar;
+    op.cost_scalar = op.scalar;
     return issue(op);
 }
 
@@ -819,22 +793,18 @@ PimDevice::recordFusion(const PimFusedOp &op)
     // page faults dwarfing the memcpy) and is filled by a
     // pool-parallel copy, spreading the bandwidth the same way the
     // fused sweep itself does.
-    std::shared_ptr<uint8_t[]> snap;
-    if (op.is_load) {
-        const size_t bytes = op.n * op.host_stride;
-        snap = snapshot_pool_->acquire(bytes);
-        uint8_t *to = snap.get();
-        const uint8_t *from = op.host;
-        pool_.parallelForChunks(0, bytes,
-                                [to, from](size_t lo, size_t hi) {
-            std::memcpy(to + lo, from + lo, hi - lo);
-        });
+    if (!op.is_load) {
+        fusion_window_.record(op);
+        return;
     }
-    PimFusedOp &held = fusion_window_.record(op);
-    if (snap) {
-        held.host = snap.get();
-        held.snapshot = std::move(snap);
-    }
+    const size_t bytes = op.n * op.host_stride;
+    std::shared_ptr<uint8_t[]> snap = snapshot_pool_->acquire(bytes);
+    uint8_t *to = snap.get();
+    const uint8_t *from = op.host;
+    pool_.parallelForChunks(0, bytes, [to, from](size_t lo, size_t hi) {
+        std::memcpy(to + lo, from + lo, hi - lo);
+    });
+    fusion_window_.record(op, std::move(snap));
 }
 
 void
@@ -963,12 +933,12 @@ PimDevice::runFusedOp(const PimFusedOp &op)
 void
 PimDevice::commit(const PimFusedOp &op)
 {
-    const PimOpCost cost = cost_memo_.cost(op.profile);
     const std::optional<PimCopyEnum> dir = pimCopyDirection(op.cmd);
     if (!dir) {
-        commit(op, cost);
+        commit(op, opCost(op));
         return;
     }
+    const PimOpCost cost = cost_memo_.copyCost(op.cmd, op.copy_payload);
     switch (*dir) {
       case PimCopyEnum::PIM_COPY_H2D:
         PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
@@ -1013,8 +983,8 @@ PimDevice::executeFusedChain(const std::vector<PimFusedOp> &ops,
         *last.red_result =
             static_cast<int64_t>(total.load(std::memory_order_relaxed));
 
-    // Per-member stats records in issue order from issue-time
-    // profiles: exactly what each command records when it runs alone.
+    // Per-member stats records in issue order from issue-time cost
+    // inputs: exactly what each command records when it runs alone.
     for (const PimFusionStep &st : chain)
         commit(ops[st.op]);
     return tape.folded_fills;

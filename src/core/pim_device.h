@@ -158,11 +158,6 @@ class PimDevice
     /** Transfer size under the modeling scale. */
     uint64_t modeledBytes(uint64_t bytes) const;
 
-    /** Set copy @p op's payload to @p bytes under the modeling scale:
-     *  the bytes its stats record and, with op.cmd, its cost profile
-     *  (PimOpProfile::copy). */
-    void setCopyPayload(PimFusedOp &op, uint64_t bytes) const;
-
     /** Interned stats key id plus the tracer-stable name for the same
      *  "cmd.dtype.layout" string (execution-span labels). */
     struct CmdKeyInfo
@@ -172,21 +167,50 @@ class PimDevice
     };
 
     /** Interned stats key for the op (issuing thread only, so key
-     *  ids follow issue order). */
-    CmdKeyInfo keyFor(PimCmdEnum cmd, const PimDataObject &obj);
+     *  ids follow issue order): a cache-array read once the
+     *  (cmd, dtype, layout) combination has been seen. */
+    CmdKeyInfo
+    keyFor(PimCmdEnum cmd, const PimDataObject &obj)
+    {
+        const KeyCacheEntry &entry =
+            stats_key_cache_[static_cast<size_t>(cmd)]
+                            [static_cast<size_t>(obj.dataType())]
+                            [obj.isVLayout() ? 1 : 0];
+        if (entry.id < 0) [[unlikely]]
+            return internKey(cmd, obj);
+        return {static_cast<PimStatsMgr::CmdKeyId>(entry.id), entry.name};
+    }
+
+    /** keyFor's first sight of a combination: build, intern and cache
+     *  the canonical "cmd.dtype.layout" key. */
+    CmdKeyInfo internKey(PimCmdEnum cmd, const PimDataObject &obj);
 
     /** Validate operand compatibility; logs on failure. */
-    bool checkCompatible(const PimDataObject *a, const PimDataObject *b,
-                         const PimDataObject *dest,
-                         const char *what) const;
+    bool
+    checkCompatible(const PimDataObject *a, const PimDataObject *b,
+                    const PimDataObject *dest, const char *what) const
+    {
+        if (a && dest && (!b || b->numElements() == a->numElements()) &&
+            dest->numElements() == a->numElements()) [[likely]]
+            return true;
+        logIncompatible(a, b, dest, what);
+        return false;
+    }
+
+    /** checkCompatible's failure log. */
+    static void logIncompatible(const PimDataObject *a,
+                                const PimDataObject *b,
+                                const PimDataObject *dest,
+                                const char *what);
 
     /**
      * Build one command over @p shape's elements (its width, sign and
      * count): operand ids and pointers (null objects leave them
-     * unset), dest's element mask, the issue-time cost profile and
-     * the interned stats key (a copy gets neither: it records under
-     * no key, and setCopyPayload gives it its profile). The caller
-     * adds the kernel, the immediate and the command's flags.
+     * unset), dest's element mask, the object's cost shape (scaled
+     * when the modeling scale is above 1) and the interned stats key
+     * (a copy gets neither: it records under no key, and is costed
+     * from the copy_payload its caller sets). The caller adds the
+     * kernel, the immediates and the command's flags.
      */
     PimFusedOp makeOp(PimCmdEnum cmd, const PimDataObject &shape,
                       const PimDataObject *a, const PimDataObject *b,
@@ -196,8 +220,8 @@ class PimDevice
     PimStatus issue(const PimFusedOp &op);
 
     /** The body of executeUnary/Scalar/Shift: a scalar immediate is
-     *  masked to the element width (profile.scalar); a shift amount
-     *  reaches the kernel unmasked (profile.aux). */
+     *  masked to the element width (cost_scalar); a shift amount
+     *  reaches the kernel unmasked (cost_aux). */
     PimStatus executeOneSource(PimCmdEnum cmd, PimObjId a, PimObjId dest,
                                uint64_t imm, const char *what);
 
@@ -228,12 +252,19 @@ class PimDevice
 
     /**
      * The only per-command stats record, and the only place the
-     * copy.bytes_* metrics count. Every op is costed from its profile
-     * through the cost memo. A copy (op.cmd kCopyH2D, kCopyD2H or
-     * kCopyD2D) records its transfer of op.copy_payload bytes; any
-     * other op records under its key.
+     * copy.bytes_* metrics count. Every op is costed through the cost
+     * memo. A copy (op.cmd kCopyH2D, kCopyD2H or kCopyD2D) records
+     * its transfer of op.copy_payload bytes; any other op records
+     * opCost(op) under its key.
      */
     void commit(const PimFusedOp &op);
+
+    /** The modeled cost of non-copy @p op, from its cost inputs. */
+    PimOpCost opCost(const PimFusedOp &op)
+    {
+        return cost_memo_.cost(op.cmd, op.shape, op.cost_scalar,
+                               op.cost_aux);
+    }
 
     /** commit() of a non-copy op with a cost the caller computed: an
      *  element shift's data movement, a ranged reduction's range

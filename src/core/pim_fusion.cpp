@@ -325,6 +325,7 @@ void
 PimFusionWindow::clear()
 {
     ops_.clear();
+    snapshots_.clear();
     deferred_frees_.clear();
     // unordered_set::clear zeroes the whole bucket array even when the
     // set holds nothing, and an idle window is flushed before every

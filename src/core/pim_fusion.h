@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -186,15 +187,21 @@ pimPlanFusionChains(const std::vector<PimFusionOpView> &ops,
 
 /**
  * One device command, built once at issue time (PimDevice::makeOp):
- * raw pointers, the op-specialized kernel, the cost profile and the
+ * raw pointers, the op-specialized kernel, the cost inputs and the
  * interned stats key. The device either buffers a fusable command in
  * the fusion window or runs it at once; both paths execute and commit
  * this same record. A command that never fuses runs its own body and
  * commits its record the same way.
+ *
+ * Trivially copyable, so building, buffering and dropping one is
+ * plain stores: a captured load's snapshot is owned by the window
+ * (PimFusionWindow::record), not by the record. The fields without a
+ * default are the ones makeOp always writes (shape and key_id: for
+ * every command but a copy, which reads neither).
  */
 struct PimFusedOp
 {
-    PimCmdEnum cmd = PimCmdEnum::kAdd;
+    PimCmdEnum cmd;
     AlpuOp op = AlpuOp::kAdd;
     PimObjId a = -1;
     PimObjId b = -1; ///< -1 for scalar/unary/shift commands
@@ -213,9 +220,9 @@ struct PimFusedOp
     bool op_exact = true;
     bool sgn = false;
     uint64_t scalar = 0;
-    unsigned bits = 0;
+    unsigned bits;
     uint64_t dmask = 0;
-    size_t n = 0; ///< raw words (one per element)
+    size_t n; ///< raw words (one per element)
     /** Reduction terminator (kRedSum over the full object): reads a,
      *  writes *red_result instead of an object. */
     bool is_reduce = false;
@@ -226,18 +233,22 @@ struct PimFusedOp
     /** H2D copy: converts @p n elements of host bytes into dest. */
     bool is_load = false;
     /** The bytes a load reads: the caller's buffer while the copy runs
-     *  at issue, the snapshot once it is captured. */
+     *  at issue, the window's snapshot once it is captured. */
     const uint8_t *host = nullptr;
-    /** Owns a captured load's bytes (the caller's buffer need not
-     *  outlive the call) until the chain runs; empty otherwise. */
-    std::shared_ptr<const uint8_t[]> snapshot;
     PimHostToDeviceChunkFn load_kern = nullptr;
     unsigned host_stride = 0;   ///< host bytes per element
     uint64_t copy_payload = 0;  ///< modeled bytes for the stats commit
-    PimOpProfile profile;
-    PimStatsMgr::CmdKeyId key_id = 0;
-    const char *trace_name = nullptr;
+    /** What the cost memo reads of a non-copy command: its object's
+     *  cost shape (scaled under a modeling scale above 1) and the
+     *  profile's immediates, PimOpProfile::scalar and ::aux. */
+    PimCostShape shape;
+    uint64_t cost_scalar = 0;
+    unsigned cost_aux = 0;
+    PimStatsMgr::CmdKeyId key_id;
+    const char *trace_name;
 };
+
+static_assert(std::is_trivially_copyable_v<PimFusedOp>);
 
 /**
  * One step of a lowered expression tape. A null @p store means the
@@ -348,10 +359,18 @@ class PimFusionWindow
     size_t size() const { return ops_.size(); }
     bool full() const { return ops_.size() >= kMaxFusionWindowOps; }
 
-    /** Buffer @p op; returns the window's copy. */
-    PimFusedOp &record(const PimFusedOp &op)
+    /** Buffer @p op. A captured load hands over its host snapshot,
+     *  which the window owns until clear() and the buffered op reads
+     *  in place of the caller's buffer. */
+    void
+    record(const PimFusedOp &op,
+           std::shared_ptr<const uint8_t[]> snapshot = nullptr)
     {
-        return ops_.emplace_back(op);
+        PimFusedOp &held = ops_.emplace_back(op);
+        if (snapshot) {
+            held.host = snapshot.get();
+            snapshots_.push_back(std::move(snapshot));
+        }
     }
 
     /** An object allocated while fusion captures (cleared at flush):
@@ -378,12 +397,14 @@ class PimFusionWindow
     /** Plan the pending window (chain extraction + elision). */
     std::vector<PimFusionChain> plan() const;
 
-    /** Reset after a flush: pending ops, deferred frees, and the
-     *  born-in-window set. */
+    /** Reset after a flush: pending ops and their snapshots, deferred
+     *  frees, and the born-in-window set. */
     void clear();
 
   private:
     std::vector<PimFusedOp> ops_;
+    /** The captured loads' host snapshots, in capture order. */
+    std::vector<std::shared_ptr<const uint8_t[]>> snapshots_;
     std::unordered_set<PimObjId> born_;
     std::unordered_set<PimObjId> freed_;
     std::vector<PimObjId> deferred_frees_;

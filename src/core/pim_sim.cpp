@@ -23,25 +23,6 @@
 
 namespace pimeval {
 
-namespace {
-
-/**
- * The calling thread's pinned context. Destroying a context while
- * another thread still has it pinned is a caller error (the same
- * use-after-destroy contract as every handle API); destroyContext
- * does clear the destroying thread's own pin.
- */
-thread_local PimContextRec *tls_current = nullptr;
-
-} // namespace
-
-PimSim &
-PimSim::instance()
-{
-    static PimSim sim;
-    return sim;
-}
-
 PimContextRec *
 PimSim::registerContext(const PimDeviceConfig &config,
                         const std::string &label, bool is_default)
@@ -146,8 +127,8 @@ PimSim::destroyContext(PimContextRec *ctx)
             default_ctx_.store(nullptr, std::memory_order_release);
         dying = std::move(*it);
         contexts_.erase(it);
-        if (tls_current == ctx)
-            tls_current = nullptr;
+        if (tls_current_ == ctx)
+            tls_current_ = nullptr;
         PIM_METRIC_COUNT("context.destroyed", 1);
         PIM_METRIC_GAUGE("context.live", contexts_.size());
     }
@@ -176,27 +157,8 @@ PimSim::setCurrentContext(PimContextRec *ctx)
     if (ctx && !validContext(ctx))
         return fail("pimSetCurrentContext: unknown or destroyed "
                     "context");
-    tls_current = ctx;
+    tls_current_ = ctx;
     return PimStatus::PIM_OK;
-}
-
-PimContextRec *
-PimSim::currentContext()
-{
-    return tls_current;
-}
-
-PimDevice *
-PimSim::device()
-{
-    // Hot path of every global API call: thread-local first, process
-    // default second. A pinned context destroyed by another thread is
-    // the caller's race to avoid (documented in pimDestroyContext);
-    // destroyContext clears the destroying thread's own pin.
-    if (tls_current)
-        return tls_current->device.get();
-    PimContextRec *def = default_ctx_.load(std::memory_order_acquire);
-    return def ? def->device.get() : nullptr;
 }
 
 size_t

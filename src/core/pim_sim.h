@@ -51,7 +51,12 @@ class PimSim
 {
   public:
     /** Process-wide instance. */
-    static PimSim &instance();
+    static PimSim &
+    instance()
+    {
+        static PimSim sim;
+        return sim;
+    }
 
     PimSim(const PimSim &) = delete;
     PimSim &operator=(const PimSim &) = delete;
@@ -70,9 +75,17 @@ class PimSim
      * Device of the calling thread's current context: the context set
      * by setCurrentContext on this thread, else the process default.
      * nullptr when neither exists. This is the single dispatch point
-     * of the global C API.
+     * of the global C API, so it is inline: a thread-local read, then
+     * one atomic load.
      */
-    PimDevice *device();
+    PimDevice *
+    device()
+    {
+        if (tls_current_)
+            return tls_current_->device.get();
+        PimContextRec *def = default_ctx_.load(std::memory_order_acquire);
+        return def ? def->device.get() : nullptr;
+    }
 
     bool hasDevice() { return device() != nullptr; }
 
@@ -111,7 +124,7 @@ class PimSim
 
     /** The calling thread's pinned context (nullptr when unpinned or
      *  the pinned context has been destroyed). */
-    PimContextRec *currentContext();
+    PimContextRec *currentContext() { return tls_current_; }
 
     /** Live context count (for tests and reports). */
     size_t numContexts();
@@ -122,6 +135,16 @@ class PimSim
 
   private:
     PimSim() = default;
+
+    /**
+     * The calling thread's pinned context. Destroying a context while
+     * another thread still has it pinned is a caller error (the same
+     * use-after-destroy contract as every handle API); destroyContext
+     * does clear the destroying thread's own pin. constinit: no
+     * dynamic initializer, so a read needs no TLS init-function test.
+     */
+    static constinit inline thread_local PimContextRec *tls_current_ =
+        nullptr;
 
     /** Register under the lock; assigns the next context id. */
     PimContextRec *registerContext(const PimDeviceConfig &config,

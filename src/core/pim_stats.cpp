@@ -59,27 +59,17 @@ PimStatsMgr::internCmdKey(const std::string &key, PimCmdEnum cmd)
 }
 
 void
-PimStatsMgr::recordCmd(CmdKeyId id, const PimOpCost &cost)
+PimStatsMgr::traceCmd(CmdKeyId id, const PimOpCost &cost)
 {
-    auto &stat = cmd_slots_[id].stat;
-    ++stat.count;
-    stat.runtime_sec += cost.runtime_sec;
-    stat.energy_j += cost.energy_j;
-#if PIMEVAL_TRACING_ENABLED
     // Modeled PIM clock: commands commit in issue order, so the
     // accumulated kernel+copy time before this command is its modeled
     // start — the second timeline of the dual-clock trace.
-    if (PimTracer::enabled()) {
-        auto &slot = cmd_slots_[id];
-        if (!slot.trace_name)
-            slot.trace_name = PimTracer::instance().intern(slot.key);
-        PimTracer::instance().recordModeledSpan(
-            slot.trace_name, kernel_sec_ + copy_sec_,
-            cost.runtime_sec, stat.count, trace_ctx_);
-    }
-#endif
-    kernel_sec_ += cost.runtime_sec;
-    kernel_j_ += cost.energy_j;
+    CmdSlot &slot = cmd_slots_[id];
+    if (!slot.trace_name)
+        slot.trace_name = PimTracer::instance().intern(slot.key);
+    PimTracer::instance().recordModeledSpan(
+        slot.trace_name, kernel_sec_ + copy_sec_, cost.runtime_sec,
+        slot.stat.count, trace_ctx_);
 }
 
 void

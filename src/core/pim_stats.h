@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/perf_energy_model.h"
+#include "core/pim_trace.h"
 #include "core/pim_types.h"
 
 namespace pimeval {
@@ -78,7 +79,20 @@ class PimStatsMgr
     CmdKeyId internCmdKey(const std::string &key, PimCmdEnum cmd);
 
     /** Record one PIM command through its interned id (hot path). */
-    void recordCmd(CmdKeyId id, const PimOpCost &cost);
+    void
+    recordCmd(CmdKeyId id, const PimOpCost &cost)
+    {
+        PimCmdStat &stat = cmd_slots_[id].stat;
+        ++stat.count;
+        stat.runtime_sec += cost.runtime_sec;
+        stat.energy_j += cost.energy_j;
+#if PIMEVAL_TRACING_ENABLED
+        if (PimTracer::enabled()) [[unlikely]]
+            traceCmd(id, cost);
+#endif
+        kernel_sec_ += cost.runtime_sec;
+        kernel_j_ += cost.energy_j;
+    }
 
     /** Record one PIM command, keyed e.g. "add.int32.v" (interns on
      *  every call; convenience for tests and cold paths). */
@@ -149,6 +163,10 @@ class PimStatsMgr
     void dumpJson(std::ostream &os) const;
 
   private:
+    /** recordCmd's modeled-time trace span, emitted before the
+     *  command's runtime joins the kernel total. */
+    void traceCmd(CmdKeyId id, const PimOpCost &cost);
+
     /** One interned stats key; ids index cmd_slots_. */
     struct CmdSlot
     {

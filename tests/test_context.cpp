@@ -233,6 +233,28 @@ TEST_F(ContextTest, LastErrorReporting)
     EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
 }
 
+TEST_F(ContextTest, DeviceConfigWithoutDeviceIsNone)
+{
+    // No device anywhere: the config query reports through the
+    // last-error state and returns a config naming no device.
+    const PimDeviceConfig &none = pimGetDeviceConfig();
+    EXPECT_EQ(none.device, PimDeviceEnum::PIM_DEVICE_NONE);
+    EXPECT_EQ(pimGetLastError(), PimStatus::PIM_ERROR);
+    EXPECT_STREQ(pimGetLastErrorMessage(),
+                 "pimGetDeviceConfig: no active PIM device");
+
+    // A pinned context answers with its own config.
+    PimContext ctx = pimCreateContextFromConfig(
+        smallConfig(PimDeviceEnum::PIM_DEVICE_FULCRUM), "cfg");
+    ASSERT_NE(ctx, nullptr);
+    ASSERT_EQ(pimSetCurrentContext(ctx), PimStatus::PIM_OK);
+    EXPECT_EQ(pimGetDeviceConfig().device,
+              PimDeviceEnum::PIM_DEVICE_FULCRUM);
+    EXPECT_EQ(pimGetDeviceConfig().num_cols_per_row, 256u);
+    pimSetCurrentContext(nullptr);
+    EXPECT_EQ(pimDestroyContext(ctx), PimStatus::PIM_OK);
+}
+
 TEST_F(ContextTest, GlobalApiShimAndPinning)
 {
     // Legacy pair manages the process-default context.

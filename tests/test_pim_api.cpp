@@ -1563,6 +1563,285 @@ TEST_P(PimApiTest, CostMemoExactUnderEviction)
     pimFree(d);
 }
 
+namespace {
+
+/** Replace the active device with a same-shape one under analytical
+ *  transfer timing, so exact costs hold under every
+ *  PIMEVAL_MEM_BACKEND setting. */
+void
+useAnalyticalDevice(PimDeviceEnum device)
+{
+    pimDeleteDevice();
+    PimDeviceConfig config = smallConfig(device);
+    config.mem_backend = PimMemBackend::PIM_MEM_BACKEND_ANALYTICAL;
+    ASSERT_EQ(pimCreateDeviceFromConfig(config), PimStatus::PIM_OK);
+}
+
+/** A counter's value; 0 before its first update registers it. */
+double
+metricValue(const char *name)
+{
+    double value = 0.0;
+    pimGetMetric(name, &value);
+    return value;
+}
+
+/** Two int32 inputs and a destination, all associated with a. */
+struct Operands3
+{
+    PimObjId a = -1, b = -1, d = -1;
+};
+
+Operands3
+allocOperands(uint64_t n)
+{
+    Operands3 o;
+    o.a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                   PimDataType::PIM_INT32);
+    o.b = pimAllocAssociated(32, o.a, PimDataType::PIM_INT32);
+    o.d = pimAllocAssociated(32, o.a, PimDataType::PIM_INT32);
+    EXPECT_GE(o.a, 0);
+    EXPECT_GE(o.b, 0);
+    EXPECT_GE(o.d, 0);
+    Prng rng(5);
+    EXPECT_EQ(pimCopyHostToDevice(rng.intVector(n, -900, 900).data(), o.a),
+              PimStatus::PIM_OK);
+    EXPECT_EQ(pimCopyHostToDevice(rng.intVector(n, -900, 900).data(), o.b),
+              PimStatus::PIM_OK);
+    return o;
+}
+
+void
+freeOperands(const Operands3 &o)
+{
+    EXPECT_EQ(pimFree(o.a), PimStatus::PIM_OK);
+    EXPECT_EQ(pimFree(o.b), PimStatus::PIM_OK);
+    EXPECT_EQ(pimFree(o.d), PimStatus::PIM_OK);
+}
+
+/** One command's whole stats record when it is issued alone. */
+struct LoneRecord
+{
+    std::string key;
+    uint64_t count = 0;
+    double runtime_sec = 0.0;
+    double energy_j = 0.0;
+};
+
+/** Issue elementwise, scalar, shift, scaled-add, broadcast and full
+ *  reduction commands on @p o one at a time, each after a stats reset,
+ *  and return each one's record. */
+std::vector<LoneRecord>
+loneRecords(const Operands3 &o)
+{
+    int64_t sum = 0;
+    const std::vector<std::function<PimStatus()>> calls = {
+        [&] { return pimAdd(o.a, o.b, o.d); },
+        [&] { return pimMulScalar(o.a, o.d, 77); },
+        [&] { return pimAndScalar(o.a, o.d, 0xf0f0); },
+        [&] { return pimShiftBitsLeft(o.a, o.d, 3); },
+        [&] { return pimShiftBitsRight(o.a, o.d, 31); },
+        [&] { return pimScaledAdd(o.a, o.b, o.d, 9); },
+        [&] { return pimBroadcastInt(o.d, 12); },
+        [&] { return pimRedSum(o.a, &sum); },
+    };
+    std::vector<LoneRecord> out;
+    for (const auto &call : calls) {
+        EXPECT_EQ(pimResetStats(), PimStatus::PIM_OK);
+        EXPECT_EQ(call(), PimStatus::PIM_OK);
+        // Under PIMEVAL_FUSION=1 the command may wait in the window.
+        EXPECT_EQ(pimSync(), PimStatus::PIM_OK);
+        const auto table = PimSim::instance().device()->stats().cmdStats();
+        EXPECT_EQ(table.size(), 1u);
+        for (const auto &[key, stat] : table)
+            out.push_back({key, stat.count, stat.runtime_sec, stat.energy_j});
+    }
+    return out;
+}
+
+void
+expectSameRecords(const std::vector<LoneRecord> &got,
+                  const std::vector<LoneRecord> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].key, want[i].key) << what;
+        EXPECT_EQ(got[i].count, want[i].count) << what << " " << want[i].key;
+        EXPECT_EQ(got[i].runtime_sec, want[i].runtime_sec)
+            << what << " " << want[i].key;
+        EXPECT_EQ(got[i].energy_j, want[i].energy_j)
+            << what << " " << want[i].key;
+    }
+}
+
+} // namespace
+
+TEST_P(PimApiTest, ModelingScaleSwitchMatchesFreshDevice)
+{
+    // Objects carry their cost shape from allocation; a modeling-scale
+    // change must still cost every later command at the new scale,
+    // whether its objects were allocated before the change or came
+    // off the free list after it. Reference: the same commands on a
+    // fresh device already at that scale.
+    constexpr uint64_t n = 3001;
+    const std::array<double, 2> scales = {1024.0, 1.0};
+    std::map<double, std::vector<LoneRecord>> fresh;
+    for (const double scale : scales) {
+        ASSERT_NO_FATAL_FAILURE(useAnalyticalDevice(GetParam()));
+        ASSERT_EQ(pimSetModelingScale(scale), PimStatus::PIM_OK);
+        fresh[scale] = loneRecords(allocOperands(n));
+        ASSERT_EQ(fresh[scale].size(), 8u);
+    }
+    ASSERT_NE(fresh[1024.0][0].runtime_sec, fresh[1.0][0].runtime_sec);
+
+    ASSERT_NO_FATAL_FAILURE(useAnalyticalDevice(GetParam()));
+    const Operands3 live = allocOperands(n);
+    Operands3 parked = allocOperands(n);
+    for (const double scale : scales) {
+        ASSERT_EQ(pimSetModelingScale(scale), PimStatus::PIM_OK);
+        const std::string at = strCat("scale ", scale, ", ");
+        expectSameRecords(loneRecords(live), fresh[scale],
+                          at + "allocated before the switch");
+        freeOperands(parked);
+        const double hits0 = metricValue("freelist.hit");
+        parked = allocOperands(n);
+        EXPECT_EQ(metricValue("freelist.hit") - hits0, 3.0) << at;
+        expectSameRecords(loneRecords(parked), fresh[scale],
+                          at + "recycled after the switch");
+    }
+    freeOperands(live);
+    freeOperands(parked);
+}
+
+TEST_P(PimApiTest, SameWidthRecycleTakesNewType)
+{
+    // A freed int32 object recycled as uint32 keeps its storage and
+    // cost shape, but what follows from the type must follow the new
+    // one: unsigned semantics and uint32 stats keys.
+    ASSERT_NO_FATAL_FAILURE(useAnalyticalDevice(GetParam()));
+    constexpr uint64_t n = 1000;
+    PimDevice *dev = PimSim::instance().device();
+    const PimObjId s = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_INT32);
+    ASSERT_GE(s, 0);
+    const std::vector<int32_t> neg(n, -8);
+    ASSERT_EQ(pimCopyHostToDevice(neg.data(), s), PimStatus::PIM_OK);
+    int64_t sum = 0;
+    ASSERT_EQ(pimRedSum(s, &sum), PimStatus::PIM_OK);
+    EXPECT_EQ(sum, -8 * static_cast<int64_t>(n));
+    const PimDataObject *parked = dev->object(s);
+    ASSERT_EQ(pimFree(s), PimStatus::PIM_OK);
+
+    const PimObjId u = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                PimDataType::PIM_UINT32);
+    ASSERT_GE(u, 0);
+    ASSERT_EQ(dev->object(u), parked) << "not taken from the free list";
+    const PimObjId v = pimAllocAssociated(32, u, PimDataType::PIM_UINT32);
+    ASSERT_GE(v, 0);
+    std::vector<uint32_t> x(n);
+    int64_t want_sum = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+        x[i] = 0x80000000u + static_cast<uint32_t>(i) * 7919u;
+        want_sum += x[i];
+    }
+    ASSERT_EQ(pimCopyHostToDevice(x.data(), u), PimStatus::PIM_OK);
+
+    ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+    ASSERT_EQ(pimRedSum(u, &sum), PimStatus::PIM_OK);
+    EXPECT_EQ(sum, want_sum);
+    std::vector<uint32_t> out(n);
+    ASSERT_EQ(pimShiftBitsRight(u, v, 4), PimStatus::PIM_OK);
+    ASSERT_EQ(pimCopyDeviceToHost(v, out.data()), PimStatus::PIM_OK);
+    for (uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(out[i], x[i] >> 4) << "logical shift, lane " << i;
+    ASSERT_EQ(pimGTScalar(u, v, 0x7fffffffu), PimStatus::PIM_OK);
+    ASSERT_EQ(pimCopyDeviceToHost(v, out.data()), PimStatus::PIM_OK);
+    for (uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(out[i], 1u) << "unsigned compare, lane " << i;
+
+    const auto table = dev->stats().cmdStats();
+    EXPECT_EQ(table.size(), 3u);
+    for (const auto &[key, stat] : table) {
+        EXPECT_NE(key.find(".uint32."), std::string::npos) << key;
+        EXPECT_EQ(stat.count, 1u) << key;
+    }
+    pimFree(u);
+    pimFree(v);
+}
+
+TEST_P(PimApiTest, CostMemoExactAcrossTwoShapes)
+{
+    // The memo keys on the command, the cost shape's width and count,
+    // the scalar and aux. Two shapes of one width, interleaved, each
+    // with half again as many distinct scalars as the memo holds and
+    // issued twice: one key per (shape, scalar), evictions in both
+    // rounds, and every record exactly the direct costOp sum in issue
+    // order.
+    ASSERT_NO_FATAL_FAILURE(useAnalyticalDevice(GetParam()));
+    constexpr size_t kScalars =
+        PimCostMemo::kCapacity + PimCostMemo::kCapacity / 2;
+    PimDevice *dev = PimSim::instance().device();
+    std::vector<std::pair<PimObjId, PimOpProfile>> shapes;
+    for (const uint64_t n : {3001u, 517u}) {
+        const PimObjId a = pimAlloc(PimAllocEnum::PIM_ALLOC_AUTO, n, 32,
+                                    PimDataType::PIM_INT32);
+        ASSERT_GE(a, 0);
+        const PimDataObject *obj = dev->object(a);
+        PimOpProfile profile;
+        profile.cmd = PimCmdEnum::kMulScalar;
+        profile.bits = 32;
+        profile.num_elements = n;
+        profile.max_elems_per_core = obj->maxElementsPerRegion();
+        profile.cores_used = obj->numCoresUsed();
+        shapes.emplace_back(a, profile);
+    }
+    const PimOpCost a0 = dev->model()->costOp(shapes[0].second);
+    const PimOpCost b0 = dev->model()->costOp(shapes[1].second);
+    ASSERT_TRUE(a0.runtime_sec != b0.runtime_sec ||
+                a0.energy_j != b0.energy_j)
+        << "the two shapes must cost differently";
+
+    // Direct costs per (scalar, shape), in issue order.
+    std::vector<PimOpCost> direct;
+    for (size_t i = 0; i < kScalars; ++i) {
+        for (auto &[a, profile] : shapes) {
+            // An odd multiplier permutes the 32-bit values: distinct.
+            profile.scalar = (i * 2654435761u + 1) & 0xffffffffu;
+            direct.push_back(dev->model()->costOp(profile));
+        }
+    }
+
+    ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+    const double misses0 = metricValue("cache.cost_memo.miss");
+    PimCmdStat want;
+    for (int round = 0; round < 2; ++round) {
+        size_t k = 0;
+        for (size_t i = 0; i < kScalars; ++i) {
+            for (const auto &[a, profile] : shapes) {
+                const uint64_t scalar = (i * 2654435761u + 1) & 0xffffffffu;
+                ASSERT_EQ(pimMulScalar(a, a, scalar), PimStatus::PIM_OK);
+                const PimOpCost &cost = direct[k++];
+                ++want.count;
+                want.runtime_sec += cost.runtime_sec;
+                want.energy_j += cost.energy_j;
+            }
+        }
+    }
+    ASSERT_EQ(pimSync(), PimStatus::PIM_OK);
+    const auto table = dev->stats().cmdStats();
+    ASSERT_EQ(table.size(), 1u);
+    const PimCmdStat &got = table.begin()->second;
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.runtime_sec, want.runtime_sec);
+    EXPECT_EQ(got.energy_j, want.energy_j);
+    // Round one misses on every (shape, scalar); round two on each one
+    // evicted.
+    EXPECT_GT(metricValue("cache.cost_memo.miss") - misses0,
+              static_cast<double>(2 * kScalars));
+    for (const auto &[a, profile] : shapes)
+        pimFree(a);
+}
+
 TEST_P(PimApiTest, OpScalarEntryPoint)
 {
     // The consolidated entry point rejects non-scalar commands and
