@@ -58,24 +58,6 @@ class BitSerialVm
     uint64_t readVertical(uint32_t col, uint32_t base_row,
                           unsigned n) const;
 
-    /**
-     * Write @p count n-bit elements vertically into consecutive
-     * columns starting at @p col_begin: values[j] lands in column
-     * col_begin + j exactly as writeVertical would place it (LSB at
-     * base_row). Internally transposes 64-element blocks as 64x64 bit
-     * matrices so each element bit-plane is written with word-wide
-     * stores instead of count*n single-bit pokes. Columns need not be
-     * 64-aligned.
-     */
-    void writeVerticalBulk(uint32_t col_begin, uint32_t base_row,
-                           unsigned n, const uint64_t *values,
-                           uint32_t count);
-
-    /** Bulk counterpart of readVertical over consecutive columns. */
-    void readVerticalBulk(uint32_t col_begin, uint32_t base_row,
-                          unsigned n, uint64_t *values,
-                          uint32_t count) const;
-
     /** Total micro-ops executed (sanity/statistics). */
     uint64_t opsExecuted() const { return ops_executed_; }
 

@@ -41,7 +41,10 @@ PimStatus pimCreateDevice(PimDeviceEnum device, uint64_t num_ranks = 0,
 /** Create a device from a full configuration struct. */
 PimStatus pimCreateDeviceFromConfig(const pimeval::PimDeviceConfig &config);
 
-/** Destroy the active device and all its objects. */
+/** Destroy the active device and all its objects. A trace or profile
+ *  armed by PIMEVAL_TRACE / PIMEVAL_PROFILE is exported first; if that
+ *  file cannot be written the device is still destroyed, and the call
+ *  returns PIM_ERROR with the file named in the last error. */
 PimStatus pimDeleteDevice();
 
 /** Whether a device is active. */

@@ -619,8 +619,6 @@ PimDevice::executeBinary(PimCmdEnum cmd, PimObjId a, PimObjId b,
     }
 
     PimFusedOp op = makeOp(cmd, *oa, oa, ob, od);
-    op.op = alu;
-    op.op_exact = !is_ne; // NE: op says kEQ, the kernel negates
     op.kern2 = is_ne ? binaryChunkFor<true>(alu, op.sgn)
                      : binaryChunkFor<false>(alu, op.sgn);
     return issue(op);
@@ -642,7 +640,6 @@ PimDevice::executeOneSource(PimCmdEnum cmd, PimObjId a, PimObjId dest,
     }
 
     PimFusedOp op = makeOp(cmd, *oa, oa, nullptr, od);
-    op.op = alu;
     op.kern1 = scalarChunkFor(alu, op.sgn);
     if (alu == AlpuOp::kShiftL || alu == AlpuOp::kShiftR) {
         // The kernel range-checks the amount itself: masking it to
@@ -738,9 +735,8 @@ PimDevice::executeBroadcast(PimObjId dest, uint64_t value)
         return PimStatus::PIM_ERROR;
     }
     // Broadcast captures as a fill: it can open a chain, and an
-    // elided fill consumed on the right-hand side of a binary op
-    // folds into that op as a scalar immediate (fusion.scalar_folds)
-    // — no chain break, no materialized constant vector.
+    // elided fill flows into its consumer as the tile — no chain
+    // break, no materialized constant vector.
     PimFusedOp op =
         makeOp(PimCmdEnum::kBroadcast, *od, nullptr, nullptr, od);
     op.is_fill = true;
@@ -834,7 +830,6 @@ PimDevice::flushFusion()
         uint64_t fused_chains = 0;
         uint64_t fused_ops = 0;
         uint64_t reduction_chains = 0;
-        uint64_t scalar_folds = 0;
         uint64_t host_loads = 0;
         uint64_t copy_bytes_fused = 0;
         uint64_t copy_elisions = 0;
@@ -866,7 +861,7 @@ PimDevice::flushFusion()
                         ++copy_elisions;
                 }
             }
-            scalar_folds += executeFusedChain(ops, chain);
+            executeFusedChain(ops, chain);
         }
         if (fused_chains > 0) {
             PIM_METRIC_COUNT("fusion.chains", fused_chains);
@@ -875,8 +870,6 @@ PimDevice::flushFusion()
         if (reduction_chains > 0)
             PIM_METRIC_COUNT("fusion.reduction_chains",
                              reduction_chains);
-        if (scalar_folds > 0)
-            PIM_METRIC_COUNT("fusion.scalar_folds", scalar_folds);
         if (host_loads > 0) {
             PIM_METRIC_COUNT("fusion.host_loads", host_loads);
             PIM_METRIC_COUNT("fusion.copy_bytes_fused",
@@ -938,19 +931,8 @@ PimDevice::commit(const PimFusedOp &op)
         commit(op, opCost(op));
         return;
     }
-    const PimOpCost cost = cost_memo_.copyCost(op.cmd, op.copy_payload);
-    switch (*dir) {
-      case PimCopyEnum::PIM_COPY_H2D:
-        PIM_METRIC_COUNT("copy.bytes_h2d", op.copy_payload);
-        break;
-      case PimCopyEnum::PIM_COPY_D2H:
-        PIM_METRIC_COUNT("copy.bytes_d2h", op.copy_payload);
-        break;
-      case PimCopyEnum::PIM_COPY_D2D:
-        PIM_METRIC_COUNT("copy.bytes_d2d", op.copy_payload);
-        break;
-    }
-    stats_.recordCopy(*dir, op.copy_payload, cost);
+    stats_.recordCopy(*dir, op.copy_payload,
+                      cost_memo_.copyCost(op.cmd, op.copy_payload));
 }
 
 void
@@ -960,7 +942,7 @@ PimDevice::commit(const PimFusedOp &op, const PimOpCost &cost)
     stats_.recordCmd(op.key_id, cost);
 }
 
-size_t
+void
 PimDevice::executeFusedChain(const std::vector<PimFusedOp> &ops,
                              const PimFusionChain &chain)
 {
@@ -987,7 +969,6 @@ PimDevice::executeFusedChain(const std::vector<PimFusedOp> &ops,
     // inputs: exactly what each command records when it runs alone.
     for (const PimFusionStep &st : chain)
         commit(ops[st.op]);
-    return tape.folded_fills;
 }
 
 } // namespace pimeval

@@ -251,11 +251,10 @@ class PimDevice
     void runFusedOp(const PimFusedOp &op);
 
     /**
-     * The only per-command stats record, and the only place the
-     * copy.bytes_* metrics count. Every op is costed through the cost
-     * memo. A copy (op.cmd kCopyH2D, kCopyD2H or kCopyD2D) records
-     * its transfer of op.copy_payload bytes; any other op records
-     * opCost(op) under its key.
+     * The only per-command stats record. Every op is costed through
+     * the cost memo. A copy (op.cmd kCopyH2D, kCopyD2H or kCopyD2D)
+     * records its transfer of op.copy_payload bytes; any other op
+     * records opCost(op) under its key.
      */
     void commit(const PimFusedOp &op);
 
@@ -273,11 +272,9 @@ class PimDevice
 
     /** Execute one multi-op chain as a single tape sweep that
      *  records every member's stats in issue order; a chain ending in
-     *  a reduction writes the scalar result back to the host. Returns
-     *  the number of broadcast fills folded into their consumers as
-     *  scalar immediates. */
-    size_t executeFusedChain(const std::vector<PimFusedOp> &ops,
-                             const PimFusionChain &chain);
+     *  a reduction writes the scalar result back to the host. */
+    void executeFusedChain(const std::vector<PimFusedOp> &ops,
+                           const PimFusionChain &chain);
 
     PimDeviceConfig config_;
     uint32_t ctx_id_ = 1;

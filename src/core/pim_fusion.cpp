@@ -432,32 +432,8 @@ pimBuildFusedTape(const std::vector<PimFusedOp> &ops,
         st.mask = op.dmask;
         st.store = chain[k].elide_store ? nullptr : op.pd;
         st.is_fill = op.is_fill;
-        st.op = op.op;
-        st.op_exact = op.op_exact;
-        st.sgn = op.sgn;
         tape.steps.push_back(st);
         writers[op.dest] = {chain[k].op, chain[k].elide_store, false};
-    }
-
-    // Scalar folding: an elided broadcast fill whose consumer is a
-    // plain binary op with the fill on the right-hand side collapses
-    // into the consumer as a scalar immediate — scalarChunk computes
-    // op(a[i], s) & mask, bit-identical to binaryChunk with b[i] == s
-    // for every i (op_exact excludes the negated-kernel kNE capture).
-    if (tape.steps.size() >= 2 && tape.steps[0].is_fill &&
-        tape.steps[0].store == nullptr) {
-        const PimFusedTapeStep &c = tape.steps[1];
-        if (c.kern2 && c.op_exact && c.b_is_prev && !c.a_is_prev) {
-            PimFusedTapeStep folded = c;
-            folded.kern2 = nullptr;
-            folded.kern1 = scalarChunkFor(c.op, c.sgn);
-            folded.scalar = tape.steps[0].scalar;
-            folded.b = nullptr;
-            folded.b_is_prev = false;
-            tape.steps.erase(tape.steps.begin());
-            tape.steps[0] = folded;
-            ++tape.folded_fills;
-        }
     }
 
     return tape;

@@ -202,7 +202,6 @@ pimPlanFusionChains(const std::vector<PimFusionOpView> &ops,
 struct PimFusedOp
 {
     PimCmdEnum cmd;
-    AlpuOp op = AlpuOp::kAdd;
     PimObjId a = -1;
     PimObjId b = -1; ///< -1 for scalar/unary/shift commands
     PimObjId dest = -1;
@@ -212,12 +211,6 @@ struct PimFusedOp
     BinaryChunkFn kern2 = nullptr;      ///< vector-vector commands
     ScalarChunkFn kern1 = nullptr;      ///< scalar/unary/shift commands
     ScaledAddChunkFn kern_sa = nullptr; ///< dest = a*s + b
-    /** False when the captured kernel computes something other than
-     *  what @p op alone implies (kNE captures op=kEQ plus a negating
-     *  kernel). Scalar folding re-selects a kernel from @p op, so it
-     *  must skip such steps; only the captured kernel has the right
-     *  semantics. */
-    bool op_exact = true;
     bool sgn = false;
     uint64_t scalar = 0;
     unsigned bits;
@@ -298,11 +291,6 @@ struct PimFusedTapeStep
     void (*kern_hsa)(const uint8_t *, const uint64_t *, uint64_t,
                      uint64_t *, size_t, unsigned, uint64_t,
                      uint64_t) = nullptr;
-    /** Op metadata mirrored from the source PimFusedOp: scalar
-     *  folding re-selects the step's kernel from it. */
-    AlpuOp op = AlpuOp::kAdd;
-    bool op_exact = true;
-    bool sgn = false;
 };
 
 /**
@@ -325,10 +313,6 @@ struct PimFusedTape
     bool has_reduce = false;
     bool red_sgn = false;
     unsigned red_bits = 0;
-
-    /** Broadcast fills folded into their consumer as scalar
-     *  immediates during lowering (fusion.scalar_folds). */
-    unsigned folded_fills = 0;
 
     /** Evaluate [lo, hi); returns the reduction partial (wrapping
      *  uint64 lane arithmetic; 0 when the tape has no reduction). */

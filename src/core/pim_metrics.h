@@ -3,7 +3,8 @@
  * Process-wide metrics registry: named counters, gauges, and
  * histograms describing the simulator's own behavior (fusion chains,
  * free-list and cost-model cache hit rates, threadpool work
- * distribution, bytes copied).
+ * distribution). Modeled numbers, copied bytes included, live in the
+ * stats record (PimStatsMgr), not here.
  *
  * Metrics are always-on but near-free: a counter increment is one
  * relaxed atomic add, and hot loops batch locally and add once per
@@ -28,7 +29,7 @@
  *
  * Snapshot/reset/dump are thread-safe, and reset is atomic with
  * respect to a concurrent snapshotAll (both serialize on the registry
- * mutex), so a background sampler never observes a half-reset
+ * mutex), so a snapshot reader never observes a half-reset
  * registry. Values reset to zero via pimResetMetrics /
  * PimMetrics::reset without invalidating handles. The
  * -DPIMEVAL_TRACING=OFF build keeps metrics available (they are cheap
@@ -211,8 +212,8 @@ struct PimMetricValue
 /**
  * The registry. Naming convention: dotted lowercase paths grouped by
  * subsystem — "fusion.chains", "freelist.hit",
- * "threadpool.chunks_stolen", "cache.cost_memo.miss",
- * "copy.bytes_h2d". See docs/OBSERVABILITY.md for the full glossary.
+ * "threadpool.chunks_stolen", "cache.cost_memo.miss". See
+ * docs/OBSERVABILITY.md for the full glossary.
  */
 class PimMetrics
 {
@@ -235,7 +236,7 @@ class PimMetrics
     std::map<std::string, PimMetricValue> snapshotAll() const;
 
     /** Zero all values (handles stay valid). Serializes with
-     *  snapshotAll on the registry mutex, so concurrent samplers see
+     *  snapshotAll on the registry mutex, so concurrent readers see
      *  either the before or the after state, never a mix of metrics
      *  from both. */
     void reset();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Profiler implementation: per-thread phase stacks folding into a
- * global aggregated phase tree, a background registry sampler, and
- * the PROFILE.json / HTML exporters with bottleneck attribution.
+ * global aggregated phase tree, and the PROFILE.json / HTML
+ * exporters with bottleneck attribution.
  *
  * This file is only built when PIMEVAL_TRACING is ON (see
  * core/CMakeLists.txt); the OFF configuration uses the inline stubs
@@ -221,7 +221,6 @@ PimProfiler::snapshot() const
     PimProfileSnapshot out;
     out.active = enabled();
     out.elapsed_ns = nowNs();
-    out.sample_period_ms = kSamplePeriodMs;
     std::lock_guard<std::mutex> lock(mutex_);
     out.phases.reserve(nodes_.size());
     for (const auto &node : nodes_) {
@@ -246,7 +245,6 @@ PimProfiler::snapshot() const
         p.bytes_d2d = node->bytes_d2d;
         out.phases.push_back(std::move(p));
     }
-    out.samples = samples_;
     return out;
 }
 
@@ -257,109 +255,31 @@ PimProfiler::reset()
     std::lock_guard<std::mutex> lock(mutex_);
     nodes_.clear();
     index_.clear();
-    samples_.clear();
-    sample_stride_ns_ = 0;
 }
 
 void
 PimProfiler::start(const std::string &path)
 {
-    stopSampler();
     g_profile_gen.fetch_add(1, std::memory_order_acq_rel);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         nodes_.clear();
         index_.clear();
-        samples_.clear();
-        sample_stride_ns_ = 0;
         if (!path.empty())
             path_ = path;
         epoch_ = std::chrono::steady_clock::now();
     }
     enabled_flag_.store(true, std::memory_order_release);
-    startSampler();
 }
 
 bool
 PimProfiler::stop(const std::string &path)
 {
     enabled_flag_.store(false, std::memory_order_release);
-    stopSampler();
     const std::string target = path.empty() ? path_ : path;
     if (target.empty())
         return false;
     return dump(target);
-}
-
-void
-PimProfiler::startSampler()
-{
-    {
-        std::lock_guard<std::mutex> lock(sampler_mutex_);
-        sampler_stop_ = false;
-    }
-    sampler_ = std::thread([this] { samplerLoop(); });
-}
-
-void
-PimProfiler::stopSampler()
-{
-    {
-        std::lock_guard<std::mutex> lock(sampler_mutex_);
-        sampler_stop_ = true;
-    }
-    sampler_cv_.notify_all();
-    if (sampler_.joinable())
-        sampler_.join();
-}
-
-void
-PimProfiler::samplerLoop()
-{
-    PimTracer::instance().setThreadName("profile-sampler");
-    const auto period =
-        std::chrono::duration<double, std::milli>(kSamplePeriodMs);
-    std::unique_lock<std::mutex> lk(sampler_mutex_);
-    while (!sampler_stop_) {
-        if (sampler_cv_.wait_for(lk, period,
-                                 [this] { return sampler_stop_; }))
-            break;
-        lk.unlock();
-        // snapshotAll serializes with pimResetMetrics on the registry
-        // mutex: the sampler sees before-or-after, never a mix.
-        PimProfileSample s;
-        s.t_ns = nowNs();
-        for (const auto &[name, v] :
-             PimMetrics::instance().snapshotAll())
-            s.values[name] =
-                v.kind == PimMetricValue::Kind::kCounter
-                ? static_cast<double>(v.count)
-                : v.value;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const bool skip = sample_stride_ns_ != 0 &&
-                !samples_.empty() &&
-                s.t_ns - samples_.back().t_ns < sample_stride_ns_;
-            if (!skip) {
-                samples_.push_back(std::move(s));
-                if (samples_.size() >= kMaxSamples) {
-                    // Decimate: keep every other sample, double the
-                    // effective stride — bounded memory, full span.
-                    std::vector<PimProfileSample> kept;
-                    kept.reserve(samples_.size() / 2 + 1);
-                    for (size_t i = 0; i < samples_.size(); i += 2)
-                        kept.push_back(std::move(samples_[i]));
-                    samples_.swap(kept);
-                    const uint64_t period_ns = static_cast<uint64_t>(
-                        kSamplePeriodMs * 1e6);
-                    sample_stride_ns_ = sample_stride_ns_
-                        ? sample_stride_ns_ * 2
-                        : period_ns * 2;
-                }
-            }
-        }
-        lk.lock();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,9 +288,9 @@ PimProfiler::samplerLoop()
 
 namespace {
 
-/** Minimal inline report: phase table with attribution bars,
- *  histogram percentiles, and a time-series chart, all rendered
- *  client-side from the embedded JSON. No external dependencies. */
+/** Minimal inline report: phase table with attribution bars and
+ *  histogram percentiles, both rendered client-side from the
+ *  embedded JSON. No external dependencies. */
 const char *kHtmlPrefix = R"HTML(<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>PIMeval profile</title>
 <style>
@@ -383,8 +303,6 @@ th{background:#f5f5f5} td.name{text-align:left;font-family:monospace}
 .c0{background:#4e79a7}.c1{background:#f28e2b}.c2{background:#59a14f}
 .legend span{margin-right:14px;font-size:12px}
 .muted{color:#888}
-svg{border:1px solid #eee;background:#fcfcfc}
-select{margin:8px 0}
 </style></head><body>
 <h1>PIMeval profile report</h1>
 <div class="legend"><span><span class="bar c0" style="width:12px"></span>
@@ -451,34 +369,7 @@ if (hists.length) {
   html += '</table>';
 }
 
-// --- Time series ---
-if (data.timeseries && data.timeseries.length > 1) {
-  const names = Object.keys(data.timeseries[0].values);
-  html += '<h2>Registry time series</h2><select id="ts-metric">' +
-      names.map(n => '<option' +
-          (n === 'copy.bytes_h2d' ? ' selected' : '') + '>' + n +
-          '</option>').join('') +
-      '</select><br><svg id="ts" width="720" height="200"></svg>';
-  app.innerHTML = html;
-  const draw = name => {
-    const pts = data.timeseries.map(s => [s.t_ns, s.values[name] || 0]);
-    const xs = pts.map(p => p[0]), ys = pts.map(p => p[1]);
-    const x0 = Math.min(...xs), x1 = Math.max(...xs);
-    const y1 = Math.max(...ys, 1e-12);
-    const X = t => 10 + 700 * (t - x0) / Math.max(1, x1 - x0);
-    const Y = v => 190 - 180 * (v / y1);
-    document.getElementById('ts').innerHTML =
-        '<polyline fill="none" stroke="#4e79a7" stroke-width="1.5" ' +
-        'points="' + pts.map(p => X(p[0]) + ',' + Y(p[1])).join(' ') +
-        '"/><text x="14" y="16" font-size="11" fill="#888">max ' +
-        fmt(y1) + '</text>';
-  };
-  const sel = document.getElementById('ts-metric');
-  sel.onchange = () => draw(sel.value);
-  draw(sel.value);
-} else {
-  app.innerHTML = html;
-}
+app.innerHTML = html;
 </script></body></html>
 )HTML";
 
@@ -497,8 +388,6 @@ PimProfiler::dump(const std::string &path) const
     json << "  \"active\": " << (snap.active ? "true" : "false")
          << ",\n";
     json << "  \"elapsed_ns\": " << snap.elapsed_ns << ",\n";
-    json << "  \"sample_period_ms\": " << jsonFinite(snap.sample_period_ms)
-         << ",\n";
 
     json << "  \"phases\": ";
     writeProfilePhasesJson(json, snap.phases);
@@ -513,24 +402,7 @@ PimProfiler::dump(const std::string &path) const
         json << "{\"id\": " << contexts[i].first << ", \"label\": \""
              << jsonEscape(contexts[i].second) << "\"}";
     }
-    json << (contexts.empty() ? "]" : "\n  ]") << ",\n";
-
-    json << "  \"timeseries\": [";
-    for (size_t i = 0; i < snap.samples.size(); ++i) {
-        const auto &s = snap.samples[i];
-        json << (i ? ",\n    " : "\n    ");
-        json << "{\"t_ns\": " << s.t_ns << ", \"values\": {";
-        bool first = true;
-        for (const auto &[name, v] : s.values) {
-            if (v == 0.0)
-                continue;
-            json << (first ? "" : ", ") << "\"" << jsonEscape(name)
-                 << "\": " << jsonFinite(v);
-            first = false;
-        }
-        json << "}}";
-    }
-    json << (snap.samples.empty() ? "]" : "\n  ]") << "\n}\n";
+    json << (contexts.empty() ? "]" : "\n  ]") << "\n}\n";
 
     const std::string text = json.str();
     {
@@ -752,16 +624,5 @@ pimValidateProfileFile(const std::string &path, std::string *error)
     const JsonValue *metrics = root.find("metrics");
     if (!metrics || metrics->kind != JsonValue::Kind::kObject)
         return validateFail(error, "missing metrics object");
-    const JsonValue *ts = root.find("timeseries");
-    if (!ts || ts->kind != JsonValue::Kind::kArray)
-        return validateFail(error, "missing timeseries array");
-    for (size_t i = 0; i < ts->array.size(); ++i) {
-        const JsonValue &s = ts->array[i];
-        if (s.kind != JsonValue::Kind::kObject ||
-            !hasNumber(s, "t_ns") || !s.find("values"))
-            return validateFail(
-                error, "timeseries[" + std::to_string(i) +
-                    "] lacks t_ns/values");
-    }
     return true;
 }

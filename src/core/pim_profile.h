@@ -12,14 +12,12 @@
  *     (kernel / copy / host seconds and transfer byte counts).
  * Phase boundaries do not read the metrics registry.
  *
- * A background sampler thread snapshots the metrics registry every
- * kSamplePeriodMs (25 ms) into an in-memory time series.
- * pimDumpProfile(path) exports everything —
- * the phase tree with per-phase bottleneck attribution
- * (compute / DRAM-transfer / host-overhead split of modeled time),
- * the final metric snapshot with percentiles, the live contexts' ids
- * and labels, and the time series — as PROFILE.json plus a
- * self-contained single-file HTML report next to it.
+ * pimDumpProfile(path) exports everything — the phase tree with
+ * per-phase bottleneck attribution (compute / DRAM-transfer /
+ * host-overhead split of modeled time), the final metric snapshot
+ * with percentiles, and the live contexts' ids and labels — as
+ * PROFILE.json plus a self-contained single-file HTML report next
+ * to it.
  *
  * Enabling: programmatic (pimProfileStart) or the PIMEVAL_PROFILE
  * environment variable, which arms the profiler at pimCreateDevice
@@ -41,14 +39,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/pim_json.h"
@@ -144,22 +140,13 @@ writeProfilePhasesJson(std::ostream &os,
     os.precision(precision);
 }
 
-/** One background-sampler snapshot of the metrics registry. */
-struct PimProfileSample
-{
-    uint64_t t_ns = 0; ///< since profile start
-    std::map<std::string, double> values;
-};
-
 /** Everything the profiler knows, for programmatic consumers
  *  (benches embed this in their JSON). */
 struct PimProfileSnapshot
 {
     bool active = false;
     uint64_t elapsed_ns = 0;
-    double sample_period_ms = 0.0;
     std::vector<PimProfilePhase> phases;
-    std::vector<PimProfileSample> samples;
 };
 
 #if PIMEVAL_TRACING_ENABLED
@@ -183,9 +170,8 @@ class PimProfiler
     }
 
     /**
-     * Start (or restart) profiling: clears the phase tree and time
-     * series, re-arms the epoch, remembers @p path as the default
-     * export target, and launches the sampler thread.
+     * Start (or restart) profiling: clears the phase tree, re-arms
+     * the epoch and remembers @p path as the default export target.
      */
     void start(const std::string &path);
 
@@ -212,14 +198,11 @@ class PimProfiler
     bool active() const { return enabled(); }
     const std::string &outputPath() const { return path_; }
 
-    /** Aggregated tree + time series (parents precede children). */
+    /** Aggregated tree (parents precede children). */
     PimProfileSnapshot snapshot() const;
 
-    /** Drop all phases and samples (profiling state stays on). */
+    /** Drop all phases (profiling state stays on). */
     void reset();
-
-    /** Background-sampler period. */
-    static constexpr double kSamplePeriodMs = 25.0;
 
   private:
     PimProfiler() = default;
@@ -231,10 +214,6 @@ class PimProfiler
      *  index. Requires mutex_. */
     int nodeIndex(int parent, const char *name);
 
-    void samplerLoop();
-    void startSampler();
-    void stopSampler();
-
     uint64_t nowNs() const;
 
     static std::atomic<bool> enabled_flag_;
@@ -242,19 +221,9 @@ class PimProfiler
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::map<std::pair<int, std::string>, int> index_;
-    std::vector<PimProfileSample> samples_;
-    uint64_t sample_stride_ns_ = 0; ///< grows when samples_ decimates
     std::string path_;
     std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();
-
-    std::thread sampler_;
-    std::mutex sampler_mutex_;
-    std::condition_variable sampler_cv_;
-    bool sampler_stop_ = false;
-
-    /** Cap before decimation (drop every other, double the stride). */
-    static constexpr size_t kMaxSamples = 2048;
 };
 
 /**
@@ -330,10 +299,10 @@ PimStatus pimProfileEnd();
 /** Export PROFILE.json + HTML to @p path without stopping. */
 PimStatus pimDumpProfile(const char *path);
 
-/** Programmatic snapshot of the phase tree and time series. */
+/** Programmatic snapshot of the phase tree. */
 pimeval::PimProfileSnapshot pimProfileSnapshot();
 
-/** Drop all recorded phases and samples. */
+/** Drop all recorded phases. */
 PimStatus pimResetProfile();
 
 /**

@@ -82,20 +82,29 @@ PimSim::deleteDevice()
     PimContextRec *rec = defaultContext();
     if (!rec)
         return fail("pimDeleteDevice: no active device");
+    // The files an env-armed export could not write. The device goes
+    // either way; a failed export then fails the call.
+    std::string unwritten;
 #if PIMEVAL_TRACING_ENABLED
     // Export while the context is still live, so the profile lists it;
     // the sync lands buffered fusion work in both files first.
     rec->device->sync();
     if (!env_trace_path_.empty()) {
-        PimTracer::instance().end(env_trace_path_);
+        if (!PimTracer::instance().end(env_trace_path_))
+            unwritten = "'" + env_trace_path_ + "' (PIMEVAL_TRACE)";
         env_trace_path_.clear();
     }
     if (!env_profile_path_.empty()) {
-        PimProfiler::instance().stop(env_profile_path_);
+        if (!PimProfiler::instance().stop(env_profile_path_))
+            unwritten += (unwritten.empty() ? "'" : ", '") +
+                env_profile_path_ + "' (PIMEVAL_PROFILE)";
         env_profile_path_.clear();
     }
 #endif
-    return destroyContext(rec);
+    const PimStatus status = destroyContext(rec);
+    if (status == PimStatus::PIM_OK && !unwritten.empty())
+        return fail("pimDeleteDevice: cannot write " + unwritten);
+    return status;
 }
 
 PimContextRec *

@@ -68,7 +68,9 @@ class PimSim
      *  the device's lifetime, exported at deleteDevice). */
     PimStatus createDevice(const PimDeviceConfig &config);
 
-    /** Destroy the process-default device. */
+    /** Destroy the process-default device, exporting an env-armed
+     *  trace and profile first. The device is destroyed even when an
+     *  export fails; the call then fails naming the file. */
     PimStatus deleteDevice();
 
     /**

@@ -62,8 +62,8 @@ struct PimRunStats
  * Ownership: no lock. Every writer runs on the owning device's
  * issuing thread, and a reader on another thread must synchronize
  * with that thread first: serve tests read a tenant context's stats
- * after drain(). The profiler's sampler reads only the atomic
- * metrics registry, never these stats.
+ * after drain(). The profiler reads these stats only at phase
+ * boundaries, on the thread that opens and closes the phase.
  */
 class PimStatsMgr
 {

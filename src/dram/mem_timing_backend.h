@@ -10,7 +10,8 @@
  *
  *  - CYCLE       the DramChannel/TransferModel cycle-stepped model
  *                with configurable address mapping; exact, but pays a
- *                full channel drain per uncached transfer shape.
+ *                full channel drain per call (the device's cost memo
+ *                calls it once per direction and byte count).
  *  - ANALYTICAL  the paper's flat bytes/bandwidth model (Section
  *                V-C), preserved bit-identical for reproduction
  *                parity.

@@ -6,8 +6,6 @@
 #include "dram/transfer_model.h"
 
 #include <algorithm>
-#include <mutex>
-#include <shared_mutex>
 #include <vector>
 
 #include "core/pim_metrics.h"
@@ -31,24 +29,6 @@ TransferModel::TransferModel(const DramTiming &timing,
 }
 
 TransferResult
-TransferModel::scaleShape(const ShapeResult &shape,
-                          uint64_t num_columns, uint64_t simulated,
-                          uint64_t bytes) const
-{
-    TransferResult result;
-    const double scale = static_cast<double>(num_columns) /
-        static_cast<double>(simulated);
-    result.seconds = shape.sim_seconds * scale;
-    result.total_cycles = static_cast<uint64_t>(
-        static_cast<double>(shape.sim_cycles) * scale);
-    result.achieved_gbps = result.seconds > 0
-        ? static_cast<double>(bytes) / result.seconds / 1e9
-        : 0.0;
-    result.row_hit_rate = shape.row_hit_rate;
-    return result;
-}
-
-TransferResult
 TransferModel::simulateChannel(uint64_t bytes, bool is_write) const
 {
     const uint64_t num_columns =
@@ -62,22 +42,6 @@ TransferModel::simulateChannel(uint64_t bytes, bool is_write) const
     constexpr uint64_t kMaxSimulated = 1ull << 16;
     const uint64_t simulated = std::min(num_columns, kMaxSimulated);
 
-    // Memoize per simulated-stream shape: the drain of the same
-    // request stream never changes, and callers repeat sizes often.
-    // The cache holds the full per-shape result, so hits report the
-    // same row-hit rate and cycle count as the original simulation.
-    const uint64_t key = (simulated << 1) | (is_write ? 1 : 0);
-    {
-        std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-        const auto hit = cache_.find(key);
-        if (hit != cache_.end()) {
-            PIM_METRIC_COUNT("cache.transfer.hit", 1);
-            return scaleShape(hit->second, num_columns, simulated,
-                              bytes);
-        }
-    }
-
-    PIM_METRIC_COUNT("cache.transfer.miss", 1);
     const uint32_t cols_per_row =
         row_bytes_ / DramTiming::kBytesPerColumn;
 
@@ -132,15 +96,8 @@ TransferModel::simulateChannel(uint64_t bytes, bool is_write) const
 
     DramChannel channel(timing_, ranks_per_channel_, banks_per_rank_);
     const uint64_t cycles = channel.drain(requests);
-
-    ShapeResult shape;
-    shape.sim_seconds = timing_.cyclesToSeconds(cycles);
-    shape.sim_cycles = cycles;
-    shape.row_hit_rate = channel.stats().rowHitRate();
-    {
-        std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-        cache_.emplace(key, shape);
-    }
+    const double sim_seconds = timing_.cyclesToSeconds(cycles);
+    const double row_hit_rate = channel.stats().rowHitRate();
 
     if (!quiet_) {
         const DramChannelStats &stats = channel.stats();
@@ -149,21 +106,31 @@ TransferModel::simulateChannel(uint64_t bytes, bool is_write) const
         PIM_METRIC_COUNT("dram.channel.row_hits", stats.row_hits);
         PIM_METRIC_COUNT("dram.channel.row_misses", stats.row_misses);
         PIM_METRIC_COUNT("dram.channel.activates", stats.activates);
-        PIM_METRIC_GAUGE("dram.channel.row_hit_rate",
-                         shape.row_hit_rate);
+        PIM_METRIC_GAUGE("dram.channel.row_hit_rate", row_hit_rate);
         // Bus utilization of the simulated drain: achieved fraction
         // of the channel's peak bandwidth.
-        if (shape.sim_seconds > 0) {
+        if (sim_seconds > 0) {
             const double achieved =
                 static_cast<double>(simulated *
                                     DramTiming::kBytesPerColumn) /
-                shape.sim_seconds;
+                sim_seconds;
             PIM_METRIC_GAUGE("dram.channel.util",
                              achieved / timing_.peakBandwidth());
         }
     }
 
-    return scaleShape(shape, num_columns, simulated, bytes);
+    // Extrapolate the simulated stream out to the full transfer.
+    const double scale = static_cast<double>(num_columns) /
+        static_cast<double>(simulated);
+    TransferResult result;
+    result.seconds = sim_seconds * scale;
+    result.total_cycles =
+        static_cast<uint64_t>(static_cast<double>(cycles) * scale);
+    result.achieved_gbps = result.seconds > 0
+        ? static_cast<double>(bytes) / result.seconds / 1e9
+        : 0.0;
+    result.row_hit_rate = row_hit_rate;
+    return result;
 }
 
 TransferResult

@@ -17,8 +17,6 @@
 #define PIMEVAL_DRAM_TRANSFER_MODEL_H_
 
 #include <cstdint>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "core/pim_types.h"
 #include "dram/dram_timing.h"
@@ -61,9 +59,9 @@ class TransferModel
 
     /**
      * Time a sequential transfer of @p bytes split evenly across the
-     * channels. Caches the full per-shape result (time, row-hit rate,
-     * cycles) by request count, so repeated same-size transfers cost
-     * one simulation and report identical statistics.
+     * channels. Simulates the request stream on every call and holds
+     * no mutable state, so it is safe to call from several host
+     * threads at once; callers memoize (PimCostMemo, the LUT grid).
      */
     TransferResult transfer(uint64_t bytes, bool is_write) const;
 
@@ -78,30 +76,9 @@ class TransferModel
     PimAddrMap addrMap() const { return addr_map_; }
 
   private:
-    /** Everything one channel drain produces, cached per simulated
-     *  shape so cache hits report the same statistics as the original
-     *  simulation (not just its seconds). */
-    struct ShapeResult
-    {
-        double sim_seconds = 0.0;
-        double row_hit_rate = 0.0;
-        uint64_t sim_cycles = 0;
-    };
-
     TransferResult simulateChannel(uint64_t bytes,
                                    bool is_write) const;
 
-    /** Scale one cached/simulated shape out to @p num_columns. */
-    TransferResult scaleShape(const ShapeResult &shape,
-                              uint64_t num_columns,
-                              uint64_t simulated,
-                              uint64_t bytes) const;
-
-    /** Keyed by (simulated column count, is_write); the bool lives in
-     *  the key's low bit. Guarded so the const transfer() stays safe
-     *  to call from several host threads at once. */
-    mutable std::shared_mutex cache_mutex_;
-    mutable std::unordered_map<uint64_t, ShapeResult> cache_;
     DramTiming timing_;
     uint32_t num_channels_;
     uint32_t ranks_per_channel_;

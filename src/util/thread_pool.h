@@ -145,8 +145,6 @@ class ThreadPool
         if (helper_chunks)
             PIM_METRIC_COUNT("threadpool.chunks_stolen",
                              helper_chunks);
-        PIM_METRIC_COUNT("threadpool.chunks",
-                         caller_chunks + helper_chunks);
     }
 
   private:

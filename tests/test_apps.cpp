@@ -65,6 +65,31 @@ TEST_P(AppTest, VerifiesAgainstCpuReference)
     EXPECT_FALSE(result.features.op_mix.empty());
 }
 
+TEST_P(AppTest, FusedMatchesUnfusedModeledStats)
+{
+    // Fusion changes only how the simulator executes: every modeled
+    // number must match an unfused run bit for bit. host_sec is
+    // measured wall-clock, so it is left out. The toggle is set both
+    // ways explicitly: PIMEVAL_FUSION=1 starts a device with it on.
+    const std::string &name = std::get<1>(GetParam());
+    ASSERT_EQ(pimSetFusionEnabled(false), PimStatus::PIM_OK);
+    const AppResult unfused =
+        runBenchmarkByName(name, SuiteScale::kTiny);
+    ASSERT_EQ(pimResetStats(), PimStatus::PIM_OK);
+    ASSERT_EQ(pimSetFusionEnabled(true), PimStatus::PIM_OK);
+    const AppResult fused = runBenchmarkByName(name, SuiteScale::kTiny);
+    EXPECT_TRUE(unfused.verified) << name << " unfused";
+    EXPECT_TRUE(fused.verified) << name << " fused";
+    EXPECT_EQ(fused.stats.kernel_sec, unfused.stats.kernel_sec);
+    EXPECT_EQ(fused.stats.kernel_j, unfused.stats.kernel_j);
+    EXPECT_EQ(fused.stats.copy_sec, unfused.stats.copy_sec);
+    EXPECT_EQ(fused.stats.copy_j, unfused.stats.copy_j);
+    EXPECT_EQ(fused.stats.bytes_h2d, unfused.stats.bytes_h2d);
+    EXPECT_EQ(fused.stats.bytes_d2h, unfused.stats.bytes_d2h);
+    EXPECT_EQ(fused.stats.bytes_d2d, unfused.stats.bytes_d2d);
+    EXPECT_EQ(fused.features.op_mix, unfused.features.op_mix);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SuiteOnAllDevices, AppTest,
     ::testing::Combine(

@@ -6,11 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "bitserial/bitserial_vm.h"
 #include "bitserial/micro_op.h"
-#include "util/prng.h"
 
 using namespace pimeval;
 
@@ -67,83 +64,6 @@ TEST(BitSerialVm, VerticalHelpersRoundTrip)
     EXPECT_TRUE(vm.getBit(12, 5));  // bit 2
     EXPECT_TRUE(vm.getBit(13, 5));  // bit 3
     EXPECT_FALSE(vm.getBit(14, 5)); // bit 4 of 0xF... = 0
-}
-
-// Bulk vertical I/O (64x64 bit-matrix transpose) must place every bit
-// exactly where the per-bit helpers do, for all element widths and for
-// column ranges that are not 64-aligned, without touching any other
-// bit of the subarray.
-TEST(BitSerialVm, BulkVerticalMatchesPerBit)
-{
-    constexpr uint32_t kRows = 70;
-    constexpr uint32_t kCols = 200;
-    constexpr uint32_t kColBegin = 37; // non-aligned, crosses words
-    constexpr uint32_t kCount = 130;   // full block + partial tail
-    constexpr uint32_t kBaseRow = 3;
-
-    for (unsigned n : {1u, 8u, 16u, 32u, 64u}) {
-        BitSerialVm bulk(kRows, kCols);
-        BitSerialVm ref(kRows, kCols);
-
-        // Identical pre-existing background pattern in both VMs, so a
-        // bulk write that clobbers a neighboring bit shows up as a
-        // mismatch below.
-        for (uint32_t r = 0; r < kRows; ++r)
-            for (uint32_t c = 0; c < kCols; ++c) {
-                const bool bit = ((r * 31 + c * 7) % 5) == 0;
-                bulk.setBit(r, c, bit);
-                ref.setBit(r, c, bit);
-            }
-
-        Prng rng(n);
-        std::vector<uint64_t> values(kCount);
-        for (auto &v : values)
-            v = (static_cast<uint64_t>(rng.next()) << 32) | rng.next();
-
-        bulk.writeVerticalBulk(kColBegin, kBaseRow, n, values.data(),
-                               kCount);
-        for (uint32_t j = 0; j < kCount; ++j)
-            ref.writeVertical(kColBegin + j, kBaseRow, n, values[j]);
-
-        for (uint32_t r = 0; r < kRows; ++r)
-            for (uint32_t c = 0; c < kCols; ++c)
-                ASSERT_EQ(bulk.getBit(r, c), ref.getBit(r, c))
-                    << "n=" << n << " row=" << r << " col=" << c;
-
-        // Bulk read agrees with both the per-bit read and the source
-        // data (masked to n bits).
-        const uint64_t mask =
-            (n >= 64) ? ~0ull : ((1ull << n) - 1);
-        std::vector<uint64_t> readback(kCount, ~0ull);
-        bulk.readVerticalBulk(kColBegin, kBaseRow, n, readback.data(),
-                              kCount);
-        for (uint32_t j = 0; j < kCount; ++j) {
-            EXPECT_EQ(readback[j], values[j] & mask)
-                << "n=" << n << " j=" << j;
-            EXPECT_EQ(readback[j],
-                      ref.readVertical(kColBegin + j, kBaseRow, n))
-                << "n=" << n << " j=" << j;
-        }
-    }
-}
-
-TEST(BitSerialVm, BulkVerticalSmallAndAlignedRanges)
-{
-    BitSerialVm vm(64, 256);
-    // Fewer than 64 elements, word-aligned start.
-    const std::vector<uint64_t> few = {0xDEADBEEFull, 1ull, 0ull,
-                                       0xFFFFFFFFull};
-    vm.writeVerticalBulk(64, 0, 32,
-                         few.data(),
-                         static_cast<uint32_t>(few.size()));
-    for (uint32_t j = 0; j < few.size(); ++j)
-        EXPECT_EQ(vm.readVertical(64 + j, 0, 32),
-                  few[j] & 0xFFFFFFFFull);
-    std::vector<uint64_t> out(few.size());
-    vm.readVerticalBulk(64, 0, 32, out.data(),
-                        static_cast<uint32_t>(out.size()));
-    for (uint32_t j = 0; j < few.size(); ++j)
-        EXPECT_EQ(out[j], few[j] & 0xFFFFFFFFull);
 }
 
 TEST(MicroOpFormat, DisassemblyAndProfile)

@@ -201,11 +201,10 @@ TEST(TransferModel, ZeroAndSubColumnBytes)
     EXPECT_DOUBLE_EQ(one_byte.seconds, full_col.seconds);
 }
 
-TEST(TransferModel, CacheHitKeepsFullResult)
+TEST(TransferModel, RepeatedShapeReportsFullResult)
 {
-    // Regression: the shape cache used to store only seconds, so a
-    // cache hit returned row_hit_rate == 0 while the first call
-    // reported the simulated rate.
+    // Every call simulates its stream, so a repeated shape reports the
+    // same full result (time, row-hit rate, cycles) as the first.
     DramTiming timing;
     TransferModel model(timing, 1, 1, 16, 1024);
     const uint64_t bytes = 8ull << 20;

@@ -6,7 +6,8 @@
  * modeled statistics on all three digital targets, dead-temporary
  * elision accounting (fusion.temps_elided, freelist.pristine), window
  * flush boundaries, the flush-and-retry of an allocation that finds
- * the device full, and the scalar-folding guard in tape lowering.
+ * the device full, and how an elided fill flows into its consumer in
+ * tape lowering.
  */
 
 #include <gtest/gtest.h>
@@ -321,7 +322,7 @@ TEST(FusionPlanner, FillOpensChainButNeverContinuesOne)
 TEST(FusionPlanner, FillMulReduceChainElidesBothTemporaries)
 {
     // fill(c) -> mul(x, c, t) -> redSum(t) with c and t both dead:
-    // the whole chain collapses to a scalar-immediate sweep.
+    // the whole chain runs as one sweep that stores neither.
     const std::vector<PimFusionOpView> ops = {
         fillView(7), opView(1, 8, /*b=*/7), reduceView(8)};
     const auto chains = pimPlanFusionChains(ops, {7, 8}, {7, 8});
@@ -332,16 +333,16 @@ TEST(FusionPlanner, FillMulReduceChainElidesBothTemporaries)
 }
 
 // ---------------------------------------------------------------------
-// Tape lowering: scalar folding (no device needed).
+// Tape lowering (no device needed).
 // ---------------------------------------------------------------------
 
-TEST(FusionTape, ScalarFoldKeepsInexactKernel)
+TEST(FusionTape, ElidedFillFlowsIntoConsumer)
 {
-    // fill(c, 5) -> op(x, c) with the fill elided: folding replaces
-    // the consumer's vector kernel with scalarChunkFor(op). kNE is
-    // captured as op = kEQ plus a negating kernel (op_exact = false),
-    // so folding it would compute x == 5 instead of x != 5; the tape
-    // must keep both steps and the captured kernel.
+    // fill(c, 5) -> op(x, c) with the fill elided: the fill stays a
+    // tape step whose value flows into the consumer as its right-hand
+    // tile, and the consumer runs the kernel it captured. kNE's
+    // captured kernel is kEQ's negation, so x != 5 must come out, not
+    // x == 5.
     const std::vector<uint64_t> x = {5, 6, 7, 5};
     std::vector<uint64_t> out(4);
     PimFusedOp fill; // elided: never stores, so it needs no memory
@@ -356,8 +357,6 @@ TEST(FusionTape, ScalarFoldKeepsInexactKernel)
     PimFusedOp ne = fill;
     ne.cmd = PimCmdEnum::kNE;
     ne.is_fill = false;
-    ne.op = AlpuOp::kEQ;
-    ne.op_exact = false;
     ne.a = 1;
     ne.b = 2;
     ne.dest = 3;
@@ -366,29 +365,25 @@ TEST(FusionTape, ScalarFoldKeepsInexactKernel)
     ne.scalar = 0;
     ne.kern2 = binaryChunkFor<true>(AlpuOp::kEQ, false);
 
-    const PimFusionChain chain{{0, true}, {1, false}};
-    const PimFusedTape kept = pimBuildFusedTape({fill, ne}, chain);
-    EXPECT_EQ(kept.folded_fills, 0u);
-    ASSERT_EQ(kept.steps.size(), 2u);
-    EXPECT_TRUE(kept.steps[0].is_fill);
-    EXPECT_EQ(kept.steps[1].kern2, ne.kern2);
-    kept.run(0, 4);
-    EXPECT_EQ(out, (std::vector<uint64_t>{0, 1, 1, 0}));
-
-    // The same chain with an exact consumer does fold.
     PimFusedOp add = ne;
     add.cmd = PimCmdEnum::kAdd;
-    add.op = AlpuOp::kAdd;
-    add.op_exact = true;
     add.kern2 = binaryChunkFor<false>(AlpuOp::kAdd, false);
-    const PimFusedTape folded = pimBuildFusedTape({fill, add}, chain);
-    EXPECT_EQ(folded.folded_fills, 1u);
-    ASSERT_EQ(folded.steps.size(), 1u);
-    EXPECT_EQ(folded.steps[0].kern2, nullptr);
-    EXPECT_EQ(folded.steps[0].kern1, scalarChunkFor(AlpuOp::kAdd, false));
-    EXPECT_EQ(folded.steps[0].scalar, 5u);
-    folded.run(0, 4);
-    EXPECT_EQ(out, (std::vector<uint64_t>{10, 11, 12, 10}));
+
+    const PimFusionChain chain{{0, true}, {1, false}};
+    const std::pair<PimFusedOp, std::vector<uint64_t>> cases[] = {
+        {ne, {0, 1, 1, 0}}, {add, {10, 11, 12, 10}}};
+    for (const auto &[consumer, want] : cases) {
+        const PimFusedTape tape =
+            pimBuildFusedTape({fill, consumer}, chain);
+        ASSERT_EQ(tape.steps.size(), 2u);
+        EXPECT_TRUE(tape.steps[0].is_fill);
+        EXPECT_EQ(tape.steps[0].store, nullptr);
+        EXPECT_EQ(tape.steps[1].kern2, consumer.kern2);
+        EXPECT_TRUE(tape.steps[1].b_is_prev);
+        std::fill(out.begin(), out.end(), 0);
+        tape.run(0, 4);
+        EXPECT_EQ(out, want);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -506,7 +501,7 @@ struct ReduceOutcome
 {
     int64_t dot = 0;    ///< mul + redSum through a dead temporary
     int64_t chain2 = 0; ///< 2-op chain ending in a kept-store reduce
-    int64_t folded = 0; ///< broadcast fill folded into the chain
+    int64_t filled = 0; ///< broadcast fill flowing into the chain
     int64_t plain = 0;  ///< bare full-object redSum
     int64_t ranged = 0; ///< ranged redSum (always flush-and-execute)
     std::vector<int> d; ///< kept store of the chain2 sweep
@@ -574,15 +569,15 @@ runReduceWorkload(uint64_t n, bool fused_regions)
     }
     end();
 
-    // Broadcast-scalar producer: fused, the fill folds into the mul
-    // as a tape immediate and both temporaries stay dead.
+    // Broadcast-scalar producer: fused, the fill flows into the mul
+    // as a tile and both temporaries stay dead.
     begin();
     {
         const PimObjId c = assoc();
         const PimObjId t = assoc();
         pimBroadcastInt(c, 5);
         pimMul(x, c, t);
-        pimRedSum(t, &o.folded);
+        pimRedSum(t, &o.filled);
         pimFree(c);
         pimFree(t);
     }
@@ -612,7 +607,7 @@ expectReduceOutcomesIdentical(const ReduceOutcome &a,
 {
     EXPECT_EQ(a.dot, b.dot);
     EXPECT_EQ(a.chain2, b.chain2);
-    EXPECT_EQ(a.folded, b.folded);
+    EXPECT_EQ(a.filled, b.filled);
     EXPECT_EQ(a.plain, b.plain);
     EXPECT_EQ(a.ranged, b.ranged);
     EXPECT_EQ(a.d, b.d);
@@ -635,18 +630,18 @@ expectReduceOutcomeCorrect(const ReduceOutcome &o, uint64_t n)
     Prng rng(23);
     const std::vector<int> xs = rng.intVector(n, -1000, 1000);
     const std::vector<int> ys = rng.intVector(n, -1000, 1000);
-    int64_t dot = 0, chain2 = 0, folded = 0, plain = 0, ranged = 0;
+    int64_t dot = 0, chain2 = 0, filled = 0, plain = 0, ranged = 0;
     for (uint64_t i = 0; i < n; ++i) {
         dot += static_cast<int64_t>(xs[i]) * ys[i];
         chain2 += static_cast<int64_t>(xs[i]) * 3 - ys[i];
-        folded += static_cast<int64_t>(xs[i]) * 5;
+        filled += static_cast<int64_t>(xs[i]) * 5;
         plain += xs[i];
         if (i >= 3 && i < n - 5)
             ranged += ys[i];
     }
     EXPECT_EQ(o.dot, dot);
     EXPECT_EQ(o.chain2, chain2);
-    EXPECT_EQ(o.folded, folded);
+    EXPECT_EQ(o.filled, filled);
     EXPECT_EQ(o.plain, plain);
     EXPECT_EQ(o.ranged, ranged);
     for (uint64_t i = 0; i < n; ++i) {
@@ -780,7 +775,7 @@ TEST_P(FusionTest, LinearRegressionVerifiesUnderGlobalToggle)
     EXPECT_TRUE(result.verified);
 }
 
-TEST_P(FusionTest, ReductionAndScalarFoldMetrics)
+TEST_P(FusionTest, ReductionChainMetrics)
 {
     const uint64_t n = 600;
     const std::vector<int> xs(n, 2);
@@ -801,10 +796,9 @@ TEST_P(FusionTest, ReductionAndScalarFoldMetrics)
     ASSERT_EQ(pimEndFusion(), PimStatus::PIM_OK);
 
     EXPECT_EQ(sum, static_cast<int64_t>(n) * 2 * 5);
-    // One chain ended in a reduce; the broadcast folded to a tape
-    // immediate; both temporaries' stores elided.
+    // One chain ended in a reduce; the broadcast flowed into the mul
+    // as a tile; both temporaries' stores elided.
     EXPECT_GE(metric("fusion.reduction_chains"), 1.0);
-    EXPECT_GE(metric("fusion.scalar_folds"), 1.0);
     EXPECT_GE(metric("fusion.temps_elided"), 2.0);
 
     pimFree(x);

@@ -18,6 +18,7 @@
 
 #include "core/pim_api.h"
 #include "core/pim_context.h"
+#include "core/pim_error.h"
 #include "core/pim_json.h"
 #include "core/pim_profile.h"
 #include "core/pim_sim.h"
@@ -215,5 +216,47 @@ TEST(RuntimeConfig, EnvArmsTraceAndProfile)
     std::remove(trace_path.c_str());
     std::remove(profile_path.c_str());
     std::remove(html_path.c_str());
+}
+
+TEST(RuntimeConfig, EnvExportFailureFailsDeleteDevice)
+{
+    // A path under a regular file cannot be opened, even as root.
+    const std::string blocker = ::testing::TempDir() + "rc_not_a_dir";
+    std::ofstream(blocker) << "x";
+    const std::string bad_trace = blocker + "/trace.json";
+    const std::string bad_profile = blocker + "/profile.json";
+    struct Case
+    {
+        const char *trace;
+        const char *profile;
+    };
+    for (const Case &c : {Case{bad_trace.c_str(), nullptr},
+                          Case{nullptr, bad_profile.c_str()},
+                          Case{bad_trace.c_str(), bad_profile.c_str()}}) {
+        {
+            EnvVarScope trace("PIMEVAL_TRACE", c.trace);
+            EnvVarScope profile("PIMEVAL_PROFILE", c.profile);
+            ASSERT_EQ(pimCreateDeviceFromConfig(smallConfig()),
+                      PimStatus::PIM_OK);
+            pimClearLastError();
+            EXPECT_EQ(pimDeleteDevice(), PimStatus::PIM_ERROR);
+        }
+        EXPECT_EQ(pimGetLastError(), PimStatus::PIM_ERROR);
+        const std::string message = pimGetLastErrorMessage();
+        for (const char *path : {c.trace, c.profile}) {
+            if (path) {
+                EXPECT_NE(message.find(path), std::string::npos)
+                    << message;
+            }
+        }
+        EXPECT_FALSE(pimTraceActive());
+        EXPECT_FALSE(pimProfileActive());
+        // The device is gone either way: a new one can be created.
+        EXPECT_FALSE(pimIsDeviceActive());
+        ASSERT_EQ(pimCreateDeviceFromConfig(smallConfig()),
+                  PimStatus::PIM_OK);
+        ASSERT_EQ(pimDeleteDevice(), PimStatus::PIM_OK);
+    }
+    std::remove(blocker.c_str());
 }
 #endif // PIMEVAL_TRACING_ENABLED

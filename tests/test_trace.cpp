@@ -320,8 +320,9 @@ TEST_P(TraceDeviceTest, ExportParsesBack)
 }
 
 /**
- * Metric accuracy against a known command stream: byte counters are
- * exact.
+ * Metric accuracy against a known command stream: the cost-memo miss
+ * counter is exact (three distinct costs on a fresh device), and the
+ * copies' bytes land in the stats record.
  */
 TEST_P(TraceDeviceTest, MetricsMatchKnownCommandStream)
 {
@@ -337,19 +338,18 @@ TEST_P(TraceDeviceTest, MetricsMatchKnownCommandStream)
         pimAddScalar(a, a, 1);
     pimCopyDeviceToHost(a, xs.data());
 
+    EXPECT_EQ(pimGetStats().bytes_h2d, n * 4);
+    EXPECT_EQ(pimGetStats().bytes_d2h, n * 4);
     double v = 0.0;
-    ASSERT_TRUE(pimGetMetric("copy.bytes_h2d", &v));
-    EXPECT_EQ(v, static_cast<double>(n * 4));
-    ASSERT_TRUE(pimGetMetric("copy.bytes_d2h", &v));
-    EXPECT_EQ(v, static_cast<double>(n * 4));
+    ASSERT_TRUE(pimGetMetric("cache.cost_memo.miss", &v));
+    EXPECT_EQ(v, 3.0); // H2D, addScalar(1), D2H
     EXPECT_FALSE(pimGetMetric("no.such.metric", &v));
     EXPECT_FALSE(pimGetMetric(nullptr, &v));
 
     // JSON dump emits every metric in the snapshot.
     std::ostringstream json;
     ASSERT_EQ(pimDumpMetrics(json), PimStatus::PIM_OK);
-    EXPECT_NE(json.str().find("\"copy.bytes_h2d\": " +
-                              std::to_string(n * 4)),
+    EXPECT_NE(json.str().find("\"cache.cost_memo.miss\": 3"),
               std::string::npos);
 
     pimFree(a);
